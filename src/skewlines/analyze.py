@@ -136,13 +136,15 @@ def analyze(
     report.transversal = transversal_compute(cfg).to_json()
     report.abelian_prediction = predict_abelian(cfg).to_json()
 
-    gens = generator_set(cfg, mode=mode)
+    # the ratio test always reads the all_triples set; build it once
+    triples = generator_set(cfg)
+    gens = triples if mode == "all_triples" else generator_set(cfg, mode=mode)
     report.generators = {"mode": mode, "count": len(gens.elements)}
 
     closure = group_closure(gens, budget=budget)
     classification = None if closure.budget_hit else classify(closure)
     report.group = _group_section(closure, classification)
-    report.eigenvalue_ratios = eigratio_check(cfg).to_json()
+    report.eigenvalue_ratios = eigratio_check(triples).to_json()
 
     if seed is not None and not closure.budget_hit:
         report.orbit = _orbit_section(cfg, seed, closure, oracle)

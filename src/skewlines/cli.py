@@ -29,14 +29,7 @@ from .configs import (
 )
 from .families import FAMILY_BUILDERS, InvalidParameters, build_family
 from .fields import FieldError
-from .groupoid import (
-    DEFAULT_BUDGET,
-    IncompleteClosure,
-    IndexCollision,
-    classify,
-    generator_set,
-    group_closure,
-)
+from .groupoid import DEFAULT_BUDGET, IncompleteClosure, IndexCollision
 from .orbits import SeedNotOnConfiguration, p3_from_string
 
 _INPUT_ERRORS = (
@@ -192,27 +185,30 @@ def _parse_family_params(tokens) -> dict:
     return params
 
 
+def _matches_expected(fam, group: dict) -> bool:
+    return (group["order"] == fam.expected_order
+            and group["label"] == fam.expected_label)
+
+
 def cmd_family(args) -> int:
     fam = build_family(args.name, **_parse_family_params(args.params))
     payload = {"schema_version": SCHEMA_VERSION, **fam.to_json()}
-    closure = group_closure(generator_set(fam.config), budget=args.budget)
-    if closure.budget_hit:
+    group = analyze(fam.config, budget=args.budget).group
+    if group["budget_hit"]:
         payload["budget_hit"] = True
         _emit(payload, args,
               [f"{args.name}: closure exceeded budget {args.budget}"])
         return 2
-    cls = classify(closure)
-    payload["computed_order"] = closure.order
-    payload["computed_label"] = cls.label
-    matches = (closure.order == fam.expected_order
-               and cls.label == fam.expected_label)
+    payload["computed_order"] = group["order"]
+    payload["computed_label"] = group["label"]
+    matches = _matches_expected(fam, group)
     payload["matches_expected"] = matches
     shown = ", ".join(f"{k}={v}" for k, v in fam.params.items()) or "-"
     lines = [
         f"family {fam.name} ({shown})",
         f"lines: {len(fam.config.labels())} over {fam.config.field}",
-        f"order: {closure.order} (expected {fam.expected_order})",
-        f"label: {cls.label} (expected {fam.expected_label})",
+        f"order: {group['order']} (expected {fam.expected_order})",
+        f"label: {group['label']} (expected {fam.expected_label})",
         f"matches expected: {'yes' if matches else 'NO'}",
     ]
     if fam.notes:
@@ -256,16 +252,14 @@ def cmd_search(args) -> int:
             continue
         row["expected_order"] = fam.expected_order
         row["expected_label"] = fam.expected_label
-        closure = group_closure(generator_set(fam.config), budget=args.budget)
-        if closure.budget_hit:
+        group = analyze(fam.config, budget=args.budget).group
+        if group["budget_hit"]:
             row["budget_hit"] = True
             hit_budget = True
         else:
-            cls = classify(closure)
-            row["order"] = closure.order
-            row["label"] = cls.label
-            row["matches_expected"] = (closure.order == fam.expected_order
-                                       and cls.label == fam.expected_label)
+            row["order"] = group["order"]
+            row["label"] = group["label"]
+            row["matches_expected"] = _matches_expected(fam, group)
         rows.append(row)
 
     payload = {"schema_version": SCHEMA_VERSION, "family": args.name, "rows": rows}

@@ -17,6 +17,7 @@ from .matrices import (
     EigenReport,
     Mat2,
     ProjPoint,
+    _kernel_line,
     commutator,
     eigenvectors,
     proj_normalize,
@@ -280,7 +281,7 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
             if c.det():
                 return TransversalReport(exists=False, method="commutator-kernel")
             # nonzero singular commutator: its kernel is the only candidate
-            cand = _kernel_point(c)
+            cand = _kernel_line(c)
             if verify(cand):
                 return TransversalReport(
                     exists=True, witnesses=[cand], method="commutator-kernel"
@@ -296,12 +297,6 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
     return TransversalReport(
         exists=bool(witnesses), witnesses=witnesses, method="simultaneous-eigen"
     )
-
-
-def _kernel_point(c: Mat2) -> ProjPoint:
-    if c.a or c.b:
-        return ProjPoint(c.b, -c.a)
-    return ProjPoint(c.d, -c.c)
 
 
 def transversal_exists(cfg: LineConfig) -> bool:

@@ -47,6 +47,14 @@ class UnsupportedField(FieldError):
 CoeffLike = Union[int, str, Fraction, "FieldElement"]
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), reporting a zero denominator such as "1/0" as a field error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {text!r}") from None
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -179,7 +187,7 @@ def prime_spec(p: int) -> FieldSpec:
 
 def _canon_coeff(c: CoeffLike, p: Optional[int]) -> str:
     """Canonical string form of a minpoly coefficient (reduced mod p if given)."""
-    fr = Fraction(str(c))
+    fr = _fraction(str(c))
     if p:
         den = fr.denominator % p
         if den == 0:
@@ -719,7 +727,7 @@ class Field:
             raise UnsupportedField(
                 f"coefficient vector longer than degree {self.degree}"
             )
-        fracs = [Fraction(str(c)) if not isinstance(c, Fraction) else c for c in coeffs]
+        fracs = [_fraction(str(c)) if not isinstance(c, Fraction) else c for c in coeffs]
         fracs += [Fraction(0)] * (self.degree - len(fracs))
         if self.characteristic:
             p = self.characteristic
@@ -737,7 +745,7 @@ class Field:
     def element_from_json(self, obj) -> FieldElement:
         """Accept a scalar string/int (constant) or a coefficient-vector list."""
         if isinstance(obj, (str, int)):
-            return self.from_fraction(Fraction(str(obj)))
+            return self.from_fraction(_fraction(str(obj)))
         if isinstance(obj, list):
             return self.from_coeffs(obj)
         raise UnsupportedField(f"cannot read element from {obj!r}")
@@ -1106,7 +1114,7 @@ def _tokenize(text: str):
                     k += 1
                 if k == j + 1:
                     raise ValueError(f"bad fraction in {text!r}")
-                tokens.append(Fraction(int(text[i:j]), int(text[j + 1 : k])))
+                tokens.append(_fraction(text[i:k]))
                 i = k
             else:
                 tokens.append(Fraction(int(text[i:j])))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .configs import INF_LABEL, InvalidIndex, LineConfig
+from .fields import Field
 from .matrices import (
     ProjElem,
     eigenvectors,
@@ -63,10 +64,7 @@ class GeneratorSet:
     elements: list[ProjElem]
     provenance: dict[ProjElem, list[tuple[str, str, str]]]
     mode: str
-
-    @property
-    def field(self):
-        return self.elements[0].field if self.elements else None
+    field: Field
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +109,8 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
                 g = proj_normalize(cfg.matrix(i) - cfg.matrix(j))
                 provenance.setdefault(g, []).append((i, INF_LABEL, j))
     elements = sorted(provenance, key=lambda g: g.key())
-    return GeneratorSet(elements=elements, provenance=provenance, mode=mode)
+    return GeneratorSet(elements=elements, provenance=provenance, mode=mode,
+                        field=cfg.field)
 
 
 @dataclass
@@ -494,14 +493,12 @@ def ratio_order(g: ProjElem, bound: int) -> Optional[int]:
     return None
 
 
-def eigratio_check(cfg: LineConfig, bound: Optional[int] = None) -> RatioReport:
-    """Ratio analysis of every generator of the configuration's group."""
-    cfg.require_valid()
-    gens = generator_set(cfg, mode="all_triples")
-    cap = cfg.field.root_of_unity_bound(quadratic=True)
+def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioReport:
+    """Ratio analysis of every element of a generator set."""
+    cap = gens.field.root_of_unity_bound(quadratic=True)
     effective = cap if bound is None else min(bound, cap)
     report = RatioReport(cap=cap)
-    four = cfg.field.from_int(4)
+    four = gens.field.from_int(4)
     for g in gens.elements:
         m = g.rep
         tr, det = m.trace(), m.det()

@@ -183,18 +183,6 @@ class Mat2:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
 
-def mat_det(m: Mat2) -> FieldElement:
-    return m.det()
-
-
-def mat_trace(m: Mat2) -> FieldElement:
-    return m.trace()
-
-
-def mat_inv(m: Mat2) -> Mat2:
-    return m.inv()
-
-
 def commutator(x: Mat2, y: Mat2) -> Mat2:
     """x*y - y*x."""
     return x * y - y * x
@@ -316,18 +304,6 @@ def proj_identity(field: Field) -> ProjElem:
     return ProjElem(Mat2.identity(field))
 
 
-def proj_mul(g: ProjElem, h: ProjElem) -> ProjElem:
-    return g * h
-
-
-def proj_inv(g: ProjElem) -> ProjElem:
-    return g.inv()
-
-
-def proj_commute(g: ProjElem, h: ProjElem) -> bool:
-    return g * h == h * g
-
-
 def proj_order(g: ProjElem, bound: int = 120) -> Optional[int]:
     """Least n <= bound with g^n = identity in PGL2, or None."""
     x = g
@@ -389,6 +365,17 @@ def eigenvectors(m: Mat2) -> EigenReport:
         shifted = m - Mat2.identity(f).scale(lam)
         return _kernel_line(shifted)
 
+    def search_field() -> EigenReport:
+        # no usable square root: try every element of a small finite field
+        if not (f.is_finite and f.size <= 10**4):
+            return EigenReport(undecided=True)
+        found = [(lam, line_for(lam)) for lam in f.elements()
+                 if (m - Mat2.identity(f).scale(lam)).det() == f.zero()]
+        if not found:
+            return EigenReport(extension_required=True)
+        found.sort(key=lambda t: t[0].sort_key())
+        return EigenReport(pairs=found)
+
     pairs: list[tuple[FieldElement, ProjPoint]] = []
 
     if not m.c or not m.b:
@@ -401,29 +388,13 @@ def eigenvectors(m: Mat2) -> EigenReport:
 
     tr, det = m.trace(), m.det()
     if f.characteristic == 2:
-        if f.size is not None and f.size <= 10**4:
-            for lam in f.elements():
-                if (m - Mat2.identity(f).scale(lam)).det() == f.zero():
-                    pairs.append((lam, line_for(lam)))
-            if pairs:
-                pairs.sort(key=lambda t: t[0].sort_key())
-                return EigenReport(pairs=pairs)
-            return EigenReport(extension_required=True)
-        return EigenReport(undecided=True)
+        return search_field()
 
     disc = tr * tr - 4 * det
     try:
         w = f.sqrt(disc)
     except UnsupportedField:
-        if f.is_finite and f.size <= 10**4:
-            for lam in f.elements():
-                if (m - Mat2.identity(f).scale(lam)).det() == f.zero():
-                    pairs.append((lam, line_for(lam)))
-            if pairs:
-                pairs.sort(key=lambda t: t[0].sort_key())
-                return EigenReport(pairs=pairs)
-            return EigenReport(extension_required=True)
-        return EigenReport(undecided=True)
+        return search_field()
     if w is None:
         return EigenReport(extension_required=True)
     half = f.from_int(2).inv()

@@ -550,7 +550,7 @@ def test_criterion_09e_abelian_prediction_agrees():
 def test_criterion_10_infinite_group_witness(tmp_path, capsys):
     cfg = LineConfig(Q, [Mat2.identity(Q),
                          Mat2.diag(Q.from_int(4), Q.from_int(2))])
-    ratios = eigratio_check(cfg)
+    ratios = eigratio_check(generator_set(cfg))
     statuses = {entry["status"] for entry in ratios.entries}
 
     path = tmp_path / "unbounded.json"

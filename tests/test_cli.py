@@ -1,10 +1,16 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlines.cli import main
 from skewlines.configs import LineConfig
@@ -284,6 +290,11 @@ def test_search_needs_axes(capsys):
 # process-level entry
 
 
+def run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "skewlines.cli", *argv],
+                          capture_output=True, text=True, check=False)
+
+
 def test_module_entry_reads_stdin():
     cfg = a4_example().config
     proc = subprocess.run(
@@ -292,3 +303,78 @@ def test_module_entry_reads_stdin():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def test_zero_denominator_entry_is_an_input_error(tmp_path):
+    path = tmp_path / "div0.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rational"},
+        "lines": ["zero", "infinity", "identity", [["1/0", "0"], ["0", "2"]]],
+    }))
+    proc = run_module("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_denominator_seed_point_is_an_input_error(a4_path):
+    proc = run_module("orbit", a4_path, "--seed-point", "[1/0:0:0:1]")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input of any shape ends in an exit code, never an exception
+
+_ENTRY = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from(["1", "-1", "1/2", "2/3"]),
+    st.sampled_from(["1/0", "nan", "z^2", "z", ""]),
+    st.lists(st.sampled_from(["0", "1", "1/2", "1/0"]), max_size=3),
+)
+_JSON = st.recursive(
+    st.one_of(_ENTRY, st.none(), st.booleans(), st.floats(allow_nan=False)),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+_MATRIX = st.one_of(
+    # well-formed lines, so that some configurations reach the group analysis
+    st.sampled_from([[["2", "0"], ["0", "1"]], [["1", "1"], ["0", "1"]],
+                     [["0", "1"], ["-1", "0"]], [["4", "0"], ["0", "2"]]]),
+    st.lists(st.lists(_ENTRY, min_size=2, max_size=2), min_size=2, max_size=2),
+)
+_FIELDS = st.sampled_from([
+    {"kind": "rational"},
+    {"kind": "prime", "p": 5},
+    {"kind": "extension", "base": {"kind": "rational"}, "minpoly": ["1", "0", "1"]},
+    {"kind": "extension", "base": {"kind": "prime", "p": 5}, "minpoly": ["2", "0", "1"]},
+    {"kind": "prime", "p": 4},
+    {"kind": "prime", "p": "7"},
+    {"kind": "extension", "base": {"kind": "rational"}, "minpoly": ["1/0", "1"]},
+    None,
+])
+_LINES = st.builds(
+    lambda head, tail: head + tail,
+    st.sampled_from([["zero", "infinity"], ["zero"], []]),
+    st.lists(st.one_of(_MATRIX, st.sampled_from(["zero", "infinity", "identity"]), _JSON),
+             min_size=1, max_size=3),
+)
+_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"field": _FIELDS, "lines": _LINES}),
+    st.fixed_dictionaries({"field": _FIELDS, "lines": _JSON}),
+    _JSON,
+)
+
+
+@given(_CONFIGS)
+@settings(max_examples=60, deadline=None)
+def test_hypothesis_malformed_configs_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["group", str(path), "--budget", "50"]):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+            assert code in (0, 1, 2)

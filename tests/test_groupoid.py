@@ -1,7 +1,10 @@
 """Generator triples, group closure, classification, and the ratio test."""
 
+import importlib
+
 import pytest
 
+from skewlines.analyze import analyze
 from skewlines.configs import InvalidConfiguration, InvalidIndex, LineConfig
 from skewlines.families import (
     a4_example,
@@ -216,7 +219,8 @@ def test_closure_rejects_bad_budget_and_empty_generators():
     with pytest.raises(ValueError):
         group_closure(gens, budget=0)
     with pytest.raises(ValueError):
-        group_closure(GeneratorSet(elements=[], provenance={}, mode="all_triples"))
+        group_closure(GeneratorSet(elements=[], provenance={}, mode="all_triples",
+                                   field=Q))
 
 
 def test_closure_membership():
@@ -370,6 +374,7 @@ def test_dihedral_closure_raises_flag():
         elements=[r, s],
         provenance={r: [("1", "inf", "2")], s: [("2", "inf", "1")]},
         mode="differences",
+        field=F5,
     )
     G = group_closure(gens)
     assert G.order == 8
@@ -407,14 +412,14 @@ def test_ratio_orders_directly():
 
 
 def test_eigratio_accepts_icosahedral_configuration():
-    report = eigratio_check(a5_example().config)
+    report = eigratio_check(generator_set(a5_example().config))
     assert report.cap == 60
     assert report.all_roots_of_unity
     assert not report.infinite_witness
 
 
 def test_eigratio_certifies_infinite_group():
-    report = eigratio_check(diag_config(Q, (4, 2)))
+    report = eigratio_check(generator_set(diag_config(Q, (4, 2))))
     assert report.cap == 6
     assert report.infinite_witness
     bad = [e for e in report.entries if e["status"] == "not_root_of_unity"]
@@ -422,13 +427,13 @@ def test_eigratio_certifies_infinite_group():
 
 
 def test_eigratio_bounded_scan_stays_agnostic():
-    report = eigratio_check(diag_config(Q, (4, 2)), bound=3)
+    report = eigratio_check(generator_set(diag_config(Q, (4, 2))), bound=3)
     assert not report.infinite_witness
     assert any(e["status"] == "undetermined" for e in report.entries)
 
 
 def test_eigratio_flags_unipotent_generators():
-    report = eigratio_check(elementary_abelian(3).config)
+    report = eigratio_check(generator_set(elementary_abelian(3).config))
     assert report.all_roots_of_unity
     flagged = [e for e in report.entries if not e["semisimple"]]
     assert flagged
@@ -437,4 +442,36 @@ def test_eigratio_flags_unipotent_generators():
 
 def test_eigratio_requires_valid_configuration():
     with pytest.raises(InvalidConfiguration):
-        eigratio_check(diag_config(Q, (2, 1)))
+        eigratio_check(generator_set(diag_config(Q, (2, 1))))
+
+
+def test_eigratio_reads_field_from_empty_set():
+    empty = GeneratorSet(elements=[], provenance={}, mode="all_triples", field=Q)
+    report = eigratio_check(empty)
+    assert report.cap == 6
+    assert report.entries == []
+    assert not report.infinite_witness
+
+
+# ---------------------------------------------------------------------------
+# one pipeline: analyze() builds each generator set once
+
+
+def test_analyze_builds_generator_set_once(monkeypatch):
+    calls = []
+
+    def counted(cfg, mode="all_triples"):
+        calls.append(mode)
+        return generator_set(cfg, mode=mode)
+
+    for name in ("skewlines.analyze", "skewlines.groupoid"):
+        monkeypatch.setattr(importlib.import_module(name), "generator_set", counted)
+    cfg = a4_example().config
+
+    triples = analyze(cfg)
+    assert calls == ["all_triples"]
+
+    calls.clear()
+    differences = analyze(cfg, mode="differences")
+    assert sorted(calls) == ["all_triples", "differences"]
+    assert differences.eigenvalue_ratios == triples.eigenvalue_ratios
