@@ -72,6 +72,7 @@ from .matrices import (
     ProjPoint,
     commutator,
     eigenvectors,
+    fixes_point,
     moebius_apply,
     proj_identity,
     proj_normalize,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .configs import (
+    InvalidConfiguration,
     LineConfig,
     config_validate,
     predict_abelian,
@@ -18,11 +19,13 @@ from .configs import (
 )
 from .groupoid import (
     DEFAULT_BUDGET,
+    GroupClosure,
     classify,
     eigratio_check,
     generator_set,
     group_closure,
 )
+from .matrices import proj_identity
 from .orbits import P3Point, orbit_full, orbit_geometric
 
 SCHEMA_VERSION = "1"
@@ -132,16 +135,27 @@ def analyze(
     report = AnalysisReport(config=cfg.to_json(), validation=validation.to_json())
     if not validation.valid:
         return report
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
 
     report.transversal = transversal_compute(cfg).to_json()
-    report.abelian_prediction = predict_abelian(cfg).to_json()
+    try:
+        report.abelian_prediction = predict_abelian(cfg).to_json()
+    except InvalidConfiguration as exc:
+        # a singular M_i (allowed without line 0) has no class [M_i] to compare
+        report.abelian_prediction = {"available": False, "reason": str(exc)}
 
     # the ratio test always reads the all_triples set; build it once
     triples = generator_set(cfg)
     gens = triples if mode == "all_triples" else generator_set(cfg, mode=mode)
     report.generators = {"mode": mode, "count": len(gens.elements)}
 
-    closure = group_closure(gens, budget=budget)
+    if gens.elements:
+        closure = group_closure(gens, budget=budget)
+    else:
+        # fewer than three lines give no triple F_ijk, so G_L is trivial
+        closure = GroupClosure(elements=[proj_identity(cfg.field)],
+                               budget_hit=False, budget=budget)
     classification = None if closure.budget_hit else classify(closure)
     report.group = _group_section(closure, classification)
     report.eigenvalue_ratios = eigratio_check(triples).to_json()

@@ -241,7 +241,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field.spec != self.field.spec:
+            if other.field is not self.field and other.field.spec != self.field.spec:
                 raise MixedFields(
                     f"cannot mix elements of {self.field} and {other.field}"
                 )
@@ -318,7 +318,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         return (
-            self.field.spec == other.field.spec
+            (self.field is other.field or self.field.spec == other.field.spec)
             and self.nums == other.nums
             and self.den == other.den
         )
@@ -593,19 +593,69 @@ class Field:
         if not any(nums):
             raise DivisionByZero("cannot invert zero")
         p = self.characteristic
-        if self.degree == 1:
-            if p:
-                return (pow(nums[0], p - 2, p),), 1
-            return self._normalize([den], nums[0])
         if p:
+            if self.degree == 1:
+                return (pow(nums[0], p - 2, p),), 1
             inv_poly = self._poly_ext_gcd_p(list(nums))
             return tuple(inv_poly), 1
-        a = [Fraction(n, den) for n in nums]
-        inv_poly = self._poly_ext_gcd_q(a)
-        common = 1
-        for c in inv_poly:
-            common = common * c.denominator // math.gcd(common, c.denominator)
-        return self._normalize([int(c * common) for c in inv_poly], common)
+        if not any(nums[1:]):
+            # a rational element (every element of Q itself): invert the constant
+            return self._normalize([den] + [0] * (self.degree - 1), nums[0])
+        return self._inv_bareiss(nums, den)
+
+    def _inv_bareiss(self, nums, den):
+        """Inverse over Q by a fraction-free solve of A(z) * x(z) = 1.
+
+        A(z) is the integer numerator of the element.  Column j of its
+        multiplication matrix is z^j A(z) on the power basis; each column is
+        the last one shifted up a degree, with z^d folded back through
+        z^d = row_0 / R (R = _red_den), so scaling column j by R^j keeps every
+        entry an integer.  Bareiss elimination with exact-division back
+        substitution then gives the last pivot P and integers y with
+        x_j = R^j y_j / P (Cohen, GTM 138, sections 2.2 and 4.2-4.3), and the
+        inverse of A/den is den * x.
+        """
+        d = self.degree
+        R = self._red_den
+        top = self._red_rows[0]
+        col = list(nums)
+        cols = [col]
+        for _ in range(d - 1):
+            carry = col[-1]
+            col = [0] + col[:-1] if R == 1 else [0] + [c * R for c in col[:-1]]
+            if carry:
+                col = [c + carry * t for c, t in zip(col, top)]
+            cols.append(col)
+        rows = [list(r) + [0] for r in zip(*cols)]
+        rows[0][d] = 1
+        prev = 1
+        for k in range(d):
+            if not rows[k][k]:
+                for i in range(k + 1, d):
+                    if rows[i][k]:
+                        rows[k], rows[i] = rows[i], rows[k]
+                        break
+                else:
+                    raise DivisionByZero("element not invertible (reducible modulus?)")
+            pivot_row = rows[k]
+            pk = pivot_row[k]
+            tail = pivot_row[k + 1:]
+            for i in range(k + 1, d):
+                row = rows[i]
+                f = row[k]
+                row[k + 1:] = [(pk * a - f * b) // prev
+                               for a, b in zip(row[k + 1:], tail)]
+            prev = pk
+        y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            s = prev * row[d]
+            for j in range(i + 1, d):
+                s -= row[j] * y[j]
+            y[i] = s // row[i]
+        if R != 1:
+            y = [yj * R**j for j, yj in enumerate(y)]
+        return self._normalize([den * yj for yj in y], prev)
 
     def _poly_ext_gcd_p(self, a: list[int]) -> list[int]:
         p = self.characteristic
@@ -647,47 +697,6 @@ class Field:
         inv_c = pow(c, p - 2, p)
         out = [(sc * inv_c) % p for sc in s1]
         out += [0] * (d - len(out))
-        return out[:d]
-
-    def _poly_ext_gcd_q(self, a: list[Fraction]) -> list[Fraction]:
-        d = self.degree
-        m = list(self.minpoly)
-        r0 = m
-        r1 = a + [Fraction(0)] * (len(m) - len(a))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(poly):
-            for i in range(len(poly) - 1, -1, -1):
-                if poly[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            d1 = deg(r1)
-            lead = r1[d1]
-            q = [Fraction(0)] * (deg(r0) - d1 + 1)
-            r0 = r0[:]
-            for shift in range(deg(r0) - d1, -1, -1):
-                c = r0[d1 + shift]
-                if c:
-                    qc = c / lead
-                    q[shift] = qc
-                    for i in range(d1 + 1):
-                        r0[i + shift] -= qc * r1[i]
-            new_s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if i + j >= len(new_s):
-                            new_s.extend([Fraction(0)] * (i + j - len(new_s) + 1))
-                        new_s[i + j] -= qc * sc
-            r0, r1 = r1, r0
-            s0, s1 = s1, new_s
-        g = r1[deg(r1)] if deg(r1) == 0 else None
-        if not g:
-            raise DivisionByZero("element not invertible (reducible modulus?)")
-        out = [sc / g for sc in s1]
-        out += [Fraction(0)] * (d - len(out))
         return out[:d]
 
     # -- element constructors -------------------------------------------------

@@ -16,7 +16,7 @@ from .fields import Field
 from .matrices import (
     ProjElem,
     eigenvectors,
-    moebius_apply,
+    fixes_point,
     proj_identity,
     proj_normalize,
     proj_order,
@@ -337,7 +337,7 @@ def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classificat
         return None
     fixed = None
     for v in rep.eigenlines:
-        if all(moebius_apply(g, v) == v for g in G.elements):
+        if all(fixes_point(g, v) for g in G.elements):
             fixed = v
             break
     if fixed is None:

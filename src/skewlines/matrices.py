@@ -29,7 +29,7 @@ class ZeroVector(Exception):
 def _same_field(*elts: FieldElement) -> Field:
     f = elts[0].field
     for e in elts[1:]:
-        if e.field.spec != f.spec:
+        if e.field is not f and e.field.spec != f.spec:
             raise MixedFields("matrix entries lie in different fields")
     return f
 
@@ -166,7 +166,8 @@ class Mat2:
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self.field.spec == other.field.spec and self.key() == other.key()
+        return ((self.field is other.field or self.field.spec == other.field.spec)
+                and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -247,7 +248,7 @@ class ProjElem:
     def __mul__(self, other: "ProjElem") -> "ProjElem":
         if not isinstance(other, ProjElem):
             return NotImplemented
-        if self.field.spec != other.field.spec:
+        if self.field is not other.field and self.field.spec != other.field.spec:
             raise MixedFields("cannot compose classes over different fields")
         return proj_normalize(self.rep * other.rep)
 
@@ -273,7 +274,8 @@ class ProjElem:
     def __eq__(self, other):
         if not isinstance(other, ProjElem):
             return NotImplemented
-        return self.field.spec == other.field.spec and self.rep.key() == other.rep.key()
+        return ((self.field is other.field or self.field.spec == other.field.spec)
+                and self.rep.key() == other.rep.key())
 
     def __hash__(self):
         return hash(self.rep.key())
@@ -319,6 +321,17 @@ def moebius_apply(g: ProjElem, p: ProjPoint) -> ProjPoint:
         raise MixedFields("element and point lie over different fields")
     x, y = g.rep.apply((p.x, p.y))
     return ProjPoint(x, y)
+
+
+def fixes_point(g: ProjElem, p: ProjPoint) -> bool:
+    """Whether g fixes p, decided without the inversion moebius_apply pays.
+
+    With g = (a b / c d), g.[x:y] = [ax + by : cx + dy] equals [x:y] exactly
+    when (ax + by) y - (cx + dy) x = 0, that is c x^2 + (d - a) x y - b y^2 = 0.
+    """
+    m = g.rep
+    x, y = p.x, p.y
+    return (m.c * x + (m.d - m.a) * y) * x == m.b * y * y
 
 
 @dataclass

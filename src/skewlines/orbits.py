@@ -23,7 +23,7 @@ from .groupoid import (
     generator_set,
     group_closure,
 )
-from .matrices import ProjPoint, eigenvectors, moebius_apply
+from .matrices import ProjPoint, eigenvectors, fixes_point, moebius_apply
 
 
 class SeedNotOnConfiguration(Exception):
@@ -166,7 +166,7 @@ def _prepare(cfg: LineConfig, seed: P3Point,
 
 
 def _stabilizer_size(closure: GroupClosure, rep: ProjPoint) -> int:
-    return sum(1 for g in closure.elements if moebius_apply(g, rep) == rep)
+    return sum(1 for g in closure.elements if fixes_point(g, rep))
 
 
 def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,

@@ -137,6 +137,47 @@ def test_group_invalid_config(broken_path, capsys):
     assert code == 1
 
 
+def test_group_two_lines_is_trivial(tmp_path, capsys):
+    # two lines admit no triple (i, j, k) of distinct lines, so there is no
+    # transport map F_ijk and G_L is the trivial group
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"},
+                                "lines": ["zero", "infinity"]}))
+    code, out, _ = run(capsys, "group", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 1
+    assert payload["label"] == "trivial"
+    assert payload["order_census"] == {"1": 1}
+    # no closure runs, but a budget below 1 is still an input error
+    code, _, err = run(capsys, "group", str(path), "--budget", "0")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_group_with_singular_matrix_line(tmp_path, capsys):
+    # lines inf, I and D = diag(2, 0); without line 0 a singular D is allowed,
+    # and I - D = diag(-1, 1) is nonsingular, so the lines are skew.  Every
+    # triple holds inf: F_{i,j,inf} is the identity, F_{1,inf,2} = [I - D] =
+    # [diag(-1, 1)], F_{2,inf,1} = [D - I] = [diag(1, -1)], and
+    # F_{inf,j,k} = [adj(M_j - M_k)] = [diag(1, -1)] or [diag(-1, 1)].  These
+    # are one class of order 2, so G_L is cyclic(2).  [D] itself has no class,
+    # so the abelian prediction is reported as unavailable.
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rational"},
+        "lines": ["infinity", "identity", [["2", "0"], ["0", "0"]]],
+    }))
+    code, out, _ = run(capsys, "group", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 2
+    assert payload["label"] == "cyclic(2)"
+    prediction = payload["abelian_prediction"]
+    assert prediction["available"] is False
+    assert "singular" in prediction["reason"]
+
+
 # ---------------------------------------------------------------------------
 # orbit
 

@@ -31,6 +31,15 @@ Z6 = cyclotomic_field(6)
 Z20 = cyclotomic_field(20)
 Z24 = cyclotomic_field(24)
 
+# characteristic-0 extensions whose inverse is the fraction-free solve: the
+# cyclotomics, a real quadratic, and a cubic whose rational minpoly makes the
+# reduction rows carry a denominator (_red_den = 6)
+_CHAR0_EXTENSIONS = [cyclotomic_field(n) for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20)]
+_CHAR0_EXTENSIONS += [
+    extension_field(Q, [-2, 0, 1]),
+    extension_field(Q, [Fraction(1, 3), Fraction(1, 2), 0, 1]),
+]
+
 
 # ---------------------------------------------------------------- construction
 
@@ -169,6 +178,9 @@ def test_division_by_zero():
         F25.zero().inv()
     with pytest.raises(ZeroDivisionError):  # DivisionByZero subclasses it
         Z6.one() / Z6.zero()
+    for field in _CHAR0_EXTENSIONS:
+        with pytest.raises(DivisionByZero):
+            field.zero().inv()
 
 
 def test_int_coercion_both_sides():
@@ -237,6 +249,36 @@ def test_hypothesis_z6_multiplicative_structure(a, b):
     assert a * b == b * a
     if a and b:
         assert (a * b).inv() == a.inv() * b.inv()
+
+
+@st.composite
+def _char0_extension_elements(draw):
+    field = draw(st.sampled_from(_CHAR0_EXTENSIONS))
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-40, max_value=40, max_denominator=12),
+        min_size=field.degree, max_size=field.degree))
+    return field.from_coeffs(coeffs)
+
+
+@given(_char0_extension_elements())
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_char0_inverse_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    field = a.field
+    if not a:
+        with pytest.raises(DivisionByZero):
+            a.inv()
+        return
+    inv = a.inv()
+    assert a * inv == field.one()
+    z = sympy.symbols("z")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * z**i
+               for i, c in enumerate(a.coeffs))
+    minpoly = sum(sympy.Rational(c.numerator, c.denominator) * z**i
+                  for i, c in enumerate(field.minpoly))
+    theirs = sympy.Poly(sympy.invert(poly, minpoly, z), z).all_coeffs()[::-1]
+    theirs += [0] * (field.degree - len(theirs))
+    assert list(inv.coeffs) == [Fraction(str(c)) for c in theirs]
 
 
 @given(st.integers(min_value=0, max_value=624))

@@ -6,13 +6,14 @@ from skewlines.configs import InvalidIndex, LineConfig
 from skewlines.families import (
     a4_example,
     a5_example,
+    affine,
     elementary_abelian,
     s4_example,
     standard_construction,
 )
 from skewlines.fields import MixedFields, cyclotomic_field, prime_field, rational_field
 from skewlines.groupoid import IncompleteClosure, generator_set, group_closure
-from skewlines.matrices import Mat2, ProjPoint
+from skewlines.matrices import Mat2, ProjPoint, eigenvectors, fixes_point, moebius_apply
 from skewlines.orbits import (
     OrbitReport,
     P3Point,
@@ -54,6 +55,17 @@ def affine_f5_config():
 
 def points_by_key(report: OrbitReport) -> dict:
     return {lab: {p.key() for p in pts} for lab, pts in report.points.items()}
+
+
+def fixed_pairs_agree(G, points) -> int:
+    """Check fixes_point against moebius_apply on every (g, v); count fixed pairs."""
+    fixed = 0
+    for g in G.elements:
+        for v in points:
+            moved = moebius_apply(g, v)
+            assert fixes_point(g, v) == (moved == v), (g, v, moved)
+            fixed += moved == v
+    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +168,20 @@ def test_icosahedral_orbits():
     assert gen_rep.total_size == 300
     assert gen_rep.stabilizer_order == 1
 
+    # the inversion-free fixed-point test agrees with moebius_apply on every
+    # element.  The eigenlines visible in Q(zeta_20) are the fixed points of 7
+    # of the 15 involutions (the other rotations need a square root the field
+    # lacks or cannot decide): 14 edge points, each fixed by one involution
+    # and the identity.  The coordinate points and [1:1] are among them, and
+    # the generic seed is fixed by the identity alone.
+    points = {v.key(): v for g in G.elements if not g.is_identity()
+              for v in eigenvectors(g.rep).eigenlines}
+    for v in (ProjPoint(f.one(), f.zero()), ProjPoint(f.zero(), f.one()),
+              ProjPoint(f.one(), f.one()), seed):
+        points.setdefault(v.key(), v)
+    assert len(points) == 15
+    assert fixed_pairs_agree(G, points.values()) == 14 * 2 + 1
+
 
 def test_octahedral_orbits():
     cfg = s4_example(cyclotomic_field(12)).config
@@ -225,6 +251,20 @@ def test_affine_orbits_inside_prime_field():
     rep = orbit_full(cfg, p3_from_string(F5, "[0:0:0:1]"), closure=G)
     assert rep.total_size == 25
     assert set(rep.per_line_sizes.values()) == {5}
+
+
+def test_fixes_point_agrees_on_affine_f25_closure():
+    # affine(5): t -> u t + v over F_25, |G| = 200 with u of order 8.  On all
+    # 26 points of P^1(F_25): infinity is fixed by all 200 elements, and each
+    # t in F_25 by its stabilizer of order 200 / 25 = 8
+    cfg = affine(5).config
+    f = cfg.field
+    G = closed(cfg)
+    assert G.order == 200
+    points = [ProjPoint(f.zero(), f.one())]
+    points += [ProjPoint(f.one(), c) for c in f.elements()]
+    # canonical [1:c] is the point t = 1/c, [0:1] is t = 0 and [1:0] is infinity
+    assert fixed_pairs_agree(G, points) == 200 + 25 * 8
 
 
 def test_translation_group_orbits():
