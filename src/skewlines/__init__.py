@@ -19,7 +19,6 @@ from .configs import (
     config_validate,
     predict_abelian,
     transversal_compute,
-    transversal_exists,
 )
 from .families import (
     FAMILY_BUILDERS,

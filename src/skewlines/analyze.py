@@ -94,15 +94,7 @@ def _group_section(closure, classification) -> dict:
         "theorem_violation": False,
     }
     if classification is not None:
-        out["label"] = classification.label
-        out["order_census"] = {
-            str(k): v for k, v in sorted(classification.census.items())
-        }
-        out["abelian"] = classification.abelian
-        out["witnesses"] = classification.witnesses or {}
-        out["theorem_violation"] = classification.theorem_violation
-        if classification.invariant_factors is not None:
-            out["invariant_factors"] = list(classification.invariant_factors)
+        out.update(classification.to_json())
     return out
 
 
@@ -154,7 +146,7 @@ def analyze(
         closure = group_closure(gens, budget=budget)
     else:
         # fewer than three lines give no triple F_ijk, so G_L is trivial
-        closure = GroupClosure(elements=[proj_identity(cfg.field)],
+        closure = GroupClosure(elements=[proj_identity(cfg.field)], generators=[],
                                budget_hit=False, budget=budget)
     classification = None if closure.budget_hit else classify(closure)
     report.group = _group_section(closure, classification)

@@ -299,10 +299,6 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
     )
 
 
-def transversal_exists(cfg: LineConfig) -> bool:
-    return transversal_compute(cfg).exists
-
-
 def predict_abelian(cfg: LineConfig) -> AbelianReport:
     """Predict whether the closure group is abelian from pairwise commutation.
 

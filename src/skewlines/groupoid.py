@@ -8,6 +8,8 @@ enumerator, CLI) works from its deterministic element list.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -19,7 +21,6 @@ from .matrices import (
     fixes_point,
     proj_identity,
     proj_normalize,
-    proj_order,
 )
 
 DEFAULT_BUDGET = 5000
@@ -115,9 +116,11 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
 
 @dataclass
 class GroupClosure:
-    """Elements of the generated subgroup of PGL2 in BFS insertion order."""
+    """Elements of the generated subgroup of PGL2 in BFS insertion order,
+    with the non-identity generators the walk multiplied by."""
 
     elements: list[ProjElem]
+    generators: list[ProjElem]
     budget_hit: bool
     budget: int
 
@@ -136,20 +139,9 @@ class GroupClosure:
         return cached
 
     def is_abelian(self) -> bool:
-        els = self.elements
-        for i in range(len(els)):
-            for j in range(i + 1, len(els)):
-                if els[i] * els[j] != els[j] * els[i]:
-                    return False
-        return True
-
-    def order_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        bound = max(len(self.elements), 1)
-        for g in self.elements:
-            n = proj_order(g, bound)
-            census[n] = census.get(n, 0) + 1
-        return census
+        """A group is abelian exactly when its generators commute pairwise."""
+        return all(g * h == h * g
+                   for g, h in itertools.combinations(self.generators, 2))
 
     def to_json(self) -> dict:
         return {
@@ -185,7 +177,8 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
             seen.add(k)
             elements.append(y)
         idx += 1
-    return GroupClosure(elements=elements, budget_hit=budget_hit, budget=budget)
+    return GroupClosure(elements=elements, generators=mults,
+                        budget_hit=budget_hit, budget=budget)
 
 
 @dataclass
@@ -272,10 +265,29 @@ def _abelian_invariant_factors(order: int, census: dict[int, int]) -> list[int]:
     return sorted(factors)  # ascending: d_1 | d_2 | ...
 
 
+def element_order(g: ProjElem, bound: int) -> Optional[int]:
+    """Least n <= bound with g^n = identity in PGL2, or None.
+
+    The order is a class function of tr^2/det (Beauville, "Finite subgroups
+    of PGL2(K)", 2010), so no matrix power is formed.  Besides the identity,
+    tr^2 = 4 det holds only for unipotent classes, of order p in
+    characteristic p and of infinite order in characteristic 0; every other
+    class has the order of its eigenvalue ratio.
+    """
+    if g.is_identity():
+        return 1
+    m = g.rep
+    tr = m.trace()
+    if tr * tr == m.field.from_int(4) * m.det():
+        p = m.field.characteristic
+        return p if 0 < p <= bound else None
+    return ratio_order(g, bound)
+
+
 _POLYHEDRAL = {
-    12: ("A4", {1: 1, 2: 3, 3: 8}, (3, 2), lambda r, s: proj_order(s * r, 12) == 3),
-    24: ("S4", {1: 1, 2: 9, 3: 8, 4: 6}, (3, 2), lambda r, s: proj_order(r * s, 24) == 4),
-    60: ("A5", {1: 1, 2: 15, 3: 20, 5: 24}, (3, 5), lambda r, s: proj_order(r * s, 60) == 2),
+    12: ("A4", {1: 1, 2: 3, 3: 8}, (3, 2), lambda r, s: element_order(s * r, 12) == 3),
+    24: ("S4", {1: 1, 2: 9, 3: 8, 4: 6}, (3, 2), lambda r, s: element_order(r * s, 24) == 4),
+    60: ("A5", {1: 1, 2: 15, 3: 20, 5: 24}, (3, 5), lambda r, s: element_order(r * s, 60) == 2),
 }
 
 
@@ -299,17 +311,16 @@ def _subgroup_size(r: ProjElem, s: ProjElem, cap: int) -> int:
     return count
 
 
-def _try_polyhedral(G: GroupClosure, census: dict[int, int]) -> Optional[Classification]:
+def _try_polyhedral(G: GroupClosure, census: dict[int, int],
+                    orders: list[int]) -> Optional[Classification]:
     blueprint = _POLYHEDRAL.get(G.order)
     if blueprint is None:
         return None
     label, want_census, (ord_r, ord_s), relation = blueprint
     if census != want_census:
         return None
-    bound = G.order
-    orders = {g.key(): proj_order(g, bound) for g in G.elements}
-    rs_cands = [g for g in G.elements if orders[g.key()] == ord_r]
-    ss_cands = [g for g in G.elements if orders[g.key()] == ord_s]
+    rs_cands = [g for g, o in zip(G.elements, orders) if o == ord_r]
+    ss_cands = [g for g, o in zip(G.elements, orders) if o == ord_s]
     for r in rs_cands:
         for s in ss_cands:
             if not relation(r, s):
@@ -329,42 +340,27 @@ def _try_polyhedral(G: GroupClosure, census: dict[int, int]) -> Optional[Classif
 
 def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classification]:
     """Non-abelian subgroup fixing a point of P^1: shape (C_p)^m x| C_n."""
-    first = next((g for g in G.elements if not g.is_identity()), None)
-    if first is None:
-        return None
-    rep = eigenvectors(first.rep)
-    if rep.undecided or not rep.pairs:
-        return None
-    fixed = None
-    for v in rep.eigenlines:
-        if all(fixes_point(g, v) for g in G.elements):
-            fixed = v
-            break
-    if fixed is None:
-        return None
-    f = G.elements[0].field
-    p = f.characteristic
+    p = G.elements[0].field.characteristic
     if p == 0:
         return None  # finite affine groups in characteristic 0 are cyclic
-    four = f.from_int(4)
-    p_part = 0
-    for g in G.elements:
-        m = g.rep
-        tr, det = m.trace(), m.det()
-        if tr * tr == four * det:
-            p_part += 1
+    # the unipotent elements are the identity and the elements of order p
+    p_part = census[1] + census.get(p, 0)
     n = G.order
     if p_part <= 1 or n % p_part:
         return None
-    q, m = p_part, 0
+    q = p_part
     while q % p == 0:
         q //= p
-        m += 1
-    if q != 1:
-        return None
     quotient = n // p_part
-    has_quot = any(proj_order(g, n) == quotient for g in G.elements)
-    if not has_quot:
+    if q != 1 or quotient not in census:
+        return None
+    first = next(g for g in G.elements if not g.is_identity())
+    rep = eigenvectors(first.rep)
+    if rep.undecided or not rep.pairs:
+        return None
+    fixed = next((v for v in rep.eigenlines
+                  if all(fixes_point(g, v) for g in G.elements)), None)
+    if fixed is None:
         return None
     return Classification(
         label=f"affine({p_part},{quotient})", order=n, census=census,
@@ -372,14 +368,14 @@ def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classificat
     )
 
 
-def _try_dihedral(G: GroupClosure, census: dict[int, int]) -> Optional[Classification]:
+def _try_dihedral(G: GroupClosure, census: dict[int, int],
+                  orders: list[int]) -> Optional[Classification]:
     n = G.order
     if n < 6 or n % 2:
         return None
     half = n // 2
-    bound = n
     rotation = next(
-        (g for g in G.elements if proj_order(g, bound) == half), None
+        (g for g, o in zip(G.elements, orders) if o == half), None
     )
     if rotation is None:
         return None
@@ -388,10 +384,10 @@ def _try_dihedral(G: GroupClosure, census: dict[int, int]) -> Optional[Classific
     for _ in range(half):
         cyc.add(x.key())
         x = x * rotation
-    outside = [g for g in G.elements if g.key() not in cyc]
+    outside = [o for g, o in zip(G.elements, orders) if g.key() not in cyc]
     if len(outside) != half:
         return None
-    if all(proj_order(g, bound) == 2 for g in outside):
+    if all(o == 2 for o in outside):
         return Classification(
             label=f"dihedral({half})", order=n, census=census,
             abelian=False, theorem_violation=True,
@@ -400,14 +396,19 @@ def _try_dihedral(G: GroupClosure, census: dict[int, int]) -> Optional[Classific
 
 
 def classify(G: GroupClosure) -> Classification:
-    """Name the group: decision chain over order, census, and witnesses."""
+    """Name the group: decision chain over order, census, and witnesses.
+
+    The order of each element is evaluated once; the census and every
+    classifier read that one list.
+    """
     if G.budget_hit:
         raise IncompleteClosure(
             f"closure stopped at budget {G.budget}; classification needs a "
             "complete element list"
         )
     n = G.order
-    census = G.order_census()
+    orders = [element_order(g, n) for g in G.elements]
+    census = dict(Counter(orders))
     if n == 1:
         return Classification(label="trivial", order=1, census=census, abelian=True)
     if G.is_abelian():
@@ -433,10 +434,10 @@ def classify(G: GroupClosure) -> Classification:
     hit = _try_affine(G, census)
     if hit is not None:
         return hit
-    hit = _try_polyhedral(G, census)
+    hit = _try_polyhedral(G, census, orders)
     if hit is not None:
         return hit
-    hit = _try_dihedral(G, census)
+    hit = _try_dihedral(G, census, orders)
     if hit is not None:
         return hit
     return Classification(label="unknown", order=n, census=census, abelian=False)

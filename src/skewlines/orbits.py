@@ -23,7 +23,7 @@ from .groupoid import (
     generator_set,
     group_closure,
 )
-from .matrices import ProjPoint, eigenvectors, fixes_point, moebius_apply
+from .matrices import ProjPoint, fixes_point, moebius_apply
 
 
 class SeedNotOnConfiguration(Exception):
@@ -357,28 +357,19 @@ def generic_seed(cfg: LineConfig, closure: GroupClosure) -> ProjPoint:
 
     Candidates are tried in the fixed order [1:0], [0:1], [1:1], then
     [1:c] along the field's element enumeration, so the choice is
-    reproducible.  Known eigenlines are skipped as a cheap filter; the
-    surviving candidate is certified by counting its fixers directly, so
-    the returned point is free even when eigen detection is undecided.
+    reproducible.  Each candidate is certified by the fixed-point test
+    alone, and dropped at the first non-identity element that fixes it.
     """
     if closure.budget_hit:
         raise IncompleteClosure("seed construction needs the complete group")
     f = cfg.field
-    avoid = set()
-    for g in closure.elements:
-        if g.is_identity():
-            continue
-        rep = eigenvectors(g.rep)
-        for v in rep.eigenlines:
-            avoid.add(v.key())
+    movers = [g for g in closure.elements if not g.is_identity()]
     one, zero = f.one(), f.zero()
     candidates = itertools.chain(
         [ProjPoint(one, zero), ProjPoint(zero, one), ProjPoint(one, one)],
         (ProjPoint(one, c) for c in f.element_sequence()),
     )
     for p in candidates:
-        if p.key() in avoid:
-            continue
-        if _stabilizer_size(closure, p) == 1:
+        if not any(fixes_point(g, p) for g in movers):
             return p
     raise RuntimeError("field exhausted before finding a generic point")

@@ -16,7 +16,6 @@ from skewlines.configs import (
     config_validate,
     predict_abelian,
     transversal_compute,
-    transversal_exists,
 )
 from skewlines.families import a4_example, a5_example, s4_example
 
@@ -242,14 +241,14 @@ def test_s4_pair_has_no_transversal():
     assert not rep.exists
     assert rep.witnesses == []
     assert rep.method == "commutator-kernel"
-    assert transversal_exists(cfg) is False
+    assert rep.exists is False
 
 
 def test_a4_pair_has_no_transversal():
     cfg = a4_config()
     m2, m3 = cfg.matrices[1], cfg.matrices[2]
     assert commutator(m2, m3).det() == Z12.from_int(2)
-    assert not transversal_exists(cfg)
+    assert not transversal_compute(cfg).exists
 
 
 def test_a5_pair_has_no_transversal():
@@ -305,7 +304,7 @@ def test_witnesses_are_sound():
 def test_transversal_implies_singular_commutators():
     cfg = LineConfig(Q, [Mat2.identity(Q), mat(Q, [["2", "1"], ["0", "2"]]),
                          diag(Q, 3, 5)])
-    assert transversal_exists(cfg)
+    assert transversal_compute(cfg).exists
     mats = cfg.matrices
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):

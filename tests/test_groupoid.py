@@ -1,8 +1,13 @@
 """Generator triples, group closure, classification, and the ratio test."""
 
+import functools
 import importlib
+import itertools
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewlines.analyze import analyze
 from skewlines.configs import InvalidConfiguration, InvalidIndex, LineConfig
@@ -10,11 +15,18 @@ from skewlines.families import (
     a4_example,
     a5_example,
     affine,
+    c3_scaled,
+    cyclic_4line,
     elementary_abelian,
     s4_example,
     standard_construction,
 )
-from skewlines.fields import cyclotomic_field, prime_field, rational_field
+from skewlines.fields import (
+    cyclotomic_field,
+    extension_field,
+    prime_field,
+    rational_field,
+)
 from skewlines.groupoid import (
     GeneratorSet,
     IncompleteClosure,
@@ -22,6 +34,7 @@ from skewlines.groupoid import (
     _abelian_invariant_factors,
     classify,
     eigratio_check,
+    element_order,
     generator,
     generator_set,
     group_closure,
@@ -29,6 +42,7 @@ from skewlines.groupoid import (
 )
 from skewlines.matrices import (
     Mat2,
+    ProjElem,
     ProjPoint,
     moebius_apply,
     proj_identity,
@@ -239,7 +253,7 @@ def test_closure_abelian_detection():
 
 def test_order_census_of_six_cycle():
     G = closure_of(standard_construction(3).config)
-    assert G.order_census() == {1: 1, 2: 1, 3: 2, 6: 2}
+    assert classify(G).census == {1: 1, 2: 1, 3: 2, 6: 2}
 
 
 def test_closure_json_shape():
@@ -475,3 +489,146 @@ def test_analyze_builds_generator_set_once(monkeypatch):
     differences = analyze(cfg, mode="differences")
     assert sorted(calls) == ["all_triples", "differences"]
     assert differences.eigenvalue_ratios == triples.eigenvalue_ratios
+
+
+# ---------------------------------------------------------------------------
+# element orders from tr^2/det, evaluated once per element
+
+_CLOSURE_FAMILIES = {
+    "a4": a4_example,
+    "s4": s4_example,
+    "a5": a5_example,
+    "affine5": lambda: affine(5),
+    "affine7": lambda: affine(7),
+    **{f"standard{n}": functools.partial(standard_construction, n)
+       for n in range(3, 9)},
+    "elementary_abelian5": lambda: elementary_abelian(5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _family_closure(name):
+    return closure_of(_CLOSURE_FAMILIES[name]().config)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_FAMILIES))
+def test_element_order_matches_proj_order_on_closures(name):
+    G = _family_closure(name)
+    for g in G.elements:
+        assert element_order(g, G.order) == proj_order(g, G.order)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_FAMILIES))
+def test_is_abelian_matches_pairwise_check(name):
+    G = _family_closure(name)
+    brute = all(g * h == h * g for g, h in itertools.combinations(G.elements, 2))
+    assert G.is_abelian() == brute
+
+
+_ORDER_FIELDS = [
+    prime_field(2), F5, F7,
+    extension_field(prime_field(2), [1, 1, 1]),  # F_4
+    extension_field(prime_field(3), [1, 0, 1]),  # F_9: z^2 = -1
+    extension_field(F5, [3, 0, 1]),  # F_25: z^2 = 2
+    cyclotomic_field(3), cyclotomic_field(4), cyclotomic_field(5),
+    cyclotomic_field(8), cyclotomic_field(12),
+]
+
+
+@st.composite
+def _order_cases(draw):
+    f = draw(st.sampled_from(_ORDER_FIELDS))
+
+    def entry():
+        return f.from_coeffs(draw(st.lists(
+            st.integers(min_value=-3, max_value=3),
+            min_size=f.degree, max_size=f.degree)))
+
+    kind = draw(st.sampled_from(["random", "identity", "unipotent", "involution"]))
+    if kind == "identity":
+        lam = entry()
+        assume(lam)
+        m = Mat2.diag(lam, lam)
+    elif kind == "unipotent":
+        P = Mat2(entry(), entry(), entry(), entry())
+        assume(P.det())
+        m = P * mat(f, [["1", "1"], ["0", "1"]]) * P.adjugate()
+    elif kind == "involution":
+        a, b, c = entry(), entry(), entry()
+        assume(b or c)  # in characteristic 2, a*I has trace 0 too
+        m = Mat2(a, b, c, -a)
+    else:
+        m = Mat2(entry(), entry(), entry(), entry())
+    assume(m.det())
+    bound = draw(st.integers(min_value=1, max_value=30))
+    return kind, proj_normalize(m), bound
+
+
+@given(_order_cases())
+@settings(max_examples=80, deadline=None)
+def test_hypothesis_element_order_matches_proj_order(case):
+    kind, g, bound = case
+    p = g.field.characteristic
+    assert element_order(g, bound) == proj_order(g, bound)
+    want = proj_order(g, 30)
+    assert element_order(g, 30) == want
+    if want is not None and want > 1:
+        assert element_order(g, want - 1) is None
+    # tr = 0 in characteristic 2 makes the class unipotent, of order 2 = p
+    expected = {"identity": 1, "unipotent": p or None, "involution": 2}
+    if kind in expected:
+        assert want == expected[kind]
+
+
+def test_classify_evaluates_each_element_order_once(monkeypatch):
+    seen = []
+
+    def counted(g, bound):
+        seen.append(id(g))
+        return element_order(g, bound)
+
+    monkeypatch.setattr(importlib.import_module("skewlines.groupoid"),
+                        "element_order", counted)
+    for name in ("a5", "affine5", "standard5"):
+        G = _family_closure(name)
+        seen.clear()
+        classify(G)
+        # the polyhedral relation checks may also ask for orders of fresh
+        # products; every closure element is asked exactly once
+        for g in G.elements:
+            assert seen.count(id(g)) == 1
+
+
+def test_is_abelian_multiplies_only_generator_pairs(monkeypatch):
+    products = []
+    plain = ProjElem.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(ProjElem, "__mul__", counted)
+    for name in ("standard8", "elementary_abelian5", "a5", "affine7"):
+        G = _family_closure(name)
+        k = len(G.generators)
+        products.clear()
+        G.is_abelian()
+        assert len(products) <= k * (k - 1)
+
+
+def test_pipeline_labels_every_family_without_proj_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("proj_order called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "skewlines" or name.startswith("skewlines."):
+            if getattr(module, "proj_order", None) is proj_order:
+                monkeypatch.setattr(module, "proj_order", refuse)
+    families = [
+        standard_construction(6), c3_scaled(4), cyclic_4line(2, 3),
+        elementary_abelian(3), affine(3), a5_example(), s4_example(),
+        a4_example(),
+    ]
+    for fam in families:
+        report = analyze(fam.config)
+        assert report.group["label"] == fam.expected_label
