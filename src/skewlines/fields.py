@@ -593,18 +593,15 @@ class Field:
         if not any(nums):
             raise DivisionByZero("cannot invert zero")
         p = self.characteristic
-        if p:
-            if self.degree == 1:
-                return (pow(nums[0], p - 2, p),), 1
-            inv_poly = self._poly_ext_gcd_p(list(nums))
-            return tuple(inv_poly), 1
         if not any(nums[1:]):
-            # a rational element (every element of Q itself): invert the constant
+            # a constant (every element of Q and F_p itself): invert it directly
+            if p:
+                return (pow(nums[0], p - 2, p),) + (0,) * (self.degree - 1), 1
             return self._normalize([den] + [0] * (self.degree - 1), nums[0])
         return self._inv_bareiss(nums, den)
 
     def _inv_bareiss(self, nums, den):
-        """Inverse over Q by a fraction-free solve of A(z) * x(z) = 1.
+        """Inverse by a fraction-free solve of A(z) * x(z) = 1 over the integers.
 
         A(z) is the integer numerator of the element.  Column j of its
         multiplication matrix is z^j A(z) on the power basis; each column is
@@ -613,7 +610,9 @@ class Field:
         entry an integer.  Bareiss elimination with exact-division back
         substitution then gives the last pivot P and integers y with
         x_j = R^j y_j / P (Cohen, GTM 138, sections 2.2 and 4.2-4.3), and the
-        inverse of A/den is den * x.
+        inverse of A/den is den * x.  Over F_p (R = den = 1) the integer solve
+        is read modulo p: P = +-det of the multiplication matrix = +-Norm(A)
+        mod p, nonzero for A != 0, so x = y * P^-1 mod p.
         """
         d = self.degree
         R = self._red_den
@@ -653,51 +652,13 @@ class Field:
             for j in range(i + 1, d):
                 s -= row[j] * y[j]
             y[i] = s // row[i]
+        if self.characteristic:
+            p = self.characteristic
+            scale = pow(prev % p, p - 2, p)
+            return tuple(yj * scale % p for yj in y), 1
         if R != 1:
             y = [yj * R**j for j, yj in enumerate(y)]
         return self._normalize([den * yj for yj in y], prev)
-
-    def _poly_ext_gcd_p(self, a: list[int]) -> list[int]:
-        p = self.characteristic
-        d = self.degree
-        m = list(self._mod_minpoly)
-        r0, r1 = m, a + [0] * (len(m) - len(a))
-        s0, s1 = [0], [1]
-
-        def deg(poly):
-            for i in range(len(poly) - 1, -1, -1):
-                if poly[i] % p:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            d1 = deg(r1)
-            inv_lead = pow(r1[d1], p - 2, p)
-            q = [0] * (deg(r0) - d1 + 1)
-            r0 = r0[:]
-            for shift in range(deg(r0) - d1, -1, -1):
-                c = r0[d1 + shift] % p
-                if c:
-                    qc = c * inv_lead % p
-                    q[shift] = qc
-                    for i in range(d1 + 1):
-                        r0[i + shift] = (r0[i + shift] - qc * r1[i]) % p
-            new_s = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if i + j >= len(new_s):
-                            new_s.extend([0] * (i + j - len(new_s) + 1))
-                        new_s[i + j] = (new_s[i + j] - qc * sc) % p
-            r0, r1 = r1, r0
-            s0, s1 = s1, new_s
-        c = r1[deg(r1)] % p
-        if c == 0:
-            raise DivisionByZero("element not invertible (reducible modulus?)")
-        inv_c = pow(c, p - 2, p)
-        out = [(sc * inv_c) % p for sc in s1]
-        out += [0] * (d - len(out))
-        return out[:d]
 
     # -- element constructors -------------------------------------------------
 

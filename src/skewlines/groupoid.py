@@ -81,16 +81,21 @@ class GeneratorSet:
 
 
 def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
-    """Generators in one of two equivalent shapes.
+    """Generators in one of two shapes.
 
     all_triples: F_ijk over every ordered triple of distinct lines.
-    differences: the classes [M_i - M_j] over pairs of finite lines (these
-    are the F_{i,inf,j}, and generate the same group when both special lines
-    are present).
+    differences: the classes [D_ab] = [M_a - M_b] over ordered pairs of finite
+    lines (M_0 = 0).  F_ijk = [D_jk]^-1 [D_ik], F_{i,inf,k} = [D_ik],
+    F_{inf,j,k} = [D_jk]^-1 and F_{i,j,inf} = 1, so every F_ijk is a word in
+    the [D_ab].  Conversely [D_ab] = F_{a,inf,b} lies in G when the
+    infinity line is present, so then both sets generate G; without it the
+    [D_ab] can generate more than G, and the mode is refused.
     """
     cfg.require_valid()
     if mode not in ("all_triples", "differences"):
         raise ValueError(f"unknown generator mode {mode!r}")
+    if mode == "differences" and not cfg.include_infinity:
+        raise ValueError("differences mode needs the infinity line")
     provenance: dict[ProjElem, list[tuple[str, str, str]]] = {}
     labels = cfg.labels()
     if mode == "all_triples":
@@ -291,26 +296,6 @@ _POLYHEDRAL = {
 }
 
 
-def _subgroup_size(r: ProjElem, s: ProjElem, cap: int) -> int:
-    gens = [r, s]
-    ident = proj_identity(r.field)
-    seen = {ident.key()}
-    frontier = [ident]
-    count = 1
-    while frontier and count <= cap:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                k = y.key()
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(y)
-                    count += 1
-        frontier = nxt
-    return count
-
-
 def _try_polyhedral(G: GroupClosure, census: dict[int, int],
                     orders: list[int]) -> Optional[Classification]:
     blueprint = _POLYHEDRAL.get(G.order)
@@ -325,7 +310,10 @@ def _try_polyhedral(G: GroupClosure, census: dict[int, int],
         for s in ss_cands:
             if not relation(r, s):
                 continue
-            if _subgroup_size(r, s, G.order) == G.order:
+            pair = GeneratorSet(elements=[r, s], provenance={}, mode="witnesses",
+                                field=r.field)
+            # <r, s> lies in G, so a budget of |G| never cuts it short
+            if group_closure(pair, budget=G.order).order == G.order:
                 wit = {
                     "r": r.to_json(),
                     "s": s.to_json(),

@@ -221,6 +221,9 @@ class ProjPoint:
     def __hash__(self):
         return hash(self.key())
 
+    def __iter__(self):
+        return iter((self.x, self.y))
+
     def to_json(self) -> list:
         return [self.x.to_json(), self.y.to_json()]
 
@@ -323,14 +326,16 @@ def moebius_apply(g: ProjElem, p: ProjPoint) -> ProjPoint:
     return ProjPoint(x, y)
 
 
-def fixes_point(g: ProjElem, p: ProjPoint) -> bool:
+def fixes_point(g: ProjElem, p) -> bool:
     """Whether g fixes p, decided without the inversion moebius_apply pays.
 
     With g = (a b / c d), g.[x:y] = [ax + by : cx + dy] equals [x:y] exactly
     when (ax + by) y - (cx + dy) x = 0, that is c x^2 + (d - a) x y - b y^2 = 0.
+    The test is homogeneous, so p may be a ProjPoint or any nonzero pair
+    (x, y) representing it.
     """
     m = g.rep
-    x, y = p.x, p.y
+    x, y = p
     return (m.c * x + (m.d - m.a) * y) * x == m.b * y * y
 
 

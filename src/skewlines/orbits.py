@@ -3,9 +3,9 @@
 Two independent enumerations of the same orbit: `orbit_full` pushes the
 P^1 parameter of each line around with the transport classes, while
 `orbit_geometric` re-derives every step from scratch as "span a plane
-through the point and one line, intersect it with another" — pure linear
-algebra in four coordinates.  Agreement between them is the strongest
-correctness check the package has.
+through the point and one line, intersect it with another" — linear
+algebra on the lines' Pluecker coordinates, with no per-line cases.
+Agreement between them is the strongest correctness check the package has.
 """
 
 from __future__ import annotations
@@ -81,6 +81,64 @@ def p3_from_string(field: Field, text: str) -> P3Point:
     return P3Point(*(field.parse(p) for p in parts))
 
 
+# ---------------------------------------------------------------------------
+# lines as Pluecker coordinates
+
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _span_rows(cfg: LineConfig, label: str) -> tuple[tuple, tuple]:
+    """Two points of P^3 spanning the given line."""
+    f = cfg.field
+    one, zero = f.one(), f.zero()
+    if label == ZERO_LABEL:
+        return (one, zero, zero, zero), (zero, one, zero, zero)
+    if label == INF_LABEL:
+        return (zero, zero, one, zero), (zero, zero, zero, one)
+    m = cfg.matrix(label)
+    return (one, zero, m.a, m.c), (zero, one, m.b, m.d)
+
+
+def _plucker(a: tuple, b: tuple) -> tuple:
+    """p_ij = a_i b_j - a_j b_i for ij in 01, 02, 03, 12, 13, 23.
+
+    The graph of M = (a b / c d) has (1, b, d, -a, -c, det M); the zero line
+    has p_01 = 1 and the infinity line p_23 = 1, all else 0 (Pottmann and
+    Wallner, Computational Line Geometry, 2001).
+    """
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
+
+
+def _plane(pl: tuple, x: tuple) -> tuple:
+    """The plane through the point x and the line pl: its dual Pluecker
+    matrix applied to x.  All four coordinates vanish when x is on the line."""
+    p01, p02, p03, p12, p13, p23 = pl
+    x0, x1, x2, x3 = x
+    return (
+        p23 * x1 - p13 * x2 + p12 * x3,
+        p03 * x2 - p23 * x0 - p02 * x3,
+        p13 * x0 - p03 * x1 + p01 * x3,
+        p02 * x1 - p12 * x0 - p01 * x2,
+    )
+
+
+def _dot(u: tuple, v: tuple) -> FieldElement:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _meet(span: tuple, lam: tuple) -> P3Point:
+    """The point where the plane lam meets the line spanned by a and b.
+
+    (lam.b) a - (lam.a) b lies on both; skewness keeps the line out of the
+    plane, so the two dot products never vanish together.
+    """
+    a, b = span
+    la, lb = _dot(lam, a), _dot(lam, b)
+    if not la and not lb:
+        raise RuntimeError("plane contains the target line; lines not skew?")
+    return P3Point(*(lb * ai - la * bi for ai, bi in zip(a, b)))
+
+
 def point_on_line(cfg: LineConfig, i, v: ProjPoint) -> P3Point:
     """Embed the P^1 parameter v as a point of line i in P^3.
 
@@ -100,17 +158,13 @@ def point_on_line(cfg: LineConfig, i, v: ProjPoint) -> P3Point:
 
 
 def find_carrier(cfg: LineConfig, p: P3Point) -> Optional[str]:
-    """The label of the configuration line through p, or None."""
-    x, y, z, w = p.coords
-    if z.is_zero() and w.is_zero():
-        return ZERO_LABEL if cfg.include_zero else None
-    if x.is_zero() and y.is_zero():
-        return INF_LABEL if cfg.include_infinity else None
-    for label in cfg.matrix_labels():
-        mx, my = cfg.matrix(label).apply((x, y))
-        if mx == z and my == w:
-            return label
-    return None
+    """The label of the first configuration line through p, or None.
+
+    p is on a line exactly when the line's dual Pluecker matrix kills it.
+    """
+    return next((lab for lab in cfg.labels()
+                 if not any(_plane(_plucker(*_span_rows(cfg, lab)), p.coords))),
+                None)
 
 
 def line_parameter(cfg: LineConfig, label: str, p: P3Point) -> ProjPoint:
@@ -165,8 +219,20 @@ def _prepare(cfg: LineConfig, seed: P3Point,
     return carrier, closure
 
 
-def _stabilizer_size(closure: GroupClosure, rep: ProjPoint) -> int:
-    return sum(1 for g in closure.elements if fixes_point(g, rep))
+def _stabilizer_size(closure: GroupClosure, v) -> int:
+    return sum(1 for g in closure.elements if fixes_point(g, v))
+
+
+def _parameter(span: tuple, x: tuple) -> tuple:
+    """[s : t] with x = s a + t b on the line spanned by a and b.
+
+    Cramer's rule on the coordinates ij of the first nonzero p_ij gives
+    p_ij (s, t) = (x_i b_j - x_j b_i, a_i x_j - a_j x_i); the common factor
+    p_ij does not change the projective point.
+    """
+    a, b = span
+    i, j = next(ij for ij, q in zip(_PAIRS, _plucker(a, b)) if q)
+    return x[i] * b[j] - x[j] * b[i], a[i] * x[j] - a[j] * x[i]
 
 
 def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
@@ -198,7 +264,7 @@ def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
             queue.append((nlab, np))
             total += 1
         idx += 1
-    stab = _stabilizer_size(closure, line_parameter(cfg, carrier, seed))
+    stab = _stabilizer_size(closure, _parameter(_span_rows(cfg, carrier), seed.coords))
     return OrbitReport(
         seed=seed,
         carrier=carrier,
@@ -261,89 +327,30 @@ def orbit_on_line(cfg: LineConfig, G: GroupClosure,
     return size, stab
 
 
-# ---------------------------------------------------------------------------
-# the geometric oracle
-
-
-def _span_rows(cfg: LineConfig, label: str) -> tuple[tuple, tuple]:
-    """Two points of P^3 spanning the given line."""
-    f = cfg.field
-    one, zero = f.one(), f.zero()
-    if label == ZERO_LABEL:
-        return (one, zero, zero, zero), (zero, one, zero, zero)
-    if label == INF_LABEL:
-        return (zero, zero, one, zero), (zero, zero, zero, one)
-    m = cfg.matrix(label)
-    return (one, zero, m.a, m.c), (zero, one, m.b, m.d)
-
-
-def _det3(r0, r1, r2) -> FieldElement:
-    return (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
-
-
-def _plane_through(p: tuple, q1: tuple, q2: tuple) -> tuple:
-    """The linear functional vanishing on the span of three points."""
-    lam = []
-    sign = 1
-    for i in range(4):
-        cols = [c for c in range(4) if c != i]
-        minor = _det3(
-            tuple(p[c] for c in cols),
-            tuple(q1[c] for c in cols),
-            tuple(q2[c] for c in cols),
-        )
-        lam.append(minor if sign > 0 else -minor)
-        sign = -sign
-    return tuple(lam)
-
-
-def _meet_line(cfg: LineConfig, label: str, lam: tuple) -> ProjPoint:
-    """Intersect the plane with functional lam with the given line.
-
-    Restricting lam to the line's parametrization leaves one linear
-    condition c_x x + c_y y = 0 on the parameter; skewness guarantees the
-    line is never contained in the plane, so (c_x, c_y) != (0, 0).
-    """
-    if label == ZERO_LABEL:
-        cx, cy = lam[0], lam[1]
-    elif label == INF_LABEL:
-        cx, cy = lam[2], lam[3]
-    else:
-        m = cfg.matrix(label)
-        cx = lam[0] + lam[2] * m.a + lam[3] * m.c
-        cy = lam[1] + lam[2] * m.b + lam[3] * m.d
-    if cx.is_zero() and cy.is_zero():
-        raise RuntimeError("plane contains the target line; lines not skew?")
-    return ProjPoint(cy, -cx)
-
-
 def orbit_geometric(cfg: LineConfig, seed: P3Point,
                     budget: Optional[int] = None,
                     closure: Optional[GroupClosure] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
 
     Each step spans the plane through the current point and a third line,
-    then intersects it with the target line — four-coordinate linear
-    algebra only, serving as an independent oracle for the matrix path.
+    then meets it with the target line: Pluecker-coordinate linear algebra
+    in four coordinates, serving as an independent oracle for the matrix
+    path.
     """
     carrier, closure = _prepare(cfg, seed, closure)
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
+    pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
 
     def step(lab: str, p: P3Point) -> Iterator[tuple[str, P3Point]]:
+        planes = {k: _plane(pluckers[k], p.coords) for k in labels if k != lab}
         for j in labels:
             if j == lab:
                 continue
             for k in labels:
                 if k == lab or k == j:
                     continue
-                lam = _plane_through(p.coords, *spans[k])
-                v = _meet_line(cfg, j, lam)
-                yield j, point_on_line(cfg, j, v)
+                yield j, _meet(spans[j], planes[k])
 
     return _orbit_bfs(cfg, seed, carrier, closure, budget, step)
 

@@ -122,6 +122,24 @@ def test_group_generator_modes_agree(a4_path, capsys):
     assert (a["order"], a["label"]) == (b["order"], b["label"])
 
 
+def test_group_differences_mode_needs_infinity_line(tmp_path, capsys):
+    # Without the infinity line the classes [M_a - M_b] need not lie in G:
+    # here G is cyclic(6) while the differences close to all of PGL2(F_5).
+    path = tmp_path / "no_inf.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 5},
+        "lines": ["zero", [["3", "2"], ["0", "3"]], [["4", "0"], ["1", "2"]]],
+    }))
+    code, out, _ = run(capsys, "group", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["order"], payload["label"]) == (6, "cyclic(6)")
+    code, out, err = run(capsys, "group", str(path), "--mode", "differences")
+    assert code == 1
+    assert err.startswith("error:") and "infinity line" in err
+    assert out == ""
+
+
 def test_group_budget_exhaustion(infinite_path, capsys):
     code, out, _ = run(capsys, "group", infinite_path, "--json", "--budget", "100")
     assert code == 2
@@ -205,6 +223,27 @@ def test_orbit_seed_not_on_config(a4_path, capsys):
     code, _, err = run(capsys, "orbit", a4_path, "--seed-point", "[1:1:1:2]")
     assert code == 1
     assert "no line" in err
+
+
+def test_orbit_seed_on_singular_line(tmp_path, capsys):
+    # Without line 0 a singular M is allowed: D = diag(2, 0) sends (0, 1) to
+    # (0, 0), so [0:1:0:0] = (v, Dv) with v = [0:1] lies on line 2.  G is
+    # {1, [diag(-1, 1)]} (test_group_with_singular_matrix_line), and both
+    # elements fix [0:1], so the stabilizer is all of G and the orbit is one
+    # point on each of the three lines.
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rational"},
+        "lines": ["infinity", "identity", [["2", "0"], ["0", "0"]]],
+    }))
+    code, out, _ = run(capsys, "orbit", str(path), "--seed-point", "[0:1:0:0]",
+                       "--oracle", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["carrier"] == "2"
+    assert payload["total_size"] == 3
+    assert payload["stabilizer_order"] == 2
+    assert payload["oracle_agrees"] is True
 
 
 def test_orbit_malformed_seed(a4_path, capsys):

@@ -1,5 +1,8 @@
 """Configuration validation, transversal search, and the abelian forecast."""
 
+import itertools
+import random
+
 import pytest
 
 from skewlines.fields import (
@@ -17,7 +20,8 @@ from skewlines.configs import (
     predict_abelian,
     transversal_compute,
 )
-from skewlines.families import a4_example, a5_example, s4_example
+from skewlines.families import a4_example, a5_example, build_family, s4_example
+from skewlines.orbits import _plucker, _span_rows
 
 Q = rational_field()
 F5 = prime_field(5)
@@ -378,3 +382,62 @@ def test_predict_abelian_requires_valid_config():
     cfg = LineConfig(Q, [diag(Q, 2, 3), diag(Q, 2, 5)])
     with pytest.raises(InvalidConfiguration):
         predict_abelian(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the Pluecker pairing is the skewness test
+
+
+def _pairing(p, q):
+    """The Pluecker pairing; zero exactly when the two lines meet."""
+    p01, p02, p03, p12, p13, p23 = p
+    q01, q02, q03, q12, q13, q23 = q
+    return (p01 * q23 - p02 * q13 + p03 * q12
+            + p12 * q03 - p13 * q02 + p23 * q01)
+
+
+def _check_pairing_against_validation(cfg):
+    one = cfg.field.one()
+    report = cfg.validation
+    meeting = {frozenset(pair) for pair in report.pair_violations}
+    meeting |= {frozenset(("0", lab)) for lab in report.meets_zero}
+    pl = {lab: _plucker(*_span_rows(cfg, lab)) for lab in cfg.labels()}
+    for a, b in itertools.combinations(cfg.labels(), 2):
+        value = _pairing(pl[a], pl[b])
+        if "inf" in (a, b):
+            assert value == one, (a, b)
+        else:
+            # M_0 = 0 for the zero line
+            assert value == (cfg.matrix(a) - cfg.matrix(b)).det(), (a, b)
+        assert (not value) == (frozenset((a, b)) in meeting), (a, b)
+
+
+def test_plucker_pairing_is_skewness_on_families():
+    built = [build_family("standard", n=n) for n in range(2, 9)]
+    built += [
+        build_family("c3_scaled", s_order=2),
+        build_family("cyclic_4line", u1_order=3, u2_order=4),
+        build_family("elementary_abelian", p=3),
+        build_family("elementary_abelian", p=5),
+        build_family("affine", p=3),
+        build_family("affine", p=5),
+        a4_example(),
+        s4_example(),
+        a5_example(),
+    ]
+    for fam in built:
+        _check_pairing_against_validation(fam.config)
+
+
+def test_plucker_pairing_is_skewness_on_random_f5_configs():
+    # random lines over F_5, with or without 0 and inf, skew or not
+    rng = random.Random(5)
+    violations = 0
+    for _ in range(200):
+        mats = [mat(F5, [[str(rng.randrange(5)) for _ in range(2)] for _ in range(2)])
+                for _ in range(rng.randint(1, 4))]
+        cfg = LineConfig(F5, mats, include_zero=rng.random() < 0.7,
+                         include_infinity=rng.random() < 0.7)
+        _check_pairing_against_validation(cfg)
+        violations += not cfg.validation.valid
+    assert 0 < violations < 200  # both outcomes were exercised

@@ -40,6 +40,21 @@ _CHAR0_EXTENSIONS += [
     extension_field(Q, [Fraction(1, 3), Fraction(1, 2), 0, 1]),
 ]
 
+# extensions of F_p whose inverse is the same integer solve, read mod p:
+# F_4, F_16, F_25, F_27, F_49, F_121, F_2401 and F_10201
+_FINITE_EXTENSIONS = [
+    extension_field(prime_field(p), coeffs) for p, coeffs in (
+        (2, [1, 1, 1]),           # z^2 + z + 1
+        (2, [1, 1, 0, 0, 1]),     # z^4 + z + 1
+        (5, [3, 0, 1]),           # z^2 - 2
+        (3, [2, 2, 0, 1]),        # z^3 - z - 1
+        (7, [1, 0, 1]),           # z^2 + 1, since 7 = 3 mod 4
+        (11, [1, 0, 1]),          # z^2 + 1, since 11 = 3 mod 4
+        (7, [3, 2, 0, 0, 1]),     # z^4 + 2z + 3
+        (101, [-2, 0, 1]),        # z^2 - 2, since 101 = 5 mod 8
+    )
+]
+
 
 # ---------------------------------------------------------------- construction
 
@@ -279,6 +294,29 @@ def test_hypothesis_char0_inverse_matches_sympy(a):
     theirs = sympy.Poly(sympy.invert(poly, minpoly, z), z).all_coeffs()[::-1]
     theirs += [0] * (field.degree - len(theirs))
     assert list(inv.coeffs) == [Fraction(str(c)) for c in theirs]
+
+
+@st.composite
+def _finite_extension_elements(draw):
+    field = draw(st.sampled_from(_FINITE_EXTENSIONS))
+    p = field.characteristic
+    coeffs = draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                           min_size=field.degree, max_size=field.degree))
+    return field.from_coeffs(coeffs)
+
+
+@given(_finite_extension_elements())
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_finite_extension_inverse(a):
+    field = a.field
+    if not a:
+        with pytest.raises(DivisionByZero):
+            a.inv()
+        return
+    inv = a.inv()
+    assert a * inv == field.one()
+    # the multiplicative group has order q - 1, so a^(q-2) = a^-1
+    assert inv == a ** (field.size - 2)
 
 
 @given(st.integers(min_value=0, max_value=624))

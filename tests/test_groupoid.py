@@ -3,6 +3,7 @@
 import functools
 import importlib
 import itertools
+import random
 import sys
 
 import pytest
@@ -178,6 +179,41 @@ def test_generator_modes_agree_on_closure():
         all_t = closure_of(cfg, mode="all_triples")
         diffs = closure_of(cfg, mode="differences")
         assert all_t._keyset() == diffs._keyset()
+
+
+def test_differences_mode_needs_infinity_line():
+    # lines 0, M1, M2 over F_5 with no infinity line: G is cyclic(6), but the
+    # classes [M_a - M_b] are not F_{a,inf,b} here and close to order 120
+    cfg = LineConfig(F5, [mat(F5, [["3", "2"], ["0", "3"]]),
+                          mat(F5, [["4", "0"], ["1", "2"]])],
+                     include_infinity=False)
+    assert cfg.validation.valid
+    assert classify(closure_of(cfg)).label == "cyclic(6)"
+    with pytest.raises(ValueError, match="infinity line"):
+        generator_set(cfg, mode="differences")
+    with pytest.raises(ValueError, match="infinity line"):
+        analyze(cfg, mode="differences")
+
+
+def _random_f5_matrix(rng):
+    return mat(F5, [[str(rng.randrange(5)) for _ in range(2)] for _ in range(2)])
+
+
+def test_generator_modes_agree_with_infinity_but_no_zero_line():
+    # F_{a,inf,b} = [M_a - M_b] whenever inf is a line, so the two sets
+    # generate the same group with or without line 0
+    rng = random.Random(6)
+    checked = 0
+    while checked < 40:
+        cfg = LineConfig(F5, [_random_f5_matrix(rng) for _ in range(rng.randint(2, 4))],
+                         include_zero=False)
+        if not cfg.validation.valid:
+            continue
+        all_t = closure_of(cfg, mode="all_triples")
+        diffs = closure_of(cfg, mode="differences")
+        assert all_t.order == diffs.order
+        assert all_t._keyset() == diffs._keyset()
+        checked += 1
 
 
 def test_unknown_generator_mode_rejected():

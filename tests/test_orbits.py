@@ -1,7 +1,10 @@
 """P^3 points, line membership, orbit enumeration, and the geometric oracle."""
 
+import itertools
+
 import pytest
 
+from skewlines import orbits
 from skewlines.configs import InvalidIndex, LineConfig
 from skewlines.families import (
     a4_example,
@@ -13,7 +16,14 @@ from skewlines.families import (
 )
 from skewlines.fields import MixedFields, cyclotomic_field, prime_field, rational_field
 from skewlines.groupoid import IncompleteClosure, generator_set, group_closure
-from skewlines.matrices import Mat2, ProjPoint, eigenvectors, fixes_point, moebius_apply
+from skewlines.matrices import (
+    Mat2,
+    ProjPoint,
+    ZeroVector,
+    eigenvectors,
+    fixes_point,
+    moebius_apply,
+)
 from skewlines.orbits import (
     OrbitReport,
     P3Point,
@@ -143,6 +153,74 @@ def test_find_carrier_roundtrip():
 def test_find_carrier_misses():
     cfg = diag_config(Q, (2, 7))
     assert find_carrier(cfg, p3_from_string(Q, "[1:1:1:2]")) is None
+
+
+def singular_line_config(field):
+    """Lines inf, I and diag(2, 0): allowed without line 0, and skew since
+    I - diag(2, 0) = diag(-1, 1) is nonsingular (2 != 1 in Q and F_5)."""
+    return LineConfig(field, [Mat2.identity(field),
+                              Mat2.diag(field.from_int(2), field.zero())],
+                      include_zero=False)
+
+
+def _on_line_by_parameter(cfg, lab, p) -> bool:
+    # reference membership through the matrix parametrization: read the
+    # parameter off p and embed it again
+    try:
+        return point_on_line(cfg, lab, line_parameter(cfg, lab, p)) == p
+    except ZeroVector:
+        return False
+
+
+def test_find_carrier_matches_parametrization_on_all_of_p3_f5():
+    # every one of the 156 points of P^3(F_5), on three configurations
+    elements = list(F5.elements())
+    one, zero = F5.one(), F5.zero()
+    points = []
+    for lead in range(4):
+        for tail in itertools.product(elements, repeat=3 - lead):
+            points.append(P3Point(*([zero] * lead + [one] + list(tail))))
+    assert len(points) == 156
+    for cfg in (diag_config(F5, (2, 3)), affine_f5_config(), singular_line_config(F5)):
+        on_some_line = 0
+        for p in points:
+            want = next((lab for lab in cfg.labels()
+                         if _on_line_by_parameter(cfg, lab, p)), None)
+            assert find_carrier(cfg, p) == want, (p, want)
+            on_some_line += want is not None
+        # the lines are pairwise skew and each holds |P^1(F_5)| = 6 points
+        assert on_some_line == 6 * len(cfg.labels())
+
+
+def test_singular_line_seed_is_found_and_orbited():
+    cfg = singular_line_config(Q)
+    seed = p3_from_string(Q, "[0:1:0:0]")  # (v, D v) with v = [0:1], D v = 0
+    assert find_carrier(cfg, seed) == "2"
+    G = closed(cfg)
+    fast = orbit_full(cfg, seed, closure=G)
+    slow = orbit_geometric(cfg, seed, closure=G)
+    assert fast.to_json() == slow.to_json()
+    assert (fast.carrier, fast.total_size, fast.stabilizer_order) == ("2", 3, 2)
+
+
+def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
+    cases = [(a4_example().config, "[0:0:0:1]"),
+             (affine_f5_config(), "[0:0:0:1]"),
+             (singular_line_config(Q), "[0:1:0:0]")]
+    expected = []
+    for cfg, text in cases:
+        G = closed(cfg)
+        seed = p3_from_string(cfg.field, text)
+        expected.append((cfg, seed, G, orbit_full(cfg, seed, closure=G).to_json()))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the plane oracle used the matrix parametrization")
+
+    for name in ("point_on_line", "line_parameter", "moebius_apply",
+                 "generator", "ProjPoint"):
+        monkeypatch.setattr(orbits, name, forbidden)
+    for cfg, seed, G, want in expected:
+        assert orbit_geometric(cfg, seed, closure=G).to_json() == want
 
 
 # ---------------------------------------------------------------------------
