@@ -76,7 +76,6 @@ from .matrices import (
     proj_identity,
     proj_normalize,
     proj_order,
-    shared_eigenlines,
 )
 from .orbits import (
     OrbitReport,

@@ -98,8 +98,8 @@ def _group_section(closure, classification) -> dict:
     return out
 
 
-def _orbit_section(cfg, seed, closure, oracle: bool) -> dict:
-    report = orbit_full(cfg, seed, closure=closure)
+def _orbit_section(cfg, seed, closure, triples, oracle: bool) -> dict:
+    report = orbit_full(cfg, seed, closure=closure, gens=triples)
     out = report.to_json()
     out["group_order"] = closure.order
     if oracle:
@@ -137,7 +137,7 @@ def analyze(
         # a singular M_i (allowed without line 0) has no class [M_i] to compare
         report.abelian_prediction = {"available": False, "reason": str(exc)}
 
-    # the ratio test always reads the all_triples set; build it once
+    # the ratio test and the orbit walk read the all_triples set; build it once
     triples = generator_set(cfg)
     gens = triples if mode == "all_triples" else generator_set(cfg, mode=mode)
     report.generators = {"mode": mode, "count": len(gens.elements)}
@@ -153,5 +153,5 @@ def analyze(
     report.eigenvalue_ratios = eigratio_check(triples).to_json()
 
     if seed is not None and not closure.budget_hit:
-        report.orbit = _orbit_section(cfg, seed, closure, oracle)
+        report.orbit = _orbit_section(cfg, seed, closure, triples, oracle)
     return report

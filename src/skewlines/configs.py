@@ -14,14 +14,12 @@ from typing import Optional
 
 from .fields import Field, FieldSpec, field_make
 from .matrices import (
-    EigenReport,
     Mat2,
     ProjPoint,
     _kernel_line,
     commutator,
     eigenvectors,
     proj_normalize,
-    shared_eigenlines,
 )
 
 ZERO_LABEL = "0"
@@ -157,23 +155,34 @@ class LineConfig:
 
     # -- validation
 
+    def difference(self, a: str, b: str) -> Mat2:
+        """D_ab = M_a - M_b for two distinct finite lines, with M_0 = 0: the
+        matrices the skewness test formed, kept in both orders."""
+        if (a, b) not in self._differences:
+            raise InvalidIndex(f"no difference of finite lines {a!r} and {b!r}")
+        return self._differences[a, b]
+
     def _validate(self) -> ValidationReport:
         report = ValidationReport()
         labels = self.matrix_labels()
+        diffs: dict[tuple[str, str], Mat2] = {}
         if self.include_zero:
             for lab, m in zip(labels, self.matrices):
+                diffs[lab, ZERO_LABEL], diffs[ZERO_LABEL, lab] = m, -m
                 if not m.det():
                     report.meets_zero.append(lab)
-        id_label = self.identity_label
-        one = Mat2.identity(self.field)
         for i in range(len(self.matrices)):
             for j in range(i + 1, len(self.matrices)):
-                if not (self.matrices[i] - self.matrices[j]).det():
+                d = self.matrices[i] - self.matrices[j]
+                diffs[labels[i], labels[j]], diffs[labels[j], labels[i]] = d, -d
+                if not d.det():
                     report.pair_violations.append((labels[i], labels[j]))
-        if id_label is not None:
-            for lab, m in zip(labels, self.matrices):
-                if lab != id_label and not (m - one).det():
-                    report.meets_identity.append(lab)
+        self._differences = diffs
+        # the identity line is a matrix line: meeting it is a pair violation
+        id_label = self.identity_label
+        report.meets_identity = [a if b == id_label else b
+                                 for a, b in report.pair_violations
+                                 if id_label in (a, b)]
         return report
 
     def require_valid(self):
@@ -253,7 +262,7 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
 
     Decision path: a nonsingular commutator rules witnesses out; a nonzero
     singular commutator pins the only candidate down to its kernel; an
-    all-commuting family is handled by intersecting eigenline sets.
+    all-commuting family shares the eigenlines of any one of its matrices.
     """
     cfg.require_valid()
     working = _nonscalar_matrices(cfg)
@@ -288,12 +297,14 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
                 )
             return TransversalReport(exists=False, method="commutator-kernel")
 
-    # all pairs commute exactly: intersect eigenline sets
-    reports = [eigenvectors(m) for _, m in working]
-    if any(r.undecided or r.extension_required for r in reports):
+    # all pairs commute exactly: a non-scalar N commuting with a non-scalar
+    # M lies in K[M], so N = x + yM with y != 0 has M's eigenlines; the
+    # first matrix whose eigenlines can be decided speaks for all of them
+    rep = next((r for r in map(eigenvectors, (m for _, m in working))
+                if not r.undecided), None)
+    if rep is None or rep.extension_required:
         return TransversalReport(exists=False, method="extension-required")
-    common = shared_eigenlines(reports)
-    witnesses = [v for v in (common or []) if verify(v)]
+    witnesses = [v for v in rep.eigenlines if verify(v)]
     return TransversalReport(
         exists=bool(witnesses), witnesses=witnesses, method="simultaneous-eigen"
     )

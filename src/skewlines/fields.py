@@ -55,32 +55,57 @@ def _fraction(text: str) -> Fraction:
         raise DivisionByZero(f"zero denominator in {text!r}") from None
 
 
+# the first twelve primes as Miller-Rabin bases decide primality exactly
+# below psi_12 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+# integers at or above this are not factored or searched for divisors
+_FACTOR_CAP = 10**12
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; an odd n beyond _MR_LIMIT is refused."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise UnsupportedField(f"primality is not decided at or above {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
     return True
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer by trial division."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factorize(n).items())
 
 
 def _divisors(n: int) -> list[int]:
@@ -464,14 +489,31 @@ class Field:
                 return
 
     def _check_irreducible_char0(self):
-        # rational roots (minpoly is monic): clear denominators first
-        lcm_den = 1
-        for c in self.minpoly:
-            lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
+        if self.degree >= 4:
+            # cyclotomic polynomials are irreducible over Q: nothing to search
+            if self.conductor is None:
+                raise UnsupportedField(
+                    "degree >= 4 extensions of the rationals must be cyclotomic"
+                )
+            return
+        # degree 2 or 3: reducible exactly when there is a rational root;
+        # clear denominators first (the minpoly is monic)
+        lcm_den = math.lcm(*(c.denominator for c in self.minpoly))
         ints = [int(c * lcm_den) for c in self.minpoly]
         a0, lead = ints[0], ints[-1]
         if a0 == 0:
             raise ReducibleMinpoly("z divides the minimal polynomial")
+        if self.degree == 2:
+            disc = ints[1] * ints[1] - 4 * a0 * lead
+            root = math.isqrt(disc) if disc >= 0 else None
+            if root is not None and root * root == disc:
+                r = Fraction(root - ints[1], 2 * lead)
+                raise ReducibleMinpoly(f"rational root {r} found")
+            return
+        if abs(a0) >= _FACTOR_CAP or abs(lead) >= _FACTOR_CAP:
+            raise UnsupportedField(
+                "cubic minimal polynomial too large for the rational-root test"
+            )
         for num in _divisors(abs(a0)):
             for den in _divisors(abs(lead)):
                 if math.gcd(num, den) != 1:
@@ -480,10 +522,6 @@ class Field:
                     r = Fraction(sign * num, den)
                     if sum(c * r**i for i, c in enumerate(self.minpoly)) == 0:
                         raise ReducibleMinpoly(f"rational root {r} found")
-        if self.degree >= 4 and self.conductor is None:
-            raise UnsupportedField(
-                "degree >= 4 extensions of the rationals must be cyclotomic"
-            )
 
     def _build_reduction_rows(self):
         """Rows expressing z^(degree+t) in the power basis, as ints over one den."""
@@ -925,17 +963,8 @@ class Field:
             zeta8 = self._zeta_power(n // 8)
             x = x * (zeta8 + zeta8.inv())
             m //= 2
-        f = 3
-        while f * f <= m:
-            while m % f == 0:
-                g = self._gauss_sum(f)
-                if g is None:
-                    return None
-                x = x * g
-                m //= f
-            f += 2
-        if m > 1:
-            g = self._gauss_sum(m)
+        for f in _factorize(m):  # odd primes, each once: s is squarefree
+            g = self._gauss_sum(f)
             if g is None:
                 return None
             x = x * g
@@ -1124,21 +1153,12 @@ def _tonelli_shanks(n: int, p: int) -> int:
 def _squarefree_decompose(fr: Fraction) -> tuple[Optional[int], Optional[Fraction]]:
     """fr = s * t^2 with s squarefree (sign carried by s); None if too big to factor."""
     n = abs(fr.numerator) * fr.denominator
-    if n >= 10**12:
+    if n >= _FACTOR_CAP:
         return None, None
     s, sq = 1, 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e:
-            if e % 2:
-                s *= f
-            sq *= f ** (e // 2)
-        f += 1 if f == 2 else 2
-    s *= n
+    for f, e in _factorize(n).items():
+        s *= f ** (e % 2)
+        sq *= f ** (e // 2)
     if fr < 0:
         s = -s
     t = Fraction(sq, fr.denominator)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .configs import INF_LABEL, InvalidIndex, LineConfig
-from .fields import Field
+from .fields import Field, _factorize
 from .matrices import (
     ProjElem,
     eigenvectors,
@@ -34,12 +34,21 @@ class IncompleteClosure(Exception):
     """The closure hit its budget; downstream analysis would be unsound."""
 
 
-def generator(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
-    """The class of (M_j - M_k)^(-1) (M_i - M_k), the map L_i -> L_j via L_k.
+def _transport(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
+    """F_ijk from its closed forms in the differences D_ab = M_a - M_b:
+    1 when k is infinity, [D_ik] when j is, [adj D_jk] when i is, and
+    [adj(D_jk) D_ik] otherwise (adjugate = det * inverse, no division)."""
+    if k == INF_LABEL:
+        return proj_identity(cfg.field)
+    if j == INF_LABEL:
+        return proj_normalize(cfg.difference(i, k))
+    if i == INF_LABEL:
+        return proj_normalize(cfg.difference(j, k).adjugate())
+    return proj_normalize(cfg.difference(j, k).adjugate() * cfg.difference(i, k))
 
-    The infinity label is handled by its closed forms; the zero line's matrix
-    is literally the zero matrix, so it needs no special case.
-    """
+
+def generator(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
+    """The class of (M_j - M_k)^(-1) (M_i - M_k), the map L_i -> L_j via L_k."""
     cfg.require_valid()
     i, j, k = str(i), str(j), str(k)
     if len({i, j, k}) < 3:
@@ -47,15 +56,7 @@ def generator(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
     for lab in (i, j, k):
         if not cfg.has_label(lab):
             raise InvalidIndex(f"no line labeled {lab!r}")
-    if k == INF_LABEL:
-        return proj_identity(cfg.field)
-    mk = cfg.matrix(k)
-    if j == INF_LABEL:
-        return proj_normalize(cfg.matrix(i) - mk)
-    if i == INF_LABEL:
-        # adjugate = det * inverse: same projective class, no division
-        return proj_normalize((cfg.matrix(j) - mk).adjugate())
-    return proj_normalize((cfg.matrix(j) - mk).adjugate() * (cfg.matrix(i) - mk))
+    return _transport(cfg, i, j, k)
 
 
 @dataclass
@@ -85,11 +86,12 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
 
     all_triples: F_ijk over every ordered triple of distinct lines.
     differences: the classes [D_ab] = [M_a - M_b] over ordered pairs of finite
-    lines (M_0 = 0).  F_ijk = [D_jk]^-1 [D_ik], F_{i,inf,k} = [D_ik],
-    F_{inf,j,k} = [D_jk]^-1 and F_{i,j,inf} = 1, so every F_ijk is a word in
-    the [D_ab].  Conversely [D_ab] = F_{a,inf,b} lies in G when the
-    infinity line is present, so then both sets generate G; without it the
-    [D_ab] can generate more than G, and the mode is refused.
+    lines (M_0 = 0), which are the triples (a, inf, b).  F_ijk = [D_jk]^-1
+    [D_ik], F_{i,inf,k} = [D_ik], F_{inf,j,k} = [D_jk]^-1 and F_{i,j,inf} = 1,
+    so every F_ijk is a word in the [D_ab].  Conversely [D_ab] = F_{a,inf,b}
+    lies in G when the infinity line is present, so then both sets generate
+    G; without it the [D_ab] can generate more than G, and the mode is
+    refused.
     """
     cfg.require_valid()
     if mode not in ("all_triples", "differences"):
@@ -97,23 +99,10 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     if mode == "differences" and not cfg.include_infinity:
         raise ValueError("differences mode needs the infinity line")
     provenance: dict[ProjElem, list[tuple[str, str, str]]] = {}
-    labels = cfg.labels()
-    if mode == "all_triples":
-        for i in labels:
-            for j in labels:
-                for k in labels:
-                    if len({i, j, k}) < 3:
-                        continue
-                    g = generator(cfg, i, j, k)
-                    provenance.setdefault(g, []).append((i, j, k))
-    else:
-        finite = [lab for lab in labels if lab != INF_LABEL]
-        for i in finite:
-            for j in finite:
-                if i == j:
-                    continue
-                g = proj_normalize(cfg.matrix(i) - cfg.matrix(j))
-                provenance.setdefault(g, []).append((i, INF_LABEL, j))
+    for t in itertools.permutations(cfg.labels(), 3):
+        if mode == "differences" and t[1] != INF_LABEL:
+            continue
+        provenance.setdefault(_transport(cfg, *t), []).append(t)
     elements = sorted(provenance, key=lambda g: g.key())
     return GeneratorSet(elements=elements, provenance=provenance, mode=mode,
                         field=cfg.field)
@@ -214,19 +203,6 @@ class Classification:
         return out
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _abelian_invariant_factors(order: int, census: dict[int, int]) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an abelian group from its census.
 
@@ -298,6 +274,15 @@ _POLYHEDRAL = {
 
 def _try_polyhedral(G: GroupClosure, census: dict[int, int],
                     orders: list[int]) -> Optional[Classification]:
+    """A4, S4 or A5 from the census and a witness pair (r, s).
+
+    r, s and their product have the exact orders (3, 2, 3), (3, 2, 4) or
+    (3, 5, 2), so <r, s> is a quotient of the von Dyck group (2, 3, n),
+    which is A4, S4 or A5 (Coxeter and Moser, Generators and Relations for
+    Discrete Groups).  No proper quotient of these keeps all three orders,
+    so <r, s> has order |G|, and being inside G it is G: the first pair that
+    passes the relation generates, and no closure needs to check it.
+    """
     blueprint = _POLYHEDRAL.get(G.order)
     if blueprint is None:
         return None
@@ -308,12 +293,7 @@ def _try_polyhedral(G: GroupClosure, census: dict[int, int],
     ss_cands = [g for g, o in zip(G.elements, orders) if o == ord_s]
     for r in rs_cands:
         for s in ss_cands:
-            if not relation(r, s):
-                continue
-            pair = GeneratorSet(elements=[r, s], provenance={}, mode="witnesses",
-                                field=r.field)
-            # <r, s> lies in G, so a budget of |G| never cuts it short
-            if group_closure(pair, budget=G.order).order == G.order:
+            if relation(r, s):
                 wit = {
                     "r": r.to_json(),
                     "s": s.to_json(),

@@ -9,7 +9,7 @@ enumeration a plain hash-set walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fields import Field, FieldElement, MixedFields, UnsupportedField
 
@@ -424,28 +424,3 @@ def eigenvectors(m: Mat2) -> EigenReport:
             pairs.append((lam, line_for(lam)))
     pairs.sort(key=lambda t: t[0].sort_key())
     return EigenReport(pairs=pairs)
-
-
-def shared_eigenlines(reports: Iterable[EigenReport]) -> Optional[list[ProjPoint]]:
-    """Intersect eigenline sets across reports.
-
-    Returns None when any report is inconclusive (undecided) — the caller
-    cannot distinguish "no common line" from "line not visible in this field".
-    A report with all_lines=True imposes no constraint.
-    """
-    current: Optional[list[ProjPoint]] = None
-    for rep in reports:
-        if rep.all_lines:
-            continue
-        if rep.undecided:
-            return None
-        lines = rep.eigenlines
-        if current is None:
-            current = lines
-        else:
-            current = [v for v in current if v in lines]
-        if not current:
-            return []
-    if current is None:
-        return []  # only scalars: handled by caller via all_lines
-    return current

@@ -17,9 +17,9 @@ from typing import Iterator, Optional
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
 from .fields import Field, FieldElement, MixedFields
 from .groupoid import (
+    GeneratorSet,
     GroupClosure,
     IncompleteClosure,
-    generator,
     generator_set,
     group_closure,
 )
@@ -202,8 +202,11 @@ class OrbitReport:
         }
 
 
-def _prepare(cfg: LineConfig, seed: P3Point,
-             closure: Optional[GroupClosure]) -> tuple[str, GroupClosure]:
+def _prepare(cfg: LineConfig, seed: P3Point, closure: Optional[GroupClosure],
+             gens: Optional[GeneratorSet] = None
+             ) -> tuple[str, GroupClosure, Optional[GeneratorSet]]:
+    """Check the seed, then close gens (built here if absent) unless a
+    closure is supplied; an incomplete closure is refused."""
     cfg.require_valid()
     if seed.field.spec != cfg.field.spec:
         raise MixedFields("seed lies over a different field")
@@ -211,12 +214,14 @@ def _prepare(cfg: LineConfig, seed: P3Point,
     if carrier is None:
         raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
     if closure is None:
-        closure = group_closure(generator_set(cfg))
+        if gens is None:
+            gens = generator_set(cfg)
+        closure = group_closure(gens)
     if closure.budget_hit:
         raise IncompleteClosure(
             "orbit sizes and stabilizers need the complete group"
         )
-    return carrier, closure
+    return carrier, closure, gens
 
 
 def _stabilizer_size(closure: GroupClosure, v) -> int:
@@ -277,19 +282,24 @@ def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
 
 
 def orbit_full(cfg: LineConfig, seed: P3Point, budget: Optional[int] = None,
-               closure: Optional[GroupClosure] = None) -> OrbitReport:
+               closure: Optional[GroupClosure] = None,
+               gens: Optional[GeneratorSet] = None) -> OrbitReport:
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
-    F_ijk v on line j.  The closure (computed here unless supplied) is
-    needed for the stabilizer count and the default budget; an incomplete
+    F_ijk v on line j.  The transport classes are read from the provenance
+    of an all_triples generator set, and the closure is needed for the
+    stabilizer count and the default budget; either is computed here
+    unless supplied (a built set is the one closed), and an incomplete
     closure is refused.
     """
-    carrier, closure = _prepare(cfg, seed, closure)
+    if gens is not None and gens.mode != "all_triples":
+        raise ValueError("orbit_full reads every F_ijk: it needs an all_triples set")
+    carrier, closure, gens = _prepare(cfg, seed, closure, gens)
+    if gens is None:
+        gens = generator_set(cfg)
+    transport = {t: g for g, triples in gens.provenance.items() for t in triples}
     labels = cfg.labels()
-    gens: dict[tuple[str, str, str], object] = {}
-    for i, j, k in itertools.permutations(labels, 3):
-        gens[(i, j, k)] = generator(cfg, i, j, k)
 
     def step(lab: str, p: P3Point) -> Iterator[tuple[str, P3Point]]:
         v = line_parameter(cfg, lab, p)
@@ -299,7 +309,7 @@ def orbit_full(cfg: LineConfig, seed: P3Point, budget: Optional[int] = None,
             for k in labels:
                 if k == lab or k == j:
                     continue
-                image = moebius_apply(gens[(lab, j, k)], v)
+                image = moebius_apply(transport[lab, j, k], v)
                 yield j, point_on_line(cfg, j, image)
 
     return _orbit_bfs(cfg, seed, carrier, closure, budget, step)
@@ -337,7 +347,7 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
     in four coordinates, serving as an independent oracle for the matrix
     path.
     """
-    carrier, closure = _prepare(cfg, seed, closure)
+    carrier, closure, _ = _prepare(cfg, seed, closure)
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}

@@ -289,6 +289,25 @@ def test_rotation_resolves_over_cyclotomic():
     assert rep.method == "simultaneous-eigen"
 
 
+def test_commuting_family_uses_the_first_decided_eigenlines():
+    # M2 = zeta_8 * M1 commutes with M1; M1's discriminant 8 has the square
+    # root z - z^3 = sqrt 2 in Q(zeta_8), M2's 8 zeta_8^2 cannot be decided
+    Z8 = cyclotomic_field(8)
+    m1 = mat(Z8, [["0", "1"], ["2", "0"]])
+    m2 = m1.scale(Z8.gen())
+    cfg = LineConfig(Z8, [m1, m2])
+    assert cfg.validation.valid
+    rep = transversal_compute(cfg)
+    assert rep.exists and rep.method == "simultaneous-eigen"
+    root2 = Z8.parse("z - z^3")
+    assert root2 * root2 == Z8.from_int(2)
+    assert set(rep.witnesses) == {ProjPoint(Z8.one(), root2), ProjPoint(Z8.one(), -root2)}
+    for w in rep.witnesses:
+        for m in cfg.matrices:
+            x, y = m.apply((w.x, w.y))
+            assert x * w.y == y * w.x
+
+
 def test_witnesses_are_sound():
     configs = [
         LineConfig(Q, [Mat2.identity(Q), diag(Q, 2, 3), diag(Q, 4, 9)]),

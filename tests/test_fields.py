@@ -1,7 +1,10 @@
 """Tests for exact field arithmetic."""
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from skewlines.fields import (
     NonPrimeModulus,
     ReducibleMinpoly,
     UnsupportedField,
+    _is_prime,
     cyclotomic_field,
     cyclotomic_polynomial,
     euler_phi,
@@ -97,6 +101,73 @@ def test_quartic_must_be_cyclotomic():
     extension_field(Q, [1, 1, 1, 1, 1])  # the 5th cyclotomic polynomial
     with pytest.raises(UnsupportedField):
         extension_field(Q, [2, 0, 0, 0, 1])  # z^4 + 2
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [_trial_division_is_prime(n) for n in range(10**5)]
+    assert [_is_prime(n) for n in range(10**5)] == sieve
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    for n in carmichael:
+        assert not _is_prime(n), n
+    assert _is_prime(10**18 + 3) and not _is_prime(10**18 + 1)
+    assert _is_prime(2**61 - 1)  # a Mersenne prime below the base-set bound
+    with pytest.raises(UnsupportedField):
+        _is_prime(2**127 - 1)  # beyond it: refused, not guessed
+    assert not _is_prime(2**128)  # an even number is decided at any size
+
+
+def test_quadratic_irreducibility_reads_the_discriminant():
+    extension_field(Q, [10**30 + 1, 0, 1])  # z^2 + (10^30 + 1): no real root
+    extension_field(Q, [-(10**30 + 1), 0, 1])  # 10^30 + 1 is not a square
+    with pytest.raises(ReducibleMinpoly):
+        extension_field(Q, [-(10**15 + 1) ** 2, 0, 1])
+    with pytest.raises(ReducibleMinpoly):
+        extension_field(Q, [Fraction(-9, 49), 0, 1])  # (z - 3/7)(z + 3/7)
+
+
+def test_cubic_root_search_is_capped():
+    with pytest.raises(ReducibleMinpoly):
+        extension_field(Q, [-(10**3 + 1) ** 3, 0, 0, 1])  # root 10^3 + 1
+    extension_field(Q, [2, 0, 0, 1])
+    with pytest.raises(UnsupportedField):
+        extension_field(Q, [10**30 + 1, 0, 0, 1])
+
+
+def _validate_subprocess(tmp_path, field_json):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"field": field_json,
+                                "lines": ["zero", "infinity", "identity",
+                                          [["2", "0"], ["0", "3"]]]}))
+    return subprocess.run([sys.executable, "-m", "skewlines.cli", "validate", str(path)],
+                          capture_output=True, text=True, check=False, timeout=10)
+
+
+@pytest.mark.parametrize("field_json, valid", [
+    ({"kind": "prime", "p": 10**18 + 3}, True),
+    ({"kind": "extension", "base": {"kind": "rational"},
+      "minpoly": [str(10**30 + 1), "0", "1"]}, True),
+    ({"kind": "prime", "p": 10**18 + 1}, False),
+    ({"kind": "prime", "p": 2**127 - 1}, False),
+    ({"kind": "extension", "base": {"kind": "rational"},
+      "minpoly": [str(10**30 + 1), "0", "0", "1"]}, False),
+])
+def test_large_field_inputs_finish_quickly(tmp_path, field_json, valid):
+    # each of these used to run trial division or a divisor scan to ~10^15
+    proc = _validate_subprocess(tmp_path, field_json)
+    if valid:
+        assert proc.returncode == 0 and "valid: yes" in proc.stdout
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 def test_towers_rejected():

@@ -50,6 +50,7 @@ from skewlines.matrices import (
     proj_normalize,
     proj_order,
 )
+from skewlines.orbits import point_on_line
 
 Q = rational_field()
 F5 = prime_field(5)
@@ -301,6 +302,105 @@ def test_closure_json_shape():
 
 
 # ---------------------------------------------------------------------------
+# one transport table: generator() and both modes share the D_ab formula
+
+_TRANSPORT_FAMILIES = [
+    standard_construction(3), standard_construction(6), c3_scaled(2),
+    cyclic_4line(3, 3), elementary_abelian(3), affine(3),
+    a4_example(), s4_example(), a5_example(),
+]
+
+
+def _transport_configs():
+    yield from (fam.config for fam in _TRANSPORT_FAMILIES)
+    # without line 0, and without the infinity line
+    yield LineConfig(F5, [mat(F5, [["3", "2"], ["0", "3"]]),
+                          mat(F5, [["4", "0"], ["1", "2"]]),
+                          Mat2.identity(F5)], include_zero=False)
+    yield LineConfig(F5, [mat(F5, [["3", "2"], ["0", "3"]]),
+                          mat(F5, [["4", "0"], ["1", "2"]])],
+                     include_infinity=False)
+
+
+@pytest.mark.parametrize("cfg", list(_transport_configs()), ids=repr)
+def test_generator_equals_generator_set_class_of_every_triple(cfg):
+    gens = generator_set(cfg)
+    triples = [t for ts in gens.provenance.values() for t in ts]
+    assert triples and len(triples) == len(set(triples))
+    assert set(triples) == set(itertools.permutations(cfg.labels(), 3))
+    for g, ts in gens.provenance.items():
+        for t in ts:
+            assert generator(cfg, *t) == g
+
+
+@pytest.mark.parametrize("cfg", [c for c in _transport_configs() if c.include_infinity],
+                         ids=repr)
+def test_differences_provenance_is_the_triples_through_infinity(cfg):
+    diffs = generator_set(cfg, mode="differences")
+    through_inf = {}
+    for g, ts in generator_set(cfg).provenance.items():
+        kept = [t for t in ts if t[1] == "inf"]
+        if kept:
+            through_inf[g] = kept
+    assert diffs.provenance == through_inf  # same triples, same order per class
+    assert diffs.elements == sorted(through_inf, key=lambda g: g.key())
+
+
+def test_difference_is_m_a_minus_m_b_with_zero_line_zero():
+    cfg = diag_config(Q, (2, 7), (3, 11))
+    finite = [lab for lab in cfg.labels() if lab != "inf"]
+    for a, b in itertools.permutations(finite, 2):
+        assert cfg.difference(a, b) == cfg.matrix(a) - cfg.matrix(b)
+    for a, b in (("1", "1"), ("inf", "1"), ("1", "9")):
+        with pytest.raises(InvalidIndex):
+            cfg.difference(a, b)
+
+
+def test_generator_set_validates_once_and_never_calls_generator(monkeypatch):
+    checks = []
+    plain = LineConfig.require_valid
+
+    def counted(self):
+        checks.append(1)
+        return plain(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator() called")
+
+    monkeypatch.setattr(LineConfig, "require_valid", counted)
+    monkeypatch.setattr(sys.modules["skewlines.groupoid"], "generator", refuse)
+    cfg = a4_example().config
+    for mode in ("all_triples", "differences"):
+        checks.clear()
+        generator_set(cfg, mode=mode)
+        assert len(checks) == 1
+
+
+def test_analyze_with_orbit_builds_one_set_and_calls_no_generator(monkeypatch):
+    calls = []
+
+    def counted(cfg, mode="all_triples"):
+        calls.append(mode)
+        return generator_set(cfg, mode=mode)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator() called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "skewlines" or name.startswith("skewlines."):
+            if getattr(module, "generator", None) is generator:
+                monkeypatch.setattr(module, "generator", refuse)
+            if getattr(module, "generator_set", None) is generator_set:
+                monkeypatch.setattr(module, "generator_set", counted)
+    cfg = a4_example().config
+    f = cfg.field
+    seed = point_on_line(cfg, "inf", ProjPoint(f.zero(), f.one()))
+    report = analyze(cfg, seed=seed, oracle=True)
+    assert calls == ["all_triples"]
+    assert report.orbit["oracle_agrees"] is True
+
+
+# ---------------------------------------------------------------------------
 # classification: polyhedral goldens
 
 
@@ -348,6 +448,50 @@ def test_tetrahedral_group():
     assert proj_order(r, 12) == 3
     assert proj_order(s, 12) == 2
     assert proj_order(s * r, 12) == 3
+
+
+def _assert_witnesses_generate(G, c, field):
+    # the reference closure: <r, s> = G, which _try_polyhedral no longer checks
+    r, s = _witness_pair(c, field)
+    pair = GeneratorSet(elements=[r, s], provenance={}, mode="witnesses", field=field)
+    H = group_closure(pair, budget=G.order + 1)
+    assert not H.budget_hit
+    assert H._keyset() == G._keyset()
+
+
+@pytest.mark.parametrize("fam", [a4_example, s4_example, a5_example,
+                                 lambda: s4_example(cyclotomic_field(12))])
+def test_polyhedral_witnesses_generate_the_group(fam):
+    cfg = fam().config
+    G = closure_of(cfg)
+    c = classify(G)
+    assert c.label in ("A4", "S4", "A5")
+    _assert_witnesses_generate(G, c, cfg.field)
+
+
+def test_polyhedral_witnesses_generate_on_small_field_sweep():
+    rng = random.Random(0)
+    labels = []
+    for p, count in ((3, 30), (5, 150), (7, 150)):
+        F = prime_field(p)
+        done = 0
+        while done < count:
+            mats = [Mat2.identity(F)] + [
+                mat(F, [[str(rng.randrange(p)) for _ in range(2)] for _ in range(2)])
+                for _ in range(2)
+            ]
+            cfg = LineConfig(F, mats)
+            if not cfg.validation.valid:
+                continue
+            done += 1
+            G = closure_of(cfg, budget=60)  # A4, S4, A5 fit; larger groups are skipped
+            if G.budget_hit:
+                continue
+            c = classify(G)
+            if c.label in ("A4", "S4", "A5"):
+                labels.append(c.label)
+                _assert_witnesses_generate(G, c, F)
+    assert {"A4", "S4", "A5"} <= set(labels)
 
 
 # ---------------------------------------------------------------------------

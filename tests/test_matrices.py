@@ -28,7 +28,6 @@ from skewlines.matrices import (
     proj_identity,
     proj_normalize,
     proj_order,
-    shared_eigenlines,
 )
 
 Q = rational_field()
@@ -325,17 +324,3 @@ def test_hypothesis_eigen_pairs_satisfy_definition(a, b, c, d):
     # a found eigenvalue must be a root of the characteristic polynomial
     for lam, _ in rep.pairs:
         assert lam * lam - m.trace() * lam + m.det() == Q.zero()
-
-
-def test_shared_eigenlines():
-    d1 = eigenvectors(qm([["2", "0"], ["0", "3"]]))
-    d2 = eigenvectors(qm([["5", "0"], ["0", "7"]]))
-    common = shared_eigenlines([d1, d2])
-    assert common is not None
-    assert set(common) == {ProjPoint(Q.one(), Q.zero()), ProjPoint(Q.zero(), Q.one())}
-    j = eigenvectors(qm([["2", "1"], ["0", "2"]]))
-    assert shared_eigenlines([d1, j]) == [ProjPoint(Q.one(), Q.zero())]
-    r = eigenvectors(qm([["0", "1"], ["1", "0"]]))
-    assert shared_eigenlines([d1, r]) == []
-    s = eigenvectors(qm([["4", "0"], ["0", "4"]]))  # scalar: no constraint
-    assert shared_eigenlines([s, d1]) == d1.eigenlines

@@ -203,6 +203,38 @@ def test_singular_line_seed_is_found_and_orbited():
     assert (fast.carrier, fast.total_size, fast.stabilizer_order) == ("2", 3, 2)
 
 
+def test_standalone_orbit_full_builds_and_closes_one_set(monkeypatch):
+    built, closed_sets = [], []
+
+    def counted_set(cfg, mode="all_triples"):
+        built.append(generator_set(cfg, mode=mode))
+        return built[-1]
+
+    def counted_closure(gens, budget=5000):
+        closed_sets.append(gens)
+        return group_closure(gens, budget=budget)
+
+    monkeypatch.setattr(orbits, "generator_set", counted_set)
+    monkeypatch.setattr(orbits, "group_closure", counted_closure)
+    cfg = a4_example().config
+    seed = p3_from_string(cfg.field, "[0:0:0:1]")
+    report = orbit_full(cfg, seed)
+    assert len(built) == 1
+    assert len(closed_sets) == 1 and closed_sets[0] is built[0]
+    given = orbit_full(cfg, seed, closure=closed(cfg), gens=generator_set(cfg))
+    assert report.to_json() == given.to_json()
+
+
+def test_orbit_full_reads_a_supplied_set_and_refuses_differences():
+    cfg = a4_example().config
+    seed = p3_from_string(cfg.field, "[0:0:0:1]")
+    G = closed(cfg)
+    want = orbit_geometric(cfg, seed, closure=G).to_json()
+    assert orbit_full(cfg, seed, gens=generator_set(cfg)).to_json() == want
+    with pytest.raises(ValueError, match="all_triples"):
+        orbit_full(cfg, seed, closure=G, gens=generator_set(cfg, mode="differences"))
+
+
 def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
     cases = [(a4_example().config, "[0:0:0:1]"),
              (affine_f5_config(), "[0:0:0:1]"),
@@ -217,7 +249,7 @@ def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
         raise AssertionError("the plane oracle used the matrix parametrization")
 
     for name in ("point_on_line", "line_parameter", "moebius_apply",
-                 "generator", "ProjPoint"):
+                 "generator_set", "ProjPoint"):
         monkeypatch.setattr(orbits, name, forbidden)
     for cfg, seed, G, want in expected:
         assert orbit_geometric(cfg, seed, closure=G).to_json() == want
