@@ -65,7 +65,6 @@ from .groupoid import (
     ratio_order,
 )
 from .matrices import (
-    EigenReport,
     Mat2,
     ProjElem,
     ProjPoint,

@@ -19,13 +19,11 @@ from .configs import (
 )
 from .groupoid import (
     DEFAULT_BUDGET,
-    GroupClosure,
     classify,
     eigratio_check,
     generator_set,
     group_closure,
 )
-from .matrices import proj_identity
 from .orbits import P3Point, orbit_full, orbit_geometric
 
 SCHEMA_VERSION = "1"
@@ -52,9 +50,7 @@ class AnalysisReport:
 
     @property
     def budget_hit(self) -> bool:
-        if self.group and self.group["budget_hit"]:
-            return True
-        return bool(self.orbit and self.orbit["truncated"])
+        return bool(self.group and self.group["budget_hit"])
 
     @property
     def theorem_violation(self) -> bool:
@@ -127,8 +123,6 @@ def analyze(
     report = AnalysisReport(config=cfg.to_json(), validation=validation.to_json())
     if not validation.valid:
         return report
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
 
     report.transversal = transversal_compute(cfg).to_json()
     try:
@@ -142,15 +136,15 @@ def analyze(
     gens = triples if mode == "all_triples" else generator_set(cfg, mode=mode)
     report.generators = {"mode": mode, "count": len(gens.elements)}
 
-    if gens.elements:
-        closure = group_closure(gens, budget=budget)
-    else:
-        # fewer than three lines give no triple F_ijk, so G_L is trivial
-        closure = GroupClosure(elements=[proj_identity(cfg.field)], generators=[],
-                               budget_hit=False, budget=budget)
+    # fewer than three lines give no triple F_ijk: the empty set closes to 1
+    closure = group_closure(gens, budget=budget)
     classification = None if closure.budget_hit else classify(closure)
     report.group = _group_section(closure, classification)
-    report.eigenvalue_ratios = eigratio_check(triples).to_json()
+    # a ratio order is the order of an element of G, at most |G|, so over F_q
+    # a scan to the budget misses none when the closure completes; over Q the
+    # field's small cap is what certifies an infinite group, so it is kept
+    bound = budget if cfg.field.is_finite else None
+    report.eigenvalue_ratios = eigratio_check(triples, bound=bound).to_json()
 
     if seed is not None and not closure.budget_hit:
         report.orbit = _orbit_section(cfg, seed, closure, triples, oracle)

@@ -154,8 +154,7 @@ def cmd_orbit(args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, **rep.orbit}
     lines = [
         f"carrier line: {rep.orbit['carrier']}",
-        f"orbit size: {rep.orbit['total_size']}"
-        + (" (truncated)" if rep.orbit["truncated"] else ""),
+        f"orbit size: {rep.orbit['total_size']}",
         f"stabilizer order: {rep.orbit['stabilizer_order']}",
         "per-line sizes: " + " ".join(
             f"{lab}:{n}" for lab, n in rep.orbit["per_line_sizes"].items()),

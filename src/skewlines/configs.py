@@ -19,7 +19,6 @@ from .matrices import (
     _kernel_line,
     commutator,
     eigenvectors,
-    proj_normalize,
 )
 
 ZERO_LABEL = "0"
@@ -300,11 +299,11 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
     # all pairs commute exactly: a non-scalar N commuting with a non-scalar
     # M lies in K[M], so N = x + yM with y != 0 has M's eigenlines; the
     # first matrix whose eigenlines can be decided speaks for all of them
-    rep = next((r for r in map(eigenvectors, (m for _, m in working))
-                if not r.undecided), None)
-    if rep is None or rep.extension_required:
+    pairs = next((r for r in map(eigenvectors, (m for _, m in working))
+                  if r is not None), None)
+    if not pairs:
         return TransversalReport(exists=False, method="extension-required")
-    witnesses = [v for v in rep.eigenlines if verify(v)]
+    witnesses = [v for _, v in pairs if verify(v)]
     return TransversalReport(
         exists=bool(witnesses), witnesses=witnesses, method="simultaneous-eigen"
     )
@@ -364,6 +363,8 @@ def _commutation_case(a: Mat2, b: Mat2) -> str:
         if _disc_is_zero(a) and _disc_is_zero(b):
             return "shared_eigenspace"
         return "simultaneously_diagonalizable"
-    if proj_normalize(ab) == proj_normalize(ba):
+    # [ab] = [ba] means ab = l ba for a scalar l; taking determinants gives
+    # l^2 = 1, and l != 1 because ab != ba, so l = -1
+    if ab == -ba:
         return "anti_commuting"
     return "non_commuting"

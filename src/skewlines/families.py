@@ -19,6 +19,8 @@ from .fields import (
     Field,
     FieldElement,
     NonPrimeModulus,
+    _FACTOR_CAP,
+    _factorize,
     cyclotomic_field,
     extension_field,
     prime_field,
@@ -286,12 +288,22 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
         prime_field(p)
     except NonPrimeModulus as exc:
         raise InvalidParameters(str(exc)) from exc
-    if dilation_square is None:
-        dilation_square = next(
-            c for c in range(2, p) if _int_order(c, p) == p - 1
+    if p - 1 >= _FACTOR_CAP:
+        raise InvalidParameters(
+            f"p - 1 must be below {_FACTOR_CAP} to test for a primitive root"
         )
+    # c has order p - 1 exactly when no c^((p-1)/q) is 1, q a prime factor of p - 1
+    cofactors = [(p - 1) // q for q in _factorize(p - 1)]
+
+    def primitive(c: int) -> bool:
+        return all(pow(c, e, p) != 1 for e in cofactors)
+
+    if dilation_square is None:
+        dilation_square = next(c for c in range(2, p) if primitive(c))
     c = dilation_square % p
-    if _int_order(c, p) != p - 1:
+    if c == 0:
+        raise InvalidParameters("dilation square must be a unit")
+    if not primitive(c):
         raise InvalidParameters(
             f"{dilation_square} does not have order {p - 1} mod {p}"
         )
@@ -312,16 +324,6 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
             "so the translation lattice grows to the full quadratic extension"
         ),
     )
-
-
-def _int_order(c: int, p: int) -> int:
-    if c % p == 0:
-        raise InvalidParameters("dilation square must be a unit")
-    k, acc = 1, c % p
-    while acc != 1:
-        acc = acc * c % p
-        k += 1
-    return k
 
 
 def _quadratic_extension_with(p: int, c: int) -> Field:

@@ -111,26 +111,21 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
 @dataclass
 class GroupClosure:
     """Elements of the generated subgroup of PGL2 in BFS insertion order,
-    with the non-identity generators the walk multiplied by."""
+    with the non-identity generators the walk multiplied by and the set of
+    element keys it built on the way."""
 
     elements: list[ProjElem]
     generators: list[ProjElem]
     budget_hit: bool
     budget: int
+    keys: set = dc_field(repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: ProjElem) -> bool:
-        return g.key() in self._keyset()
-
-    def _keyset(self) -> set:
-        cached = getattr(self, "_keys", None)
-        if cached is None:
-            cached = {g.key() for g in self.elements}
-            object.__setattr__(self, "_keys", cached)
-        return cached
+        return g.key() in self.keys
 
     def is_abelian(self) -> bool:
         """A group is abelian exactly when its generators commute pairwise."""
@@ -146,11 +141,13 @@ class GroupClosure:
 
 
 def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClosure:
-    """Breadth-first closure of the generators under right multiplication."""
+    """Breadth-first closure of the generators under right multiplication.
+
+    The empty set closes to the trivial group: the walk starts from the
+    identity and has nothing to multiply it by.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not gens.elements:
-        raise ValueError("cannot close an empty generator set")
     f = gens.field
     ident = proj_identity(f)
     mults = [g for g in gens.elements if not g.is_identity()]
@@ -172,7 +169,7 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
             elements.append(y)
         idx += 1
     return GroupClosure(elements=elements, generators=mults,
-                        budget_hit=budget_hit, budget=budget)
+                        budget_hit=budget_hit, budget=budget, keys=seen)
 
 
 @dataclass
@@ -323,10 +320,7 @@ def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classificat
     if q != 1 or quotient not in census:
         return None
     first = next(g for g in G.elements if not g.is_identity())
-    rep = eigenvectors(first.rep)
-    if rep.undecided or not rep.pairs:
-        return None
-    fixed = next((v for v in rep.eigenlines
+    fixed = next((v for _, v in eigenvectors(first.rep) or ()
                   if all(fixes_point(g, v) for g in G.elements)), None)
     if fixed is None:
         return None
@@ -463,7 +457,11 @@ def ratio_order(g: ProjElem, bound: int) -> Optional[int]:
 
 
 def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioReport:
-    """Ratio analysis of every element of a generator set."""
+    """Ratio analysis of every element of a generator set.
+
+    A bound below the field's cap stops the scan early, and a ratio it
+    misses is then undetermined rather than proved of infinite order.
+    """
     cap = gens.field.root_of_unity_bound(quadratic=True)
     effective = cap if bound is None else min(bound, cap)
     report = RatioReport(cap=cap)

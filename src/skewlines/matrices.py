@@ -8,7 +8,6 @@ enumeration a plain hash-set walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .fields import Field, FieldElement, MixedFields, UnsupportedField
@@ -339,31 +338,6 @@ def fixes_point(g: ProjElem, p) -> bool:
     return (m.c * x + (m.d - m.a) * y) * x == m.b * y * y
 
 
-@dataclass
-class EigenReport:
-    """Eigenvalues/eigenlines of a 2x2 matrix found inside its own field.
-
-    pairs lists (eigenvalue, eigenline) sorted by eigenvalue; all_lines marks
-    scalar matrices (every line is an eigenline — pairs then holds the two
-    coordinate lines as representatives).  extension_required means the
-    characteristic polynomial provably has no root in the field; undecided
-    means existence could not be settled with the available square-root
-    machinery (degree >= 4 discriminants outside the rationals).
-    """
-
-    pairs: list[tuple[FieldElement, ProjPoint]] = dc_field(default_factory=list)
-    all_lines: bool = False
-    extension_required: bool = False
-    undecided: bool = False
-
-    @property
-    def eigenlines(self) -> list[ProjPoint]:
-        return [v for _, v in self.pairs]
-
-    def eigenvalue_set(self) -> set:
-        return {lam for lam, _ in self.pairs}
-
-
 def _kernel_line(m: Mat2) -> ProjPoint:
     """A nonzero kernel vector of a singular, nonzero 2x2 matrix."""
     if m.a or m.b:
@@ -371,56 +345,42 @@ def _kernel_line(m: Mat2) -> ProjPoint:
     return ProjPoint(m.d, -m.c)
 
 
-def eigenvectors(m: Mat2) -> EigenReport:
+def eigenvectors(m: Mat2) -> Optional[list[tuple[FieldElement, ProjPoint]]]:
+    """The (eigenvalue, eigenline) pairs of m with eigenvalue in its own
+    field, sorted by eigenvalue.
+
+    [] means the characteristic polynomial provably has no root in the
+    field; None means that could not be settled (no decidable square root
+    of the discriminant: degree >= 4 extensions of Q beyond the cyclotomic
+    machinery, finite fields too large to search).  A scalar matrix, whose
+    every line is an eigenline, gets the two coordinate lines.
+    """
     f = m.field
     if m.is_scalar():
-        lam = m.a
-        e1 = ProjPoint(f.one(), f.zero())
-        e2 = ProjPoint(f.zero(), f.one())
-        return EigenReport(pairs=[(lam, e1), (lam, e2)], all_lines=True)
+        return [(m.a, ProjPoint(f.one(), f.zero())),
+                (m.a, ProjPoint(f.zero(), f.one()))]
 
     def line_for(lam: FieldElement) -> ProjPoint:
-        shifted = m - Mat2.identity(f).scale(lam)
-        return _kernel_line(shifted)
-
-    def search_field() -> EigenReport:
-        # no usable square root: try every element of a small finite field
-        if not (f.is_finite and f.size <= 10**4):
-            return EigenReport(undecided=True)
-        found = [(lam, line_for(lam)) for lam in f.elements()
-                 if (m - Mat2.identity(f).scale(lam)).det() == f.zero()]
-        if not found:
-            return EigenReport(extension_required=True)
-        found.sort(key=lambda t: t[0].sort_key())
-        return EigenReport(pairs=found)
-
-    pairs: list[tuple[FieldElement, ProjPoint]] = []
+        return _kernel_line(m - Mat2.identity(f).scale(lam))
 
     if not m.c or not m.b:
         # triangular: eigenvalues sit on the diagonal
         lams = [m.a] if m.a == m.d else [m.a, m.d]
-        for lam in lams:
-            pairs.append((lam, line_for(lam)))
-        pairs.sort(key=lambda t: t[0].sort_key())
-        return EigenReport(pairs=pairs)
-
-    tr, det = m.trace(), m.det()
-    if f.characteristic == 2:
-        return search_field()
-
-    disc = tr * tr - 4 * det
-    try:
-        w = f.sqrt(disc)
-    except UnsupportedField:
-        return search_field()
-    if w is None:
-        return EigenReport(extension_required=True)
-    half = f.from_int(2).inv()
-    if not w:
-        lam = tr * half
-        pairs.append((lam, line_for(lam)))
+    elif f.characteristic == 2:
+        # no halving in characteristic 2: try every element of a small field
+        if not (f.is_finite and f.size <= 10**4):
+            return None
+        lams = [lam for lam in f.elements()
+                if (m - Mat2.identity(f).scale(lam)).det() == f.zero()]
     else:
-        for lam in ((tr + w) * half, (tr - w) * half):
-            pairs.append((lam, line_for(lam)))
-    pairs.sort(key=lambda t: t[0].sort_key())
-    return EigenReport(pairs=pairs)
+        tr = m.trace()
+        try:
+            w = f.sqrt(tr * tr - 4 * m.det())
+        except UnsupportedField:
+            return None
+        if w is None:
+            return []
+        half = f.from_int(2).inv()
+        lams = [(tr + w) * half, (tr - w) * half] if w else [tr * half]
+    return sorted(((lam, line_for(lam)) for lam in lams),
+                  key=lambda t: t[0].sort_key())

@@ -185,7 +185,6 @@ class OrbitReport:
     per_line_sizes: dict[str, int]
     stabilizer_order: int
     points: dict[str, list[P3Point]]
-    truncated: bool
 
     def to_json(self) -> dict:
         return {
@@ -198,7 +197,8 @@ class OrbitReport:
                 lab: [p.to_json() for p in pts]
                 for lab, pts in self.points.items()
             },
-            "truncated": self.truncated,
+            # schema 1 carries the key; a walk bounded by the group never truncates
+            "truncated": False,
         }
 
 
@@ -241,47 +241,43 @@ def _parameter(span: tuple, x: tuple) -> tuple:
 
 
 def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
-               closure: GroupClosure, budget: Optional[int],
-               step) -> OrbitReport:
-    if budget is None:
-        budget = 10 * closure.order * max(len(cfg.labels()), 1)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    labels = cfg.labels()
-    points: dict[str, list[P3Point]] = {lab: [] for lab in labels}
-    seen = {seed.key()}
+               closure: GroupClosure, step) -> OrbitReport:
+    """Breadth-first walk from the seed along step.
+
+    Every point the walk reaches on a line has parameter g v0 for some g in
+    G, v0 the seed's parameter, so no line holds more than |G| / |Stab(v0)|
+    of them.  A walk past that bound has left the orbit: an invariant
+    violation, raised at the first such point.
+    """
+    stab = _stabilizer_size(closure, _parameter(_span_rows(cfg, carrier), seed.coords))
+    bound = closure.order // stab
+    points: dict[str, list[P3Point]] = {lab: [] for lab in cfg.labels()}
     points[carrier].append(seed)
+    seen = {seed.key()}
     queue = [(carrier, seed)]
-    total = 1
-    truncated = False
-    idx = 0
-    while idx < len(queue) and not truncated:
-        lab, p = queue[idx]
+    for lab, p in queue:  # the queue grows while it is read
         for nlab, np in step(lab, p):
             k = np.key()
             if k in seen:
                 continue
-            if total >= budget:
-                truncated = True
-                break
+            if len(points[nlab]) >= bound:
+                raise RuntimeError(
+                    f"line {nlab} reached more than |G|/|Stab| = {bound} orbit points"
+                )
             seen.add(k)
             points[nlab].append(np)
             queue.append((nlab, np))
-            total += 1
-        idx += 1
-    stab = _stabilizer_size(closure, _parameter(_span_rows(cfg, carrier), seed.coords))
     return OrbitReport(
         seed=seed,
         carrier=carrier,
-        total_size=total,
+        total_size=len(seen),
         per_line_sizes={lab: len(pts) for lab, pts in points.items()},
         stabilizer_order=stab,
         points=points,
-        truncated=truncated,
     )
 
 
-def orbit_full(cfg: LineConfig, seed: P3Point, budget: Optional[int] = None,
+def orbit_full(cfg: LineConfig, seed: P3Point,
                closure: Optional[GroupClosure] = None,
                gens: Optional[GeneratorSet] = None) -> OrbitReport:
     """Orbit of seed under every transport map, via the matrix path.
@@ -289,7 +285,7 @@ def orbit_full(cfg: LineConfig, seed: P3Point, budget: Optional[int] = None,
     A point with parameter v on line i goes to the point with parameter
     F_ijk v on line j.  The transport classes are read from the provenance
     of an all_triples generator set, and the closure is needed for the
-    stabilizer count and the default budget; either is computed here
+    stabilizer count and the orbit bound; either is computed here
     unless supplied (a built set is the one closed), and an incomplete
     closure is refused.
     """
@@ -312,7 +308,7 @@ def orbit_full(cfg: LineConfig, seed: P3Point, budget: Optional[int] = None,
                 image = moebius_apply(transport[lab, j, k], v)
                 yield j, point_on_line(cfg, j, image)
 
-    return _orbit_bfs(cfg, seed, carrier, closure, budget, step)
+    return _orbit_bfs(cfg, seed, carrier, closure, step)
 
 
 def orbit_on_line(cfg: LineConfig, G: GroupClosure,
@@ -338,7 +334,6 @@ def orbit_on_line(cfg: LineConfig, G: GroupClosure,
 
 
 def orbit_geometric(cfg: LineConfig, seed: P3Point,
-                    budget: Optional[int] = None,
                     closure: Optional[GroupClosure] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
 
@@ -362,7 +357,7 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
                     continue
                 yield j, _meet(spans[j], planes[k])
 
-    return _orbit_bfs(cfg, seed, carrier, closure, budget, step)
+    return _orbit_bfs(cfg, seed, carrier, closure, step)
 
 
 # ---------------------------------------------------------------------------

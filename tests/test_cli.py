@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from skewlines.cli import main
 from skewlines.configs import LineConfig
 from skewlines.families import FAMILY_BUILDERS, a4_example, build_family
 from skewlines.fields import rational_field
-from skewlines.matrices import Mat2
+from skewlines.matrices import Mat2, ProjPoint
 
 Q = rational_field()
 
@@ -274,6 +275,16 @@ def test_oracle_mismatch_is_invariant_violation(a4_path, capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+def test_orbit_walk_off_the_orbit_exits_3(a4_path, capsys, monkeypatch):
+    # every transport image is a new parameter [1 : n], never one of G.v0
+    counter = itertools.count(1)
+    monkeypatch.setattr("skewlines.orbits.moebius_apply", lambda g, v: ProjPoint(
+        v.field.one(), v.field.from_int(next(counter))))
+    code, _, err = run(capsys, "orbit", a4_path, "--seed-point", "[0:0:0:1]")
+    assert code == 3
+    assert "invariant violation" in err and "|G|/|Stab|" in err
+
+
 # ---------------------------------------------------------------------------
 # family
 
@@ -399,6 +410,33 @@ def test_zero_denominator_entry_is_an_input_error(tmp_path):
 
 def test_zero_denominator_seed_point_is_an_input_error(a4_path):
     proc = run_module("orbit", a4_path, "--seed-point", "[1/0:0:0:1]")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_group_on_a_huge_prime_field_stops_at_the_budget(tmp_path):
+    # lines 0, inf, I, diag(2, 3) over F_p, p = 10^18 + 3: the ratio scan
+    # would run to p^2 - 1, so it stops at the closure budget instead
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 10**18 + 3},
+        "lines": ["zero", "infinity", "identity", [["2", "0"], ["0", "3"]]],
+    }))
+    proc = subprocess.run([sys.executable, "-m", "skewlines.cli", "group",
+                           str(path), "--json"],
+                          capture_output=True, text=True, check=False, timeout=10)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["budget_hit"] is True
+    statuses = {e["status"] for e in payload["eigenvalue_ratios"]["entries"]}
+    assert "undetermined" in statuses and "not_root_of_unity" not in statuses
+
+
+def test_family_affine_on_a_huge_prime_is_refused():
+    proc = subprocess.run([sys.executable, "-m", "skewlines.cli", "family",
+                           "affine", f"p={10**18 + 3}"],
+                          capture_output=True, text=True, check=False, timeout=10)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

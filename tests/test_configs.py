@@ -14,6 +14,7 @@ from skewlines.fields import (
 from skewlines.matrices import Mat2, ProjPoint, commutator, proj_normalize
 from skewlines.configs import (
     InvalidConfiguration,
+    _commutation_case,
     InvalidIndex,
     LineConfig,
     config_validate,
@@ -387,6 +388,40 @@ def test_anti_commuting_pair_predicted_non_abelian():
     assert rep.anti_commuting_warning
     cases = dict(((i, j), c) for i, j, c in rep.cases)
     assert cases[("2", "3")] == "anti_commuting"
+
+
+def _random_nonsingular(field, rng, traceless):
+    while True:
+        a, b, c = (field.from_int(rng.randint(-3, 3)) for _ in range(3))
+        d = -a if traceless else field.from_int(rng.randint(-3, 3))
+        m = Mat2(a, b, c, d)
+        if m.det():
+            return m
+
+
+@pytest.mark.parametrize("field", [F5, prime_field(7), Q], ids=["F5", "F7", "Q"])
+def test_anti_commuting_test_agrees_with_projective_comparison(field):
+    # ab = -ba is the same as [ab] = [ba] with ab != ba.  Traceless pairs
+    # anti-commute exactly when tr(ab) = 0, so half the sample is traceless,
+    # and (x y / z -x) anti-commutes with (0 y / -z 0) by construction
+    rng = random.Random(17)
+    swap = mat(field, [["0", "1"], ["1", "0"]])
+    flip = mat(field, [["1", "0"], ["0", "-1"]])
+    pairs = [(swap, flip)]
+    for k in range(200):
+        a = _random_nonsingular(field, rng, k % 2 == 0)
+        pairs.append((a, _random_nonsingular(field, rng, k % 2 == 0)))
+        if not a.trace() and a.b and a.c:
+            pairs.append((a, Mat2(field.zero(), a.b, -a.c, field.zero())))
+    hits = 0
+    for a, b in pairs:
+        if a.is_scalar() or b.is_scalar():
+            continue
+        projective = a * b != b * a and proj_normalize(a * b) == proj_normalize(b * a)
+        assert (_commutation_case(a, b) == "anti_commuting") == projective
+        hits += projective
+    assert _commutation_case(swap, flip) == "anti_commuting"
+    assert hits > 40
 
 
 def test_singular_matrix_has_no_class():

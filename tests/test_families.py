@@ -139,6 +139,28 @@ def test_affine_rejections():
         affine(5, 5)  # not a unit
 
 
+def _brute_order(c, p):
+    k, acc = 1, c % p
+    while acc != 1:
+        acc, k = acc * c % p, k + 1
+    return k
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+def test_affine_default_dilation_square_is_least_primitive_root(p):
+    want = next(c for c in range(2, p) if _brute_order(c, p) == p - 1)
+    assert affine(p).params["dilation_square"] == want
+    for c in range(1, p):
+        if _brute_order(c, p) != p - 1:
+            with pytest.raises(InvalidParameters, match="does not have order"):
+                affine(p, c)
+
+
+def test_affine_refuses_a_prime_too_large_to_factor():
+    with pytest.raises(InvalidParameters, match="primitive root"):
+        affine(10**18 + 3)
+
+
 def test_affine_explicit_dilation_square():
     fam = affine(5, 3)
     assert fam.params["dilation_square"] == 3

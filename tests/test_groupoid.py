@@ -179,7 +179,7 @@ def test_generator_modes_agree_on_closure():
                 a4_example().config):
         all_t = closure_of(cfg, mode="all_triples")
         diffs = closure_of(cfg, mode="differences")
-        assert all_t._keyset() == diffs._keyset()
+        assert all_t.keys == diffs.keys
 
 
 def test_differences_mode_needs_infinity_line():
@@ -213,7 +213,7 @@ def test_generator_modes_agree_with_infinity_but_no_zero_line():
         all_t = closure_of(cfg, mode="all_triples")
         diffs = closure_of(cfg, mode="differences")
         assert all_t.order == diffs.order
-        assert all_t._keyset() == diffs._keyset()
+        assert all_t.keys == diffs.keys
         checked += 1
 
 
@@ -265,13 +265,19 @@ def test_closure_budget_stops_infinite_group():
     assert G.order == 50
 
 
-def test_closure_rejects_bad_budget_and_empty_generators():
+def test_closure_rejects_bad_budget_and_closes_empty_set_to_trivial():
     gens = generator_set(diag_config(Q, (2, 7)))
     with pytest.raises(ValueError):
         group_closure(gens, budget=0)
+    empty = GeneratorSet(elements=[], provenance={}, mode="all_triples", field=Q)
     with pytest.raises(ValueError):
-        group_closure(GeneratorSet(elements=[], provenance={}, mode="all_triples",
-                                   field=Q))
+        group_closure(empty, budget=0)
+    # <empty set> = {1}
+    G = group_closure(empty, budget=1)
+    assert [g.key() for g in G.elements] == [proj_identity(Q).key()]
+    assert G.generators == [] and not G.budget_hit and G.budget == 1
+    assert G.keys == {proj_identity(Q).key()}
+    assert classify(G).label == "trivial"
 
 
 def test_closure_membership():
@@ -456,7 +462,7 @@ def _assert_witnesses_generate(G, c, field):
     pair = GeneratorSet(elements=[r, s], provenance={}, mode="witnesses", field=field)
     H = group_closure(pair, budget=G.order + 1)
     assert not H.budget_hit
-    assert H._keyset() == G._keyset()
+    assert H.keys == G.keys
 
 
 @pytest.mark.parametrize("fam", [a4_example, s4_example, a5_example,
@@ -624,6 +630,25 @@ def test_eigratio_bounded_scan_stays_agnostic():
     report = eigratio_check(generator_set(diag_config(Q, (4, 2))), bound=3)
     assert not report.infinite_witness
     assert any(e["status"] == "undetermined" for e in report.entries)
+
+
+def test_analyze_ratio_scan_to_the_budget_misses_nothing_over_finite_fields():
+    # over F_q, analyze() scans ratio orders only up to the budget; every
+    # ratio order is the order of an element of G, so even a budget of
+    # exactly |G| reports what the scan to the field's cap q^2 - 1 reports
+    for cfg in (diag_config(F5, (2, 3)), diag_config(F7, (2, 4), (3, 5)),
+                elementary_abelian(3).config, affine(3).config):
+        triples = generator_set(cfg)
+        n = group_closure(triples).order
+        assert n < cfg.field.root_of_unity_bound(quadratic=True)
+        report = analyze(cfg, budget=n)
+        assert not report.budget_hit
+        assert report.eigenvalue_ratios == eigratio_check(triples).to_json()
+    # over Q the scan to the small cap certifies an infinite group even when
+    # the budget is below the cap
+    report = analyze(diag_config(Q, (4, 2)), budget=3)
+    assert report.eigenvalue_ratios["cap"] == 6
+    assert report.eigenvalue_ratios["infinite_witness"]
 
 
 def test_eigratio_flags_unipotent_generators():

@@ -268,7 +268,6 @@ def test_icosahedral_orbits():
     assert rep.total_size == 150
     assert set(rep.per_line_sizes.values()) == {30}
     assert rep.stabilizer_order == 2
-    assert not rep.truncated
     assert rep.per_line_sizes["inf"] * rep.stabilizer_order == G.order
 
     assert orbit_on_line(cfg, G, ProjPoint(f.zero(), f.one())) == (30, 2)
@@ -285,7 +284,7 @@ def test_icosahedral_orbits():
     # and the identity.  The coordinate points and [1:1] are among them, and
     # the generic seed is fixed by the identity alone.
     points = {v.key(): v for g in G.elements if not g.is_identity()
-              for v in eigenvectors(g.rep).eigenlines}
+              for _, v in eigenvectors(g.rep) or ()}
     for v in (ProjPoint(f.one(), f.zero()), ProjPoint(f.zero(), f.one()),
               ProjPoint(f.one(), f.one()), seed):
         points.setdefault(v.key(), v)
@@ -397,15 +396,48 @@ def test_orbit_rejects_foreign_or_stray_seeds():
         orbit_full(cfg, p3_from_string(Q, "[0:0:0:1]"))
 
 
-def test_orbit_budget_truncation():
+def test_orbit_lines_hold_at_most_the_orbit_of_the_seed_parameter():
+    # each point of line j has parameter g.v0 for some g in G, so no line
+    # holds more than |G| / |Stab(v0)| points, and both walks reach them all
+    for cfg in (a4_example().config, s4_example().config,
+                elementary_abelian(3).config):
+        G = closed(cfg)
+        for v in (ProjPoint(cfg.field.one(), cfg.field.zero()), generic_seed(cfg, G)):
+            seed = point_on_line(cfg, "inf", v)
+            for walk in (orbit_full, orbit_geometric):
+                rep = walk(cfg, seed, closure=G)
+                bound = G.order // rep.stabilizer_order
+                assert set(rep.per_line_sizes.values()) == {bound}
+                assert rep.total_size == bound * len(cfg.labels())
+
+
+def _fresh_points(f):
+    """Distinct P^1 parameters [1 : n], none repeated: a walk that follows
+    them never closes up."""
+    counter = itertools.count(1)
+    return lambda *_: ProjPoint(f.one(), f.from_int(next(counter)))
+
+
+def test_orbit_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
     cfg = a4_example().config
     f = cfg.field
     G = closed(cfg)
-    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), budget=7, closure=G)
-    assert rep.truncated
-    assert rep.total_size == 7
-    with pytest.raises(ValueError):
-        orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), budget=0, closure=G)
+    seed = p3_from_string(f, "[0:0:0:1]")
+    monkeypatch.setattr(orbits, "moebius_apply", _fresh_points(f))
+    with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
+        orbit_full(cfg, seed, closure=G)
+
+
+def test_oracle_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
+    cfg = a4_example().config
+    f = cfg.field
+    G = closed(cfg)
+    seed = p3_from_string(f, "[0:0:0:1]")
+    fresh = _fresh_points(f)
+    monkeypatch.setattr(orbits, "_meet",
+                        lambda span, lam: P3Point(*fresh(), f.one(), f.one()))
+    with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
+        orbit_geometric(cfg, seed, closure=G)
 
 
 def test_orbit_refuses_incomplete_closure():
@@ -485,12 +517,10 @@ def test_oracle_matches_on_small_finite_configs():
         assert points_by_key(fast) == points_by_key(slow)
 
 
-def test_oracle_respects_budget_and_membership():
+def test_oracle_respects_membership():
     cfg = affine_f5_config()
     with pytest.raises(SeedNotOnConfiguration):
         orbit_geometric(cfg, p3_from_string(F5, "[1:1:1:2]"))
-    rep = orbit_geometric(cfg, p3_from_string(F5, "[0:0:0:1]"), budget=3)
-    assert rep.truncated and rep.total_size == 3
 
 
 # ---------------------------------------------------------------------------
