@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .fields import Field, FieldSpec, field_make
+from .fields import Field, FieldSpec
 from .matrices import (
     Mat2,
     ProjPoint,
@@ -208,7 +208,7 @@ class LineConfig:
             raise InvalidConfiguration(
                 'config JSON needs "field" and "lines" entries'
             )
-        field = field_make(FieldSpec.from_json(obj["field"]))
+        field = Field(FieldSpec.from_json(obj["field"]))
         include_zero = False
         include_infinity = False
         matrices: list[Mat2] = []
@@ -350,17 +350,12 @@ def predict_abelian(cfg: LineConfig) -> AbelianReport:
     return report
 
 
-def _disc_is_zero(m: Mat2) -> bool:
-    tr, det = m.trace(), m.det()
-    return tr * tr - 4 * det == m.field.zero()
-
-
 def _commutation_case(a: Mat2, b: Mat2) -> str:
     if a.is_scalar() or b.is_scalar():
         return "scalar"
     ab, ba = a * b, b * a
     if ab == ba:
-        if _disc_is_zero(a) and _disc_is_zero(b):
+        if not a.discriminant() and not b.discriminant():
             return "shared_eigenspace"
         return "simultaneously_diagonalizable"
     # [ab] = [ba] means ab = l ba for a scalar l; taking determinants gives

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .configs import InvalidConfiguration, LineConfig
@@ -31,10 +31,6 @@ from .matrices import Mat2
 
 class InvalidParameters(ValueError):
     """A family builder was handed parameters outside its domain."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _cyclo(n: int) -> Field:
@@ -123,7 +119,7 @@ def standard_construction(n: int) -> BuiltFamily:
         expected, label = 1, "trivial"
         notes = "both rotations are scalar classes, so the closure is trivial"
     else:
-        expected, label = _lcm(2, n), f"cyclic({_lcm(2, n)})"
+        expected, label = lcm(2, n), f"cyclic({lcm(2, n)})"
         notes = ""
     return BuiltFamily("standard", {"n": n}, cfg, expected, label, notes)
 
@@ -137,7 +133,7 @@ def c3_scaled(s_order: int) -> BuiltFamily:
     """
     if s_order < 2:
         raise InvalidParameters("s = 1 makes the scale factor undefined")
-    f = _cyclo(_lcm(3, s_order))
+    f = _cyclo(lcm(3, s_order))
     eps = root_of_unity(f, 3)
     one = f.one()
     inv = eps.inv()
@@ -158,7 +154,7 @@ def c3_scaled(s_order: int) -> BuiltFamily:
         except InvalidParameters as exc:
             last = exc
             continue
-        order = _lcm(6, s_order)
+        order = lcm(6, s_order)
         return BuiltFamily(
             "c3_scaled", {"s_order": s_order}, cfg, order, f"cyclic({order})"
         )
@@ -180,7 +176,7 @@ def cyclic_4line(u1_order: int, u2_order: int) -> BuiltFamily:
         raise InvalidParameters("eigenratios equal to 1 give scalar generators")
     if m == 2 and n == 2:
         raise InvalidParameters("u1 = u2 = -1 collapses the construction")
-    f = _cyclo(_lcm(m, n))
+    f = _cyclo(lcm(m, n))
     u1 = root_of_unity(f, m)
     u2 = root_of_unity(f, n)
     if m == n:
@@ -191,7 +187,7 @@ def cyclic_4line(u1_order: int, u2_order: int) -> BuiltFamily:
     a = u1 * (one - u2) / (u1 - u2)
     d = (one - u2) / (u1 - u2)
     cfg = _validated(f, [Mat2.identity(f), Mat2.diag(a, d)])
-    order = _lcm(m, n)
+    order = lcm(m, n)
     return BuiltFamily(
         "cyclic_4line",
         {"u1_order": m, "u2_order": n},
@@ -205,15 +201,22 @@ def cyclic_4line(u1_order: int, u2_order: int) -> BuiltFamily:
 # characteristic-p families
 
 
-def _quadratic_extension(p: int) -> Field:
-    """F_{p^2} presented as F_p[z]/(z^2 - c), c the least non-square (p odd)."""
+def _prime_field(p: int) -> Field:
+    """F_p, a composite p reported as InvalidParameters."""
     try:
-        base = prime_field(p)
+        return prime_field(p)
     except NonPrimeModulus as exc:
         raise InvalidParameters(str(exc)) from exc
+
+
+def _quadratic_extension(p: int, c: Optional[int] = None) -> Field:
+    """F_{p^2} presented as F_p[z]/(z^2 - c) for a non-square c, by default
+    the least one; F_4 is F_2[z]/(z^2 + z + 1)."""
+    base = _prime_field(p)
     if p == 2:
         return extension_field(base, [1, 1, 1])
-    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    if c is None:
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     return extension_field(base, [-c % p, 0, 1])
 
 
@@ -284,10 +287,7 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
     """
     if p <= 2:
         raise InvalidParameters("odd characteristic required")
-    try:
-        prime_field(p)
-    except NonPrimeModulus as exc:
-        raise InvalidParameters(str(exc)) from exc
+    _prime_field(p)
     if p - 1 >= _FACTOR_CAP:
         raise InvalidParameters(
             f"p - 1 must be below {_FACTOR_CAP} to test for a primitive root"
@@ -307,7 +307,8 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
         raise InvalidParameters(
             f"{dilation_square} does not have order {p - 1} mod {p}"
         )
-    f = _quadratic_extension_with(p, c)
+    # c has order p - 1, so it is a non-square
+    f = _quadratic_extension(p, c)
     a = f.gen()
     m2 = Mat2.from_rows(f, [[-f.one(), f.one()], [f.zero(), -f.one()]])
     m3 = Mat2.diag(a, a.inv())
@@ -324,16 +325,6 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
             "so the translation lattice grows to the full quadratic extension"
         ),
     )
-
-
-def _quadratic_extension_with(p: int, c: int) -> Field:
-    try:
-        base = prime_field(p)
-    except NonPrimeModulus as exc:
-        raise InvalidParameters(str(exc)) from exc
-    if pow(c, (p - 1) // 2, p) != p - 1:
-        raise InvalidParameters(f"{c} is a square mod {p}")
-    return extension_field(base, [-c % p, 0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -206,30 +206,20 @@ class FieldSpec:
 RATIONAL_SPEC = FieldSpec("rational")
 
 
-def prime_spec(p: int) -> FieldSpec:
-    return FieldSpec("prime", p=p)
-
-
-def _canon_coeff(c: CoeffLike, p: Optional[int]) -> str:
-    """Canonical string form of a minpoly coefficient (reduced mod p if given)."""
-    fr = _fraction(str(c))
-    if p:
-        den = fr.denominator % p
-        if den == 0:
-            raise UnsupportedField(
-                f"minpoly coefficient {fr} has denominator divisible by {p}"
-            )
-        return str(fr.numerator * pow(den, p - 2, p) % p)
-    return str(fr)
+def _mod_p(fr: Fraction, p: int) -> int:
+    """The image of a rational in F_p; a denominator divisible by p has none."""
+    den = fr.denominator % p
+    if den == 0:
+        raise DivisionByZero(f"denominator of {fr} vanishes mod {p}")
+    return fr.numerator * pow(den, p - 2, p) % p
 
 
 def extension_spec(base: FieldSpec, coeffs: Sequence[CoeffLike]) -> FieldSpec:
+    """The spec of base[z]/(m(z)), m's coefficients in canonical string form."""
     p = base.p if base.kind == "prime" else None
-    return FieldSpec(
-        "extension",
-        base=base,
-        minpoly=tuple(_canon_coeff(c, p) for c in coeffs),
-    )
+    fracs = (_fraction(str(c)) for c in coeffs)
+    minpoly = tuple(str(_mod_p(fr, p) if p else fr) for fr in fracs)
+    return FieldSpec("extension", base=base, minpoly=minpoly)
 
 
 class FieldElement:
@@ -429,10 +419,7 @@ class Field:
 
         if spec.kind == "extension":
             if p:
-                self._mod_minpoly = tuple(
-                    int(c) % p if c.denominator == 1 else self._frac_mod(c, p)
-                    for c in self.minpoly
-                )
+                self._mod_minpoly = tuple(_mod_p(c, p) for c in self.minpoly)
                 self._check_irreducible_mod_p()
             else:
                 self._detect_conductor()
@@ -442,13 +429,6 @@ class Field:
             self.conductor = 1
 
     # -- construction-time checks -------------------------------------------
-
-    @staticmethod
-    def _frac_mod(c: Fraction, p: int) -> int:
-        den = c.denominator % p
-        if den == 0:
-            raise UnsupportedField("minpoly coefficient denominator divisible by p")
-        return (c.numerator % p) * pow(den, p - 2, p) % p
 
     def _check_irreducible_mod_p(self):
         p = self.characteristic
@@ -524,38 +504,24 @@ class Field:
                         raise ReducibleMinpoly(f"rational root {r} found")
 
     def _build_reduction_rows(self):
-        """Rows expressing z^(degree+t) in the power basis, as ints over one den."""
+        """Rows expressing z^(degree+t) in the power basis, as ints over one den.
+
+        Row 0 is z^d = -(m_0 + ... + m_{d-1} z^(d-1)); each next row is the
+        last one times z, its z^d term folded back through row 0.
+        """
         d = self.degree
         p = self.characteristic
-        if p:
-            rows = []
-            top = [(-c) % p for c in self._mod_minpoly[:d]]
-            cur = top[:]
-            rows.append(tuple(cur))
-            for _ in range(d - 2):
-                shifted = [0] + cur[:-1]
-                carry = cur[-1]
-                cur = [(shifted[i] + carry * top[i]) % p for i in range(d)]
-                rows.append(tuple(cur))
-            self._red_rows = tuple(rows)
-            self._red_den = 1
-        else:
-            top = [-c for c in self.minpoly[:d]]
-            cur = top[:]
-            frac_rows = [cur[:]]
-            for _ in range(d - 2):
-                shifted = [Fraction(0)] + cur[:-1]
-                carry = cur[-1]
-                cur = [shifted[i] + carry * top[i] for i in range(d)]
-                frac_rows.append(cur[:])
-            den = 1
-            for row in frac_rows:
-                for c in row:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-            self._red_rows = tuple(
-                tuple(int(c * den) for c in row) for row in frac_rows
-            )
-            self._red_den = den
+        top = [-c for c in (self._mod_minpoly if p else self.minpoly)[:d]]
+        rows = [top]
+        for _ in range(d - 2):
+            last = rows[-1]
+            rows.append([s + last[-1] * t for s, t in zip([0] + last[:-1], top)])
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        self._red_rows = tuple(
+            tuple(int(c * den) % p if p else int(c * den) for c in row)
+            for row in rows
+        )
+        self._red_den = den
 
     # -- canonical representation -------------------------------------------
 
@@ -563,9 +529,7 @@ class Field:
         return FieldElement(self, tuple(nums), den)
 
     def _normalize(self, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-        p = self.characteristic
-        if p:
-            return tuple(n % p for n in nums), 1
+        """Characteristic 0 only: positive den, coprime to the content of nums."""
         if den < 0:
             den = -den
             nums = [-n for n in nums]
@@ -578,8 +542,6 @@ class Field:
         if g > 1:
             den //= g
             nums = [n // g for n in nums]
-        if not any(nums):
-            return tuple(0 for _ in nums), 1
         return tuple(nums), den
 
     # -- arithmetic kernels ---------------------------------------------------
@@ -713,11 +675,7 @@ class Field:
 
     def from_fraction(self, fr: Fraction) -> FieldElement:
         if self.characteristic:
-            p = self.characteristic
-            if fr.denominator % p == 0:
-                raise DivisionByZero(f"denominator of {fr} vanishes mod {p}")
-            val = fr.numerator * pow(fr.denominator % p, p - 2, p) % p
-            return self.from_int(val)
+            return self.from_int(_mod_p(fr, self.characteristic))
         return self._make(
             (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator
         )
@@ -738,13 +696,7 @@ class Field:
         fracs = [_fraction(str(c)) if not isinstance(c, Fraction) else c for c in coeffs]
         fracs += [Fraction(0)] * (self.degree - len(fracs))
         if self.characteristic:
-            p = self.characteristic
-            nums = []
-            for fr in fracs:
-                if fr.denominator % p == 0:
-                    raise DivisionByZero(f"denominator of {fr} vanishes mod {p}")
-                nums.append(fr.numerator * pow(fr.denominator % p, p - 2, p) % p)
-            return self._make(nums, 1)
+            return self._make([_mod_p(fr, self.characteristic) for fr in fracs], 1)
         den = 1
         for fr in fracs:
             den = den * fr.denominator // math.gcd(den, fr.denominator)
@@ -834,46 +786,89 @@ class Field:
     def sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """A canonical square root of a in this field, or None if none exists.
 
-        Raises UnsupportedField when existence cannot be decided (non-rational
-        elements of characteristic-0 extensions of degree >= 4 that are not
-        settled by the cyclotomic machinery).  The returned root is canonical:
-        lexicographically least coefficient vector over finite fields, first
-        nonzero coefficient positive in characteristic 0.
+        Decided over every finite field, over Q and its degree-2 extensions,
+        and for rational a in any field.  Raises UnsupportedField for the
+        rest: non-rational elements of cubic extensions and of cyclotomic
+        fields of degree >= 4, and rationals in the latter too large to
+        factor.  The root is canonical: the smaller coefficient vector of the
+        two over finite fields, first nonzero coefficient positive in
+        characteristic 0.
         """
-        root, decided = self._sqrt_impl(a)
-        if not decided:
+        if a.is_zero():
+            return self.zero()
+        if self.is_finite:
+            return self._sqrt_finite(a)
+        if a.is_rational():
+            fr = Fraction(a.nums[0], a.den)
+            direct = self._rational_sqrt(fr)
+            if direct is not None:
+                return self.from_fraction(direct)
+            if self.degree % 2:
+                # odd-degree extensions contain no new square roots of rationals
+                return None
+        if self.degree == 2:
+            return self._sqrt_quadratic_general(a)
+        if not a.is_rational():
             raise UnsupportedField(
                 "square-root existence undecidable for this element"
             )
-        return root
-
-    def _sqrt_impl(self, a: FieldElement) -> tuple[Optional[FieldElement], bool]:
-        if a.is_zero():
-            return self.zero(), True
-        if self.is_finite:
-            return self._sqrt_finite(a), True
-        if a.is_rational():
-            return self._sqrt_char0_rational(Fraction(a.nums[0], a.den))
-        if self.degree == 2:
-            return self._sqrt_quadratic_general(a), True
-        return None, False
+        # degree >= 4 extensions of Q are cyclotomic: split fr = s * t^2 with
+        # s a squarefree integer and build sqrt(s) from Gauss sums (complete:
+        # sqrt(s) lies in Q(zeta_n) exactly when that construction succeeds)
+        s, t = _squarefree_decompose(fr)
+        if s is None:
+            raise UnsupportedField(f"{fr} is too large to factor")
+        root_s = self._cyclotomic_sqrt_squarefree(s)
+        if root_s is None:
+            return None
+        out = self.from_fraction(t) * root_s
+        assert out * out == a
+        return self._canonical_sign(out)
 
     def _sqrt_finite(self, a: FieldElement) -> Optional[FieldElement]:
-        p = self.characteristic
-        if self.degree == 1:
-            if p == 2:
-                return a
-            n = a.nums[0]
-            if pow(n, (p - 1) // 2, p) != 1:
+        """Square root of a nonzero a over F_q (Cohen, GTM 138, Alg. 1.5.1).
+
+        In characteristic 2 squaring is a bijection and a^(q/2) is the one
+        root.  Otherwise write q - 1 = 2^e t with t odd; x = a^((t+1)/2)
+        has x^2 = a b with b = a^t in the 2-Sylow subgroup, and each round
+        multiplies x by a 2-power root of unity that lowers the order of b
+        until b = 1.  A b of the full order 2^e means a is not a square.
+        """
+        q = self.size
+        if self.characteristic == 2:
+            return a ** (q // 2)
+        e, t = 0, q - 1
+        while t % 2 == 0:
+            e, t = e + 1, t // 2
+        one = self.one()
+        x = a ** ((t - 1) // 2)
+        b = a * x * x
+        x = a * x
+        y = None  # generator of the 2-Sylow subgroup, found on first need
+        r = e
+        while b != one:
+            m, b2 = 1, b * b
+            while b2 != one:
+                m, b2 = m + 1, b2 * b2
+            if m == r:
                 return None
-            r = _tonelli_shanks(n, p)
-            return self.from_int(min(r, p - r))
-        if self.size > 10**4:
-            raise UnsupportedField("finite field too large for exhaustive sqrt")
-        for x in self.elements():
-            if x * x == a:
-                return x
-        return None
+            if y is None:
+                y = self._non_square() ** t
+            s = y ** (1 << (r - m - 1))
+            y, r = s * s, m
+            x, b = x * s, b * y
+        return min(x, -x, key=FieldElement.sort_key)
+
+    def _non_square(self) -> FieldElement:
+        """A non-square of F_q, q odd: the first among z + k (k = 0, 1, ...),
+        then among all elements."""
+        minus_one = -self.one()
+        half = (self.size - 1) // 2
+        shifts = ()
+        if self.degree > 1:
+            shifts = (self.gen() + k for k in range(self.characteristic))
+        return next(x for x in itertools.chain(shifts, self.elements())
+                    if x ** half == minus_one)
 
     @staticmethod
     def _rational_sqrt(fr: Fraction) -> Optional[Fraction]:
@@ -892,42 +887,6 @@ class Field:
             if n < 0:
                 return -x
         return x
-
-    def _sqrt_char0_rational(self, fr: Fraction) -> tuple[Optional[FieldElement], bool]:
-        direct = self._rational_sqrt(fr)
-        if direct is not None:
-            return self.from_fraction(direct), True
-        if self.degree == 1:
-            return None, True
-        if self.degree == 2 and self.conductor is None:
-            b, c = self.minpoly[1], self.minpoly[0]
-            # x = alpha + beta*z with beta != 0: beta^2 = 4*fr/(b^2-4c)
-            beta2 = 4 * fr / (b * b - 4 * c)
-            beta = self._rational_sqrt(beta2)
-            if beta is None or beta == 0:
-                return None, True
-            alpha = b * beta / 2
-            cand = self.from_coeffs([alpha, beta])
-            if cand * cand == self.from_fraction(fr):
-                return self._canonical_sign(cand), True
-            return None, True
-        if self.conductor is None:
-            # odd-degree extensions contain no new square roots of rationals
-            if self.degree % 2 == 1:
-                return None, True
-            return None, False
-        # cyclotomic: split fr = s * t^2 with s a squarefree integer, build
-        # sqrt(s) from Gauss sums (complete: sqrt(s) lies in Q(zeta_n) exactly
-        # when the construction below succeeds)
-        s, t = _squarefree_decompose(fr)
-        if s is None:
-            return None, False
-        root_s = self._cyclotomic_sqrt_squarefree(s)
-        if root_s is None:
-            return None, True
-        out = self.from_fraction(t) * root_s
-        assert out * out == self.from_fraction(fr)
-        return self._canonical_sign(out), True
 
     def _zeta_power(self, k: int) -> FieldElement:
         k %= self.conductor
@@ -982,10 +941,10 @@ class Field:
         """Complete sqrt in a quadratic extension of Q via a rational quadratic."""
         b, c = self.minpoly[1], self.minpoly[0]
         u0, u1 = Fraction(u.nums[0], u.den), Fraction(u.nums[1], u.den)
-        # x = alpha + beta z, x^2 = (alpha^2 - c beta^2) + beta(2 alpha - b beta) z
-        # u1 != 0 here (rational case handled separately), so beta != 0 and
-        # alpha = (u1 + b beta^2) / (2 beta); substituting gives a quadratic in
-        # Y = beta^2:  (b^2-4c) Y^2 + (2 b u1 - 4 u0) Y + u1^2 = 0.
+        # x = alpha + beta z, x^2 = (alpha^2 - c beta^2) + beta(2 alpha - b beta) z.
+        # A root with beta = 0 is rational, and sqrt tries those first; so
+        # beta != 0 and alpha = (u1 + b beta^2) / (2 beta); substituting gives
+        # a quadratic in Y = beta^2:  (b^2-4c) Y^2 + (2 b u1 - 4 u0) Y + u1^2 = 0.
         A = b * b - 4 * c
         B = 2 * b * u1 - 4 * u0
         C = u1 * u1
@@ -1123,33 +1082,6 @@ def _tokenize(text: str):
     return tokens
 
 
-def _tonelli_shanks(n: int, p: int) -> int:
-    """A square root of n modulo an odd prime p (n must be a residue)."""
-    if n % p == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        for i in range(1, m):
-            t2 = t2 * t2 % p
-            if t2 == 1:
-                break
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _squarefree_decompose(fr: Fraction) -> tuple[Optional[int], Optional[Fraction]]:
     """fr = s * t^2 with s squarefree (sign carried by s); None if too big to factor."""
     n = abs(fr.numerator) * fr.denominator
@@ -1167,17 +1099,12 @@ def _squarefree_decompose(fr: Fraction) -> tuple[Optional[int], Optional[Fractio
     return s, t
 
 
-def field_make(spec: FieldSpec) -> Field:
-    """Build a field from its description, validating it eagerly."""
-    return Field(spec)
-
-
 def rational_field() -> Field:
     return Field(RATIONAL_SPEC)
 
 
 def prime_field(p: int) -> Field:
-    return Field(prime_spec(p))
+    return Field(FieldSpec("prime", p=p))
 
 
 def extension_field(base: Field | FieldSpec, coeffs: Sequence[CoeffLike]) -> Field:

@@ -255,8 +255,7 @@ def element_order(g: ProjElem, bound: int) -> Optional[int]:
     if g.is_identity():
         return 1
     m = g.rep
-    tr = m.trace()
-    if tr * tr == m.field.from_int(4) * m.det():
+    if not m.discriminant():
         p = m.field.characteristic
         return p if 0 < p <= bound else None
     return ratio_order(g, bound)
@@ -465,11 +464,8 @@ def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioRepo
     cap = gens.field.root_of_unity_bound(quadratic=True)
     effective = cap if bound is None else min(bound, cap)
     report = RatioReport(cap=cap)
-    four = gens.field.from_int(4)
     for g in gens.elements:
-        m = g.rep
-        tr, det = m.trace(), m.det()
-        semisimple = tr * tr != four * det or g.is_identity()
+        semisimple = bool(g.rep.discriminant()) or g.is_identity()
         n = ratio_order(g, effective)
         if n is not None:
             status = "root_of_unity"

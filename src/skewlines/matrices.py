@@ -83,6 +83,11 @@ class Mat2:
     def trace(self) -> FieldElement:
         return self.a + self.d
 
+    def discriminant(self) -> FieldElement:
+        """tr^2 - 4 det, formed as (a - d)^2 + 4bc."""
+        diff = self.a - self.d
+        return diff * diff + 4 * (self.b * self.c)
+
     def entries(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
         return (self.a, self.b, self.c, self.d)
 
@@ -350,10 +355,13 @@ def eigenvectors(m: Mat2) -> Optional[list[tuple[FieldElement, ProjPoint]]]:
     field, sorted by eigenvalue.
 
     [] means the characteristic polynomial provably has no root in the
-    field; None means that could not be settled (no decidable square root
-    of the discriminant: degree >= 4 extensions of Q beyond the cyclotomic
-    machinery, finite fields too large to search).  A scalar matrix, whose
-    every line is an eigenline, gets the two coordinate lines.
+    field; None means that could not be settled: Field.sqrt cannot decide
+    the discriminant (a non-rational one in a cubic or degree >= 4
+    extension of Q), or the field has characteristic 2 and more than 10^4
+    elements.  In characteristic 2 the eigenvalues are found by trying
+    every element, since there is no halving, so that scan keeps its cap.
+    A scalar matrix, whose every line is an eigenline, gets the two
+    coordinate lines.
     """
     f = m.field
     if m.is_scalar():
@@ -375,7 +383,7 @@ def eigenvectors(m: Mat2) -> Optional[list[tuple[FieldElement, ProjPoint]]]:
     else:
         tr = m.trace()
         try:
-            w = f.sqrt(tr * tr - 4 * m.det())
+            w = f.sqrt(m.discriminant())
         except UnsupportedField:
             return None
         if w is None:

@@ -290,6 +290,20 @@ def test_rotation_resolves_over_cyclotomic():
     assert rep.method == "simultaneous-eigen"
 
 
+def test_transversals_decided_over_a_field_of_10201_elements():
+    # [[1,1],[1,-1]] has discriminant 8, a square in F_{101^2} = F_101(sqrt 2)
+    F = extension_field(prime_field(101), [-2, 0, 1])
+    m = mat(F, [["1", "1"], ["1", "-1"]])
+    cfg = LineConfig(F, [Mat2.identity(F), m])
+    rep = transversal_compute(cfg)
+    assert rep.exists
+    assert rep.method == "simultaneous-eigen"
+    assert len(rep.witnesses) == 2
+    for v in rep.witnesses:
+        x, y = m.apply((v.x, v.y))
+        assert x * v.y == y * v.x
+
+
 def test_commuting_family_uses_the_first_decided_eigenlines():
     # M2 = zeta_8 * M1 commutes with M1; M1's discriminant 8 has the square
     # root z - z^3 = sqrt 2 in Q(zeta_8), M2's 8 zeta_8^2 cannot be decided

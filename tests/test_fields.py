@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from skewlines.fields import (
     DivisionByZero,
+    Field,
     FieldSpec,
     MixedFields,
     NonPrimeModulus,
@@ -23,7 +24,6 @@ from skewlines.fields import (
     cyclotomic_polynomial,
     euler_phi,
     extension_field,
-    field_make,
     prime_field,
     rational_field,
 )
@@ -192,7 +192,7 @@ def test_cyclotomic_field_small_n_is_q():
 def test_spec_json_roundtrip():
     for f in (Q, F5, F25, Z6, Z24):
         assert FieldSpec.from_json(f.spec.to_json()) == f.spec
-        assert field_make(FieldSpec.from_json(f.spec.to_json())) == f
+        assert Field(FieldSpec.from_json(f.spec.to_json())) == f
 
 
 def test_bad_spec_json():
@@ -437,6 +437,47 @@ def test_sqrt_tonelli_shanks_p_1_mod_4():
     F = prime_field(13)
     r = F.sqrt(F.from_int(10))
     assert r is not None and r * r == F.from_int(10)
+
+
+def _scan_sqrt(F, a):
+    """Reference: the first square root of a in enumeration order, else None."""
+    return next((x for x in F.elements() if x * x == a), None)
+
+
+def _first_irreducible(p, degree):
+    for tail in itertools.product(range(p), repeat=degree):
+        try:
+            return extension_field(prime_field(p), list(tail) + [1])
+        except ReducibleMinpoly:
+            continue
+
+
+_SMALL_FINITE_FIELDS = [
+    prime_field(p) if d == 1 else _first_irreducible(p, d)
+    for p in (2, 3, 5, 7, 11)
+    for d in range(1, 8)
+    if p**d <= 125
+]
+
+
+@pytest.mark.parametrize("F", _SMALL_FINITE_FIELDS, ids=repr)
+def test_sqrt_matches_exhaustive_scan(F):
+    for a in F.elements():
+        assert F.sqrt(a) == _scan_sqrt(F, a), a
+
+
+def test_sqrt_in_a_field_of_10007_squared_elements():
+    # q - 1 = 2^4 * t with t odd, so the 2-Sylow rounds and the non-square run
+    F = extension_field(prime_field(10007), [-5, 0, 1])
+    rng = random.Random(9)
+    nonsquares = 0
+    for _ in range(100):
+        x = F.from_coeffs([rng.randrange(10007), rng.randrange(10007)])
+        a = x * x
+        r = F.sqrt(a)
+        assert r is not None and r * r == a and r in (x, -x)
+        nonsquares += F.sqrt(x) is None
+    assert 0 < nonsquares < 100
 
 
 def test_i_and_sqrt5_in_z20():
