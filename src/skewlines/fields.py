@@ -434,6 +434,15 @@ class Field:
         p = self.characteristic
         m = self._mod_minpoly
         d = self.degree
+        if d == 2 and p != 2:
+            # z^2 + bz + c splits exactly when b^2 - 4c is a square mod p,
+            # zero included; Euler's criterion decides that with no search
+            disc = (m[1] * m[1] - 4 * m[0]) % p
+            if disc == 0 or pow(disc, (p - 1) // 2, p) == 1:
+                raise ReducibleMinpoly(
+                    f"minpoly factors mod {p} (discriminant {disc} is a square)"
+                )
+            return
         # exhaustive search for a monic factor of degree 1..d//2
         for k in range(1, d // 2 + 1):
             if p**k > 10**6:
@@ -560,23 +569,25 @@ class Field:
             return self._normalize([a + b for a, b in zip(n1, n2)], d1)
         return self._normalize([a * d2 + b * d1 for a, b in zip(n1, n2)], d1 * d2)
 
-    def _mul(self, n1, d1, n2, d2):
-        d = self.degree
-        if d == 1:
-            nums = [n1[0] * n2[0]]
-            if self.characteristic:
-                return (nums[0] % self.characteristic,), 1
-            return self._normalize(nums, d1 * d2)
-        conv = [0] * (2 * d - 1)
+    @staticmethod
+    def _conv(n1, n2, conv):
+        """Add the polynomial product of n1 and n2 into conv, unreduced."""
         for i, a in enumerate(n1):
             if a:
                 for j, b in enumerate(n2):
                     if b:
                         conv[i + j] += a * b
+
+    def _fold(self, conv, den):
+        """Canonical (nums, den) of conv/den in an extension, conv an
+        unreduced product of 2d - 1 coefficients: one reduction modulo the
+        minimal polynomial, then one normalization."""
+        d = self.degree
         low = conv[:d]
         R = self._red_den
         if R != 1:
             low = [c * R for c in low]
+            den *= R
         for t in range(d - 1):
             c = conv[d + t]
             if c:
@@ -587,7 +598,36 @@ class Field:
         if self.characteristic:
             p = self.characteristic
             return tuple(c % p for c in low), 1
-        return self._normalize(low, d1 * d2 * R)
+        return self._normalize(low, den)
+
+    def _mul(self, n1, d1, n2, d2):
+        if self.degree == 1:
+            if self.characteristic:
+                return (n1[0] * n2[0] % self.characteristic,), 1
+            return self._normalize([n1[0] * n2[0]], d1 * d2)
+        conv = [0] * (2 * self.degree - 1)
+        self._conv(n1, n2, conv)
+        return self._fold(conv, d1 * d2)
+
+    def _dot(self, n1, d1, n2, d2, n3, d3, n4, d4):
+        """x1*x2 + x3*x4 on raw (nums, den) pairs, with one reduction and one
+        normalization for the sum instead of one per product and the add."""
+        p = self.characteristic
+        den = 1
+        if not p:
+            # over a common denominator: scale one factor of each product
+            den, e34 = d1 * d2, d3 * d4
+            if den != e34:
+                n1 = [a * e34 for a in n1]
+                n3 = [a * den for a in n3]
+                den *= e34
+        if self.degree == 1:
+            s = n1[0] * n2[0] + n3[0] * n4[0]
+            return ((s % p,), 1) if p else self._normalize([s], den)
+        conv = [0] * (2 * self.degree - 1)
+        self._conv(n1, n2, conv)
+        self._conv(n3, n4, conv)
+        return self._fold(conv, den)
 
     def _inv(self, nums, den):
         if not any(nums):

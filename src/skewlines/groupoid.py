@@ -19,8 +19,8 @@ from .matrices import (
     ProjElem,
     eigenvectors,
     fixes_point,
+    proj_class,
     proj_identity,
-    proj_normalize,
 )
 
 DEFAULT_BUDGET = 5000
@@ -37,14 +37,15 @@ class IncompleteClosure(Exception):
 def _transport(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
     """F_ijk from its closed forms in the differences D_ab = M_a - M_b:
     1 when k is infinity, [D_ik] when j is, [adj D_jk] when i is, and
-    [adj(D_jk) D_ik] otherwise (adjugate = det * inverse, no division)."""
+    [adj(D_jk) D_ik] otherwise (adjugate = det * inverse, no division).
+    Validation proved every D_ab nonsingular, so no determinant is checked."""
     if k == INF_LABEL:
         return proj_identity(cfg.field)
     if j == INF_LABEL:
-        return proj_normalize(cfg.difference(i, k))
+        return proj_class(cfg.difference(i, k))
     if i == INF_LABEL:
-        return proj_normalize(cfg.difference(j, k).adjugate())
-    return proj_normalize(cfg.difference(j, k).adjugate() * cfg.difference(i, k))
+        return proj_class(cfg.difference(j, k).adjugate())
+    return proj_class(cfg.difference(j, k).adjugate() * cfg.difference(i, k))
 
 
 def generator(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:

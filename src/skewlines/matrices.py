@@ -4,6 +4,13 @@ P^1, and eigenvalue/eigenvector extraction that never leaves the field.
 Projective classes are deduplicated by a canonical representative whose first
 nonzero entry (row-major) is 1; that single convention makes closure
 enumeration a plain hash-set walk.
+
+Every 2x2 product, of Mat2s or of ProjElems, forms each entry as one fused
+Field._dot on the raw (nums, den) coefficient tuples.  One routine,
+_canonical, turns raw entries into a class.  The zero and determinant checks
+live in proj_normalize alone, for matrices from outside; a product or
+adjugate of classes is nonsingular already and goes to _canonical directly,
+as do the transport maps built from validated differences (proj_class).
 """
 
 from __future__ import annotations
@@ -116,12 +123,8 @@ class Mat2:
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            return Mat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
+            f = self.field
+            return Mat2(*(FieldElement(f, n, d) for n, d in _product(self, other)))
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         return NotImplemented
@@ -253,15 +256,14 @@ class ProjElem:
         return self.rep.is_identity()
 
     def __mul__(self, other: "ProjElem") -> "ProjElem":
+        # a product of nonsingular classes is nonsingular: no determinant
         if not isinstance(other, ProjElem):
             return NotImplemented
-        if self.field is not other.field and self.field.spec != other.field.spec:
-            raise MixedFields("cannot compose classes over different fields")
-        return proj_normalize(self.rep * other.rep)
+        return _canonical(self.field, _product(self.rep, other.rep))
 
     def inv(self) -> "ProjElem":
         # the adjugate is det * inverse — the same projective class, no division
-        return proj_normalize(self.rep.adjugate())
+        return proj_class(self.rep.adjugate())
 
     def __pow__(self, n: int) -> "ProjElem":
         if n < 0:
@@ -294,19 +296,54 @@ class ProjElem:
         return f"<{self.rep!r}>"
 
 
+def _product(x: Mat2, y: Mat2) -> tuple:
+    """The raw (nums, den) entries of x*y, row-major, each from one Field._dot."""
+    f = x.field
+    if y.field is not f and y.field.spec != f.spec:
+        raise MixedFields("matrix factors lie in different fields")
+    a, b, c, d = x.a, x.b, x.c, x.d
+    A, B, C, D = y.a, y.b, y.c, y.d
+    dot = f._dot
+    return (dot(a.nums, a.den, A.nums, A.den, b.nums, b.den, C.nums, C.den),
+            dot(a.nums, a.den, B.nums, B.den, b.nums, b.den, D.nums, D.den),
+            dot(c.nums, c.den, A.nums, A.den, d.nums, d.den, C.nums, C.den),
+            dot(c.nums, c.den, B.nums, B.den, d.nums, d.den, D.nums, D.den))
+
+
+def _canonical(f: Field, ents: tuple) -> ProjElem:
+    """The class of a nonzero matrix from its raw (nums, den) entries,
+    row-major: the first nonzero entry becomes exactly one and the later ones
+    are scaled by its Field._inv.  The one canonicalization of PGL2."""
+    i = 0
+    while not any(ents[i][0]):
+        i += 1
+    nums, den = ents[i]
+    if den != 1 or nums[0] != 1 or any(nums[1:]):
+        inv_n, inv_d = f._inv(nums, den)
+        mul = f._mul
+        one = ((1,) + (0,) * (f.degree - 1), 1)
+        ents = ents[:i] + (one,) + tuple(
+            mul(n, d, inv_n, inv_d) if any(n) else (n, d) for n, d in ents[i + 1:])
+    return ProjElem(Mat2(*(FieldElement(f, n, d) for n, d in ents)))
+
+
+def proj_class(m: Mat2) -> ProjElem:
+    """Canonical PGL2 representative of a matrix already known to be
+    nonsingular, such as an adjugate or a product of nonsingular matrices:
+    proj_normalize without its zero and determinant checks."""
+    return _canonical(m.field, tuple((e.nums, e.den) for e in m.entries()))
+
+
 def proj_normalize(m: Mat2) -> ProjElem:
-    """Canonical PGL2 representative: divide by the first nonzero entry."""
+    """Canonical PGL2 representative: divide by the first nonzero entry.
+
+    The matrix is checked first, so untrusted input cannot yield a class.
+    """
     if m.is_zero():
         raise ZeroMatrix("the zero matrix has no projective class")
     if not m.det():
         raise SingularMatrix("singular matrix does not lie in PGL2")
-    for lead in m.entries():
-        if lead:
-            break
-    if lead == m.field.one():
-        return ProjElem(m)
-    s = lead.inv()
-    return ProjElem(m.scale(s))
+    return proj_class(m)
 
 
 def proj_identity(field: Field) -> ProjElem:
@@ -350,6 +387,48 @@ def _kernel_line(m: Mat2) -> ProjPoint:
     return ProjPoint(m.d, -m.c)
 
 
+def _char2_eigenvalues(t: FieldElement, det: FieldElement) -> list[FieldElement]:
+    """The roots in F_q, q = 2^k, of lam^2 + t lam + det.
+
+    With t = 0 the one root is the square root det^(q/2).  Otherwise
+    lam = t mu turns the polynomial into mu^2 + mu = c, c = det / t^2, which
+    has a root exactly when the absolute trace Tr(c) is 0, and then the two
+    roots mu and mu + 1.  For delta with Tr(delta) = 1,
+        mu = sum_{i=1}^{k-1} (delta + delta^2 + ... + delta^(2^(i-1))) c^(2^i)
+    satisfies mu^2 + mu = c + delta Tr(c): squaring shifts every power up
+    one step, and the telescoped sums leave delta Tr(c).  So a root is
+    found or refuted with O(k) products.  For odd k, delta = 1 and mu is
+    the half-trace of c whenever Tr(c) = 0; for even k, delta is the first
+    power-basis element of trace one, which exists because the trace is a
+    nonzero linear form and Tr(1) = k = 0.
+    """
+    f = t.field
+    if not t:
+        return [det ** (f.size // 2)]
+    c = det * (t * t).inv()
+    delta = f.one()
+    if f.degree % 2 == 0:
+        delta = next(x for x in (f.gen() ** j for j in range(1, f.degree))
+                     if _abs_trace(x))
+    mu, partial, delta_pow, c_pow = f.zero(), f.zero(), delta, c
+    for _ in range(1, f.degree):
+        partial = partial + delta_pow
+        delta_pow, c_pow = delta_pow * delta_pow, c_pow * c_pow
+        mu = mu + partial * c_pow
+    if mu * mu + mu != c:
+        return []  # Tr(c) = 1: no root in the field
+    return [t * mu, t * (mu + 1)]
+
+
+def _abs_trace(x: FieldElement) -> FieldElement:
+    """x + x^2 + x^4 + ... + x^(2^(k-1)), which lies in F_2, over F_(2^k)."""
+    out, y = x, x
+    for _ in range(1, x.field.degree):
+        y = y * y
+        out = out + y
+    return out
+
+
 def eigenvectors(m: Mat2) -> Optional[list[tuple[FieldElement, ProjPoint]]]:
     """The (eigenvalue, eigenline) pairs of m with eigenvalue in its own
     field, sorted by eigenvalue.
@@ -357,9 +436,8 @@ def eigenvectors(m: Mat2) -> Optional[list[tuple[FieldElement, ProjPoint]]]:
     [] means the characteristic polynomial provably has no root in the
     field; None means that could not be settled: Field.sqrt cannot decide
     the discriminant (a non-rational one in a cubic or degree >= 4
-    extension of Q), or the field has characteristic 2 and more than 10^4
-    elements.  In characteristic 2 the eigenvalues are found by trying
-    every element, since there is no halving, so that scan keeps its cap.
+    extension of Q).  Characteristic 2 has no halving, so there the roots
+    come from a trace formula instead (see _char2_eigenvalues).
     A scalar matrix, whose every line is an eigenline, gets the two
     coordinate lines.
     """
@@ -375,11 +453,7 @@ def eigenvectors(m: Mat2) -> Optional[list[tuple[FieldElement, ProjPoint]]]:
         # triangular: eigenvalues sit on the diagonal
         lams = [m.a] if m.a == m.d else [m.a, m.d]
     elif f.characteristic == 2:
-        # no halving in characteristic 2: try every element of a small field
-        if not (f.is_finite and f.size <= 10**4):
-            return None
-        lams = [lam for lam in f.elements()
-                if (m - Mat2.identity(f).scale(lam)).det() == f.zero()]
+        lams = _char2_eigenvalues(m.trace(), m.det())
     else:
         tr = m.trace()
         try:

@@ -433,6 +433,17 @@ def test_group_on_a_huge_prime_field_stops_at_the_budget(tmp_path):
     assert "undetermined" in statuses and "not_root_of_unity" not in statuses
 
 
+def test_family_over_a_prime_above_the_factor_search_stops_at_the_budget():
+    # F_{p^2}, p = 1000003 > 10^6: Euler's criterion on the discriminant
+    # accepts z^2 - c at once; the group of order p^2 then exceeds the budget
+    proc = subprocess.run([sys.executable, "-m", "skewlines.cli", "family",
+                           "elementary_abelian", "p=1000003"],
+                          capture_output=True, text=True, check=False, timeout=30)
+    assert proc.returncode == 2
+    assert "closure exceeded budget 5000" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_family_affine_on_a_huge_prime_is_refused():
     proc = subprocess.run([sys.executable, "-m", "skewlines.cli", "family",
                            "affine", f"p={10**18 + 3}"],

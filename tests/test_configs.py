@@ -304,6 +304,17 @@ def test_transversals_decided_over_a_field_of_10201_elements():
         assert x * v.y == y * v.x
 
 
+def test_transversals_decided_over_a_field_of_2_to_the_14_elements():
+    # z^14 + z^10 + z^6 + z + 1 over F_2: [[0,1],[z^2+z,1]] has eigenvalues
+    # z and z + 1, found by the trace formula with no scan of the field
+    F = extension_field(prime_field(2), [1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1])
+    z = F.gen()
+    cfg = LineConfig(F, [Mat2.identity(F), Mat2(F.zero(), F.one(), z * z + z, F.one())])
+    rep = transversal_compute(cfg)
+    assert rep.exists and rep.method == "simultaneous-eigen"
+    assert set(rep.witnesses) == {ProjPoint(F.one(), z), ProjPoint(F.one(), z + 1)}
+
+
 def test_commuting_family_uses_the_first_decided_eigenlines():
     # M2 = zeta_8 * M1 commutes with M1; M1's discriminant 8 has the square
     # root z - z^3 = sqrt 2 in Q(zeta_8), M2's 8 zeta_8^2 cannot be decided

@@ -124,6 +124,27 @@ def test_is_prime_rejects_carmichael_numbers():
     assert not _is_prime(2**128)  # an even number is decided at any size
 
 
+@pytest.mark.parametrize("p", [1000003, 10**18 + 3])
+def test_quadratic_irreducibility_mod_p_reads_the_discriminant(p):
+    # both primes are 3 mod 4, so -1 is a non-square: -k^2 is a non-square
+    # and k^2 a square for every k != 0, with no search over F_p
+    assert p % 4 == 3 and p > 10**6
+    base = prime_field(p)
+    rng = random.Random(p)
+    for k in [1, 2, 3, p - 1] + [rng.randrange(1, p) for _ in range(20)]:
+        square = k * k % p
+        with pytest.raises(ReducibleMinpoly):
+            extension_field(base, [-square % p, 0, 1])  # z^2 - k^2
+        field = extension_field(base, [square, 0, 1])  # z^2 + k^2
+        assert field.size == p * p
+    with pytest.raises(ReducibleMinpoly):
+        extension_field(base, [0, 0, 1])  # z^2: the square 0
+    with pytest.raises(ReducibleMinpoly):
+        extension_field(base, [1, 2, 1])  # (z + 1)^2: discriminant 0
+    with pytest.raises(UnsupportedField):
+        extension_field(base, [2, 0, 0, 1])  # degree 3 keeps the capped search
+
+
 def test_quadratic_irreducibility_reads_the_discriminant():
     extension_field(Q, [10**30 + 1, 0, 1])  # z^2 + (10^30 + 1): no real root
     extension_field(Q, [-(10**30 + 1), 0, 1])  # 10^30 + 1 is not a square
@@ -154,6 +175,8 @@ def _validate_subprocess(tmp_path, field_json):
     ({"kind": "prime", "p": 10**18 + 3}, True),
     ({"kind": "extension", "base": {"kind": "rational"},
       "minpoly": [str(10**30 + 1), "0", "1"]}, True),
+    ({"kind": "extension", "base": {"kind": "prime", "p": 1000003},
+      "minpoly": ["1000001", "0", "1"]}, True),
     ({"kind": "prime", "p": 10**18 + 1}, False),
     ({"kind": "prime", "p": 2**127 - 1}, False),
     ({"kind": "extension", "base": {"kind": "rational"},

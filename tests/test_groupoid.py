@@ -259,6 +259,22 @@ def test_closure_is_deterministic():
     assert closure_of(cfg).elements[0].is_identity()
 
 
+def test_generators_and_closure_form_no_determinant(monkeypatch):
+    # validation proved every difference nonsingular, and a product of
+    # classes is a class: neither the transport maps nor the closure
+    # products need a determinant
+    cfg = affine(5).config
+    expected = group_closure(generator_set(cfg)).to_json()
+
+    def refuse(self):
+        raise AssertionError("determinant formed")
+
+    monkeypatch.setattr(Mat2, "det", refuse)
+    G = group_closure(generator_set(cfg))
+    assert G.order == 200
+    assert G.to_json() == expected
+
+
 def test_closure_budget_stops_infinite_group():
     G = closure_of(diag_config(Q, (4, 2)), budget=50)
     assert G.budget_hit

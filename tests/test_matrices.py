@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewlines.fields import (
@@ -88,6 +89,71 @@ def test_json_roundtrip():
     assert Mat2.from_json(Z6, m.to_json()) == m
 
 
+# ---------------------------------------------------------------- fused product kernel
+
+_F25 = extension_field(F5, [3, 0, 1])  # z^2 - 2
+_CUBIC = extension_field(Q, [Fraction(1, 3), Fraction(1, 2), 0, 1])  # _red_den = 6
+
+# one field of each arithmetic shape the fused kernel branches on: degree 1
+# and extensions, characteristic 0, 2 and odd, reduction rows with and
+# without a denominator
+_KERNEL_FIELDS = [
+    prime_field(7),
+    extension_field(prime_field(2), [1, 1, 1]),  # F_4
+    _F25,
+    extension_field(prime_field(11), [1, 0, 1]),  # F_121
+    Q,
+    cyclotomic_field(5),
+    cyclotomic_field(12),
+    cyclotomic_field(20),
+    _CUBIC,
+]
+
+
+@st.composite
+def _kernel_operands(draw, count):
+    """A field of _KERNEL_FIELDS and count of its elements, a quarter zero."""
+    field = draw(st.sampled_from(_KERNEL_FIELDS))
+    if field.characteristic:
+        coeff = st.integers(0, field.characteristic - 1)
+    else:
+        coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    coeffs = st.lists(coeff, min_size=field.degree, max_size=field.degree)
+    return field, [field.zero() if draw(st.integers(0, 3)) == 0
+                   else field.from_coeffs(draw(coeffs)) for _ in range(count)]
+
+
+def _reference_product(x: Mat2, y: Mat2) -> list:
+    """The entries of x*y formed with FieldElement operators."""
+    a, b, c, d = x.entries()
+    A, B, C, D = y.entries()
+    return [a * A + b * C, a * B + b * D, c * A + d * C, c * B + d * D]
+
+
+@given(_kernel_operands(4))
+@settings(max_examples=100, deadline=None)
+def test_hypothesis_dot_matches_add_of_products(operands):
+    field, (w, x, y, z) = operands
+    expected = field._add(*field._mul(w.nums, w.den, x.nums, x.den),
+                          *field._mul(y.nums, y.den, z.nums, z.den))
+    got = field._dot(w.nums, w.den, x.nums, x.den, y.nums, y.den, z.nums, z.den)
+    assert got == expected
+    assert got == ((w * x + y * z).nums, (w * x + y * z).den)
+
+
+@given(_kernel_operands(8))
+@settings(max_examples=100, deadline=None)
+def test_hypothesis_proj_product_matches_operator_reference(operands):
+    _, ents = operands
+    x, y = Mat2(*ents[:4]), Mat2(*ents[4:])
+    assume(x.det() and y.det())
+    assert (x * y).key() == tuple(e.sort_key() for e in _reference_product(x, y))
+    gx, gy = proj_normalize(x), proj_normalize(y)
+    prod = _reference_product(gx.rep, gy.rep)
+    s = next(e for e in prod if e).inv()  # scale the first nonzero entry to 1
+    assert (gx * gy).key() == tuple((e * s).sort_key() for e in prod)
+
+
 # ---------------------------------------------------------------- projective classes
 
 
@@ -116,6 +182,14 @@ def test_proj_normalize_rejects_zero_and_singular():
         proj_normalize(Mat2.zero(Q))
     with pytest.raises(SingularMatrix):
         proj_normalize(qm([["1", "1"], ["1", "1"]]))
+    for field in (F5, _F25, Z6, _CUBIC):
+        with pytest.raises(ZeroMatrix):
+            proj_normalize(Mat2.zero(field))
+        x = field.gen() + 2 if field.degree > 1 else field.from_int(3)
+        with pytest.raises(SingularMatrix):  # rows (x, x^2) and (1, x)
+            proj_normalize(Mat2(x, x * x, field.one(), x))
+        with pytest.raises(SingularMatrix):
+            proj_normalize(Mat2(field.zero(), x, field.zero(), field.one()))
 
 
 def test_proj_normalize_leading_zero_entries():
@@ -282,6 +356,61 @@ def test_eigen_finite_field_char2():
     rep2 = eigenvectors(n)
     assert [lam for lam, _ in rep2] == [F4.one()]
     _check_pairs(n, rep2)
+
+
+def _eigenvalues_by_scan(m):
+    """Every field element tried as an eigenvalue: the reference for the
+    characteristic-2 trace formula."""
+    f = m.field
+    lams = [lam for lam in f.elements()
+            if (m - Mat2.identity(f).scale(lam)).det() == f.zero()]
+    return sorted(lams, key=lambda lam: lam.sort_key())
+
+
+_F2 = prime_field(2)
+_F4 = extension_field(_F2, [1, 1, 1])         # z^2 + z + 1
+_F8 = extension_field(_F2, [1, 1, 0, 1])      # z^3 + z + 1
+_F16 = extension_field(_F2, [1, 1, 0, 0, 1])  # z^4 + z + 1
+
+
+def _check_char2_against_scan(m):
+    if m.is_zero() or m.is_scalar():
+        return
+    pairs = eigenvectors(m)
+    assert [lam for lam, _ in pairs] == _eigenvalues_by_scan(m)
+    _check_pairs(m, pairs)
+
+
+@pytest.mark.parametrize("field", [_F2, _F4, _F8])
+def test_char2_eigenvalues_match_scan_on_every_matrix(field):
+    for ents in itertools.product(list(field.elements()), repeat=4):
+        _check_char2_against_scan(Mat2(*ents))
+
+
+def test_char2_eigenvalues_match_scan_on_seeded_f16_matrices():
+    rng = random.Random(16)
+    els = list(_F16.elements())
+    for _ in range(1500):
+        _check_char2_against_scan(Mat2(*(rng.choice(els) for _ in range(4))))
+
+
+def test_char2_eigenvalues_in_a_field_of_2_to_the_14():
+    # z^14 + z^10 + z^6 + z + 1 over F_2; the char poly of [[0,1],[z^2+z,1]]
+    # is lam^2 + lam + (z^2 + z) = (lam + z)(lam + z + 1), roots z and z + 1
+    f = extension_field(_F2, [1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1])
+    z = f.gen()
+    m = Mat2(f.zero(), f.one(), z * z + z, f.one())
+    pairs = eigenvectors(m)
+    assert [lam for lam, _ in pairs] == [z, z + 1]
+    _check_pairs(m, pairs)
+    # trace 0: the one eigenvalue is the square root of det = z^2 + 1
+    n = Mat2(z, f.one(), f.one(), z)
+    assert [lam for lam, _ in eigenvectors(n)] == [z + 1]
+    # lam^2 + lam + 1 splits, since Tr(1) = 14 = 0: F_4 lies in F_(2^14)
+    r = Mat2(f.zero(), f.one(), f.one(), f.one())
+    pairs = eigenvectors(r)
+    assert len(pairs) == 2
+    _check_pairs(r, pairs)
 
 
 def test_eigen_finite_field_no_root():
