@@ -139,6 +139,31 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
+    """num mod den over F_p (low-first, den's leading coefficient nonzero
+    mod p), with trailing zeros dropped: [] is the zero polynomial."""
+    num = [c % p for c in num]
+    dd = len(den) - 1
+    inv_lead = pow(den[-1], -1, p)
+    for shift in range(len(num) - 1 - dd, -1, -1):
+        c = num[dd + shift]
+        if c:
+            q = c * inv_lead % p
+            for i, dc in enumerate(den):
+                num[i + shift] = (num[i + shift] - q * dc) % p
+    del num[dd:]
+    while num and not num[-1]:
+        num.pop()
+    return num
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A greatest common divisor over F_p of a and b, both trimmed."""
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
@@ -376,6 +401,26 @@ class FieldElement:
         return out
 
 
+class Reduction:
+    """A ring map onto F_p from the elements of Q or Q(zeta_n) whose
+    denominator p does not divide.  It sends zeta to a root r of the
+    minimal polynomial mod p, a primitive n-th root of unity since
+    p = 1 (mod n); powers holds r^i mod p for i below the degree."""
+
+    __slots__ = ("p", "powers")
+
+    def __init__(self, p: int, powers: tuple[int, ...]):
+        self.p, self.powers = p, powers
+
+    def image(self, nums: Sequence[int], den: int) -> Optional[int]:
+        """The image of the element nums/den, or None when p divides den."""
+        p = self.p
+        den %= p
+        if not den:
+            return None
+        return sum(a * w for a, w in zip(nums, self.powers)) * pow(den, -1, p) % p
+
+
 class Field:
     """A supported exact field: Q, F_p, or a one-step extension of either."""
 
@@ -416,15 +461,17 @@ class Field:
         self.is_finite = p > 0
         self.size: Optional[int] = p**self.degree if self.is_finite else None
         self.conductor: Optional[int] = None  # n when this is Q(zeta_n)
+        self._reduction: Optional[Reduction] = None  # built by reduction()
 
         if spec.kind == "extension":
             if p:
                 self._mod_minpoly = tuple(_mod_p(c, p) for c in self.minpoly)
+                self._build_reduction_rows()
                 self._check_irreducible_mod_p()
             else:
                 self._detect_conductor()
                 self._check_irreducible_char0()
-            self._build_reduction_rows()
+                self._build_reduction_rows()
         elif spec.kind == "rational":
             self.conductor = 1
 
@@ -432,7 +479,7 @@ class Field:
 
     def _check_irreducible_mod_p(self):
         p = self.characteristic
-        m = self._mod_minpoly
+        m = list(self._mod_minpoly)
         d = self.degree
         if d == 2 and p != 2:
             # z^2 + bz + c splits exactly when b^2 - 4c is a square mod p,
@@ -443,29 +490,27 @@ class Field:
                     f"minpoly factors mod {p} (discriminant {disc} is a square)"
                 )
             return
-        # exhaustive search for a monic factor of degree 1..d//2
-        for k in range(1, d // 2 + 1):
-            if p**k > 10**6:
-                raise UnsupportedField("modulus too large for irreducibility check")
-            for tail in itertools.product(range(p), repeat=k):
-                div = list(tail) + [1]
-                if not any(self._polymod_p(list(m), div, p)):
-                    raise ReducibleMinpoly(
-                        f"minpoly factors mod {p} (found divisor of degree {k})"
-                    )
-
-    @staticmethod
-    def _polymod_p(num: list[int], den: list[int], p: int) -> list[int]:
-        num = [c % p for c in num]
-        dd = len(den) - 1
-        inv_lead = pow(den[-1], p - 2, p)
-        for shift in range(len(num) - 1 - dd, -1, -1):
-            c = num[dd + shift]
-            if c:
-                q = c * inv_lead % p
-                for i, dc in enumerate(den):
-                    num[i + shift] = (num[i + shift] - q * dc) % p
-        return num[:dd]
+        # Rabin's test: m is irreducible of degree d exactly when it divides
+        # z^(p^d) - z and is coprime to z^(p^(d/q)) - z for each prime q | d
+        # (Rabin, "Probabilistic algorithms in finite fields", 1980).
+        # frob[k] = z^(p^k) - z mod m, from powers taken in this ring, whose
+        # products reduce modulo m whether or not it is irreducible
+        z = self.gen()
+        frob, x = [], z
+        for _ in range(d):
+            x = x ** p
+            frob.append(list((x - z).nums))
+        if any(frob[-1]):
+            raise ReducibleMinpoly(
+                f"minpoly factors mod {p} (it does not divide z^(p^{d}) - z)"
+            )
+        for q in _factorize(d):
+            g = _poly_gcd(m, _poly_rem(frob[d // q - 1], m, p), p)
+            if len(g) > 1:
+                raise ReducibleMinpoly(
+                    f"minpoly factors mod {p} (it shares a factor of degree "
+                    f"{len(g) - 1} with z^(p^{d // q}) - z)"
+                )
 
     def _detect_conductor(self):
         ints = all(c.denominator == 1 for c in self.minpoly)
@@ -531,6 +576,20 @@ class Field:
             for row in rows
         )
         self._red_den = den
+
+    def reduction(self) -> Optional[Reduction]:
+        """The reduction of Q (n = 1) or Q(zeta_n) at the least prime
+        p > 2^31 with p = 1 (mod n), built on first use and kept; None for
+        every field with no conductor."""
+        n = self.conductor
+        if n is None:
+            return None
+        if self._reduction is None:
+            p = 2**31 // n * n + 1
+            while p <= 2**31 or not _is_prime(p):
+                p += n
+            self._reduction = reduction_at(self, p)
+        return self._reduction
 
     # -- canonical representation -------------------------------------------
 
@@ -1087,6 +1146,26 @@ class Field:
         if self.conductor:
             return f"Q(zeta_{self.conductor})"
         return f"{base}[z]/(deg {self.degree})"
+
+
+def reduction_at(field: Field, p: int) -> Reduction:
+    """The reduction of Q or Q(zeta_n) at a prime p = 1 (mod n): zeta goes
+    to the first a^((p-1)/n), a = 2, 3, ..., that is a root of the minimal
+    polynomial mod p.  One exists, as F_p* is cyclic of order divisible
+    by n."""
+    n = field.conductor
+    if n is None or (p - 1) % n or not _is_prime(p):
+        raise UnsupportedField(f"{field} has no reduction at {p}")
+    if field.degree == 1:
+        return Reduction(p, (1,))
+    m = [int(c) % p for c in field.minpoly]
+    for a in itertools.count(2):
+        r = pow(a, (p - 1) // n, p)
+        value = 0
+        for c in reversed(m):
+            value = (value * r + c) % p
+        if not value:
+            return Reduction(p, tuple(pow(r, i, p) for i in range(field.degree)))
 
 
 def _tokenize(text: str):

@@ -1,22 +1,30 @@
 """Groupoid generators F_ijk, group closure in PGL2, classification of the
 finite groups that arise, and the eigenvalue-ratio finiteness test.
 
-The closure is a plain breadth-first walk over canonical PGL2 representatives
-with a hard element budget; every downstream consumer (classifier, orbit
-enumerator, CLI) works from its deterministic element list.
+The generator set canonicalizes one triple per class: over Q and Q(zeta_n)
+the triples are bucketed by their image mod p, and membership in a bucket's
+classes is decided exactly with three products and no inverse (see
+generator_set).  The closure is a plain breadth-first walk over canonical
+PGL2 representatives with a hard element budget; every downstream consumer
+(classifier, orbit enumerator, CLI) works from its deterministic element
+list.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .configs import INF_LABEL, InvalidIndex, LineConfig
-from .fields import Field, _factorize
+from .fields import Field, Reduction, _factorize
 from .matrices import (
+    Mat2,
     ProjElem,
+    _canonical,
+    _entries,
     eigenvectors,
     fixes_point,
     proj_class,
@@ -34,18 +42,21 @@ class IncompleteClosure(Exception):
     """The closure hit its budget; downstream analysis would be unsound."""
 
 
-def _transport(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
+def _transport(i: str, j: str, k: str, one, diff, adj, mul):
     """F_ijk from its closed forms in the differences D_ab = M_a - M_b:
-    1 when k is infinity, [D_ik] when j is, [adj D_jk] when i is, and
-    [adj(D_jk) D_ik] otherwise (adjugate = det * inverse, no division).
-    Validation proved every D_ab nonsingular, so no determinant is checked."""
+    one when k is infinity, D_ik when j is, adj D_jk when i is, and
+    adj(D_jk) D_ik otherwise (adjugate = det * inverse, no division).
+    diff(a, b) and adj(a, b) give D_ab and adj D_ab, and mul multiplies
+    two of them, all in one representation: exact matrices, or images
+    mod p.  Validation proved every D_ab nonsingular, so no determinant
+    is checked."""
     if k == INF_LABEL:
-        return proj_identity(cfg.field)
+        return one
     if j == INF_LABEL:
-        return proj_class(cfg.difference(i, k))
+        return diff(i, k)
     if i == INF_LABEL:
-        return proj_class(cfg.difference(j, k).adjugate())
-    return proj_class(cfg.difference(j, k).adjugate() * cfg.difference(i, k))
+        return adj(j, k)
+    return mul(adj(j, k), diff(i, k))
 
 
 def generator(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
@@ -57,7 +68,9 @@ def generator(cfg: LineConfig, i: str, j: str, k: str) -> ProjElem:
     for lab in (i, j, k):
         if not cfg.has_label(lab):
             raise InvalidIndex(f"no line labeled {lab!r}")
-    return _transport(cfg, i, j, k)
+    return proj_class(_transport(
+        i, j, k, Mat2.identity(cfg.field), cfg.difference,
+        lambda a, b: cfg.difference(a, b).adjugate(), operator.mul))
 
 
 @dataclass
@@ -93,20 +106,104 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     lies in G when the infinity line is present, so then both sets generate
     G; without it the [D_ab] can generate more than G, and the mode is
     refused.
+
+    Many triples share a class, and each class is canonicalized (one exact
+    inversion) once.  Over Q and Q(zeta_n) every triple is put in a bucket:
+    the image of F_ijk under the field's reduction mod p, scaled so that its
+    first nonzero entry is 1.  All members of a class have images that
+    differ by a unit, so they share a bucket.  A triple joins the class R
+    of its bucket for which F ~ R holds exactly: F is zero before R's
+    leading index l, F_l != 0 and F_e = F_l R_e after l, three products and
+    no inverse.  A triple that matches no class of its bucket is
+    canonicalized and starts a class there.  A triple with an undefined
+    image (p divides a denominator) or a zero one, and every triple over a
+    field with no reduction, is canonicalized directly.  So a collision mod
+    p costs one failed exact test and never a wrong class.
     """
     cfg.require_valid()
     if mode not in ("all_triples", "differences"):
         raise ValueError(f"unknown generator mode {mode!r}")
     if mode == "differences" and not cfg.include_infinity:
         raise ValueError("differences mode needs the infinity line")
+    f = cfg.field
+    finite = [lab for lab in cfg.labels() if lab != INF_LABEL]
+    adjs = {ab: cfg.difference(*ab).adjugate()
+            for ab in itertools.permutations(finite, 2)}
+    exact = (Mat2.identity(f), cfg.difference, lambda a, b: adjs[a, b],
+             operator.mul)
+    red = f.reduction()
+    modular = None if red is None else _modular(
+        red, {ab: _entries(cfg.difference(*ab)) for ab in adjs})
+    buckets: dict[tuple, list] = {}
     provenance: dict[ProjElem, list[tuple[str, str, str]]] = {}
     for t in itertools.permutations(cfg.labels(), 3):
         if mode == "differences" and t[1] != INF_LABEL:
             continue
-        provenance.setdefault(_transport(cfg, *t), []).append(t)
+        F = _entries(_transport(*t, *exact))
+        key = None if modular is None else _bucket_key(
+            _transport(*t, *modular), red.p)
+        if key is None:
+            g = _canonical(f, F)
+        else:
+            bucket = buckets.setdefault(key, [])
+            g = next((cls for cls, R, lead in bucket if _in_class(f, F, R, lead)),
+                     None)
+            if g is None:
+                g = _canonical(f, F)
+                R = _entries(g.rep)
+                bucket.append((g, R, next(e for e in range(4) if any(R[e][0]))))
+        provenance.setdefault(g, []).append(t)
     elements = sorted(provenance, key=lambda g: g.key())
     return GeneratorSet(elements=elements, provenance=provenance, mode=mode,
                         field=cfg.field)
+
+
+def _modular(red: Reduction, diffs: dict) -> tuple:
+    """The arguments of _transport over F_p, from the raw entries of the
+    D_ab, each reduced once: the identity, D_ab, adj D_ab and the product
+    mod p, with None for a matrix whose image is undefined."""
+    p = red.p
+    images, adjs = {}, {}
+    for ab, ents in diffs.items():
+        v = tuple(red.image(n, d) for n, d in ents)
+        if None in v:
+            images[ab] = adjs[ab] = None
+        else:
+            images[ab], adjs[ab] = v, (v[3], -v[1] % p, -v[2] % p, v[0])
+
+    def mul(x, y):
+        if x is None or y is None:
+            return None
+        a, b, c, d = x
+        A, B, C, D = y
+        return ((a * A + b * C) % p, (a * B + b * D) % p,
+                (c * A + d * C) % p, (c * B + d * D) % p)
+
+    return (1, 0, 0, 1), lambda a, b: images[a, b], lambda a, b: adjs[a, b], mul
+
+
+def _bucket_key(image: Optional[tuple[int, ...]], p: int) -> Optional[tuple]:
+    """The image scaled so that its first nonzero entry is 1; None when the
+    image is undefined or zero."""
+    if image is None:
+        return None
+    for x in image:
+        if x:
+            s = pow(x, -1, p)
+            return tuple(y * s % p for y in image)
+    return None
+
+
+def _in_class(f: Field, F: tuple, R: tuple, lead: int) -> bool:
+    """Whether the raw entries F lie in the class with canonical raw entries
+    R, whose first nonzero entry R_lead is 1."""
+    if any(any(n) for n, _ in F[:lead]):
+        return False
+    ln, ld = F[lead]
+    if not any(ln):
+        return False
+    mul = f._mul
+    return all(F[e] == mul(ln, ld, *R[e]) for e in range(lead + 1, 4))
 
 
 @dataclass

@@ -296,6 +296,12 @@ class ProjElem:
         return f"<{self.rep!r}>"
 
 
+def _entries(m: Mat2) -> tuple:
+    """The raw (nums, den) entries of m, row-major."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return ((a.nums, a.den), (b.nums, b.den), (c.nums, c.den), (d.nums, d.den))
+
+
 def _product(x: Mat2, y: Mat2) -> tuple:
     """The raw (nums, den) entries of x*y, row-major, each from one Field._dot."""
     f = x.field
@@ -331,7 +337,7 @@ def proj_class(m: Mat2) -> ProjElem:
     """Canonical PGL2 representative of a matrix already known to be
     nonsingular, such as an adjugate or a product of nonsingular matrices:
     proj_normalize without its zero and determinant checks."""
-    return _canonical(m.field, tuple((e.nums, e.den) for e in m.entries()))
+    return _canonical(m.field, _entries(m))
 
 
 def proj_normalize(m: Mat2) -> ProjElem:

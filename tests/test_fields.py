@@ -141,8 +141,16 @@ def test_quadratic_irreducibility_mod_p_reads_the_discriminant(p):
         extension_field(base, [0, 0, 1])  # z^2: the square 0
     with pytest.raises(ReducibleMinpoly):
         extension_field(base, [1, 2, 1])  # (z + 1)^2: discriminant 0
-    with pytest.raises(UnsupportedField):
-        extension_field(base, [2, 0, 0, 1])  # degree 3 keeps the capped search
+    # p = 1 (mod 3): z^3 + 2 has a root, so factors, exactly when -2 is a
+    # cube mod p; Rabin's test decides it with no search over F_p
+    assert p % 3 == 1
+    if pow(-2 % p, (p - 1) // 3, p) == 1:
+        with pytest.raises(ReducibleMinpoly):
+            extension_field(base, [2, 0, 0, 1])
+    else:
+        assert extension_field(base, [2, 0, 0, 1]).size == p**3
+    with pytest.raises(ReducibleMinpoly):
+        extension_field(base, [-8 % p, 0, 0, 1])  # z^3 - 8 has the root 2
 
 
 def test_quadratic_irreducibility_reads_the_discriminant():
@@ -152,6 +160,45 @@ def test_quadratic_irreducibility_reads_the_discriminant():
         extension_field(Q, [-(10**15 + 1) ** 2, 0, 1])
     with pytest.raises(ReducibleMinpoly):
         extension_field(Q, [Fraction(-9, 49), 0, 1])  # (z - 3/7)(z + 3/7)
+
+
+def _has_monic_factor_by_search(m, p):
+    """Whether m (low-first over F_p) has a monic factor of degree 1..d/2,
+    found by trying every candidate: the exhaustive search Rabin's test
+    replaced, kept as its reference."""
+    d = len(m) - 1
+    for k in range(1, d // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            rem = list(m)
+            div = list(tail) + [1]
+            for shift in range(d - k, -1, -1):
+                q = rem[k + shift] % p
+                if q:
+                    for i, c in enumerate(div):
+                        rem[i + shift] = (rem[i + shift] - q * c) % p
+            if not any(rem[:k]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, degree", [(2, 2), (2, 5), (2, 6), (3, 3), (3, 4),
+                                       (5, 3), (5, 4)])
+def test_rabin_irreducibility_matches_factor_search(p, degree):
+    base = prime_field(p)
+    irreducible = 0
+    for tail in itertools.product(range(p), repeat=degree):
+        m = list(tail) + [1]
+        if _has_monic_factor_by_search(m, p):
+            with pytest.raises(ReducibleMinpoly):
+                extension_field(base, m)
+        else:
+            assert extension_field(base, m).size == p**degree
+            irreducible += 1
+    # Gauss: (1/d) sum_{e | d} mu(e) p^(d/e) monic irreducibles of degree d
+    mobius = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1}
+    expected = sum(mobius[e] * p ** (degree // e)
+                   for e in mobius if degree % e == 0) // degree
+    assert irreducible == expected
 
 
 def test_cubic_root_search_is_capped():

@@ -23,10 +23,12 @@ from skewlines.families import (
     standard_construction,
 )
 from skewlines.fields import (
+    Field,
     cyclotomic_field,
     extension_field,
     prime_field,
     rational_field,
+    reduction_at,
 )
 from skewlines.groupoid import (
     GeneratorSet,
@@ -420,6 +422,172 @@ def test_analyze_with_orbit_builds_one_set_and_calls_no_generator(monkeypatch):
     report = analyze(cfg, seed=seed, oracle=True)
     assert calls == ["all_triples"]
     assert report.orbit["oracle_agrees"] is True
+
+
+# ---------------------------------------------------------------------------
+# generator assembly by modular buckets: the same set as canonicalizing
+# every triple
+
+
+def _reference_generator_set(cfg, mode):
+    """Elements and provenance with every triple canonicalized on its own."""
+    provenance = {}
+    for t in itertools.permutations(cfg.labels(), 3):
+        if mode == "differences" and t[1] != "inf":
+            continue
+        provenance.setdefault(generator(cfg, *t), []).append(t)
+    return sorted(provenance, key=lambda g: g.key()), provenance
+
+
+def _assert_matches_reference(cfg, modes=("all_triples", "differences")):
+    for mode in modes:
+        gens = generator_set(cfg, mode=mode)
+        elements, provenance = _reference_generator_set(cfg, mode)
+        assert gens.elements == elements
+        assert [g.key() for g in gens.elements] == [g.key() for g in elements]
+        assert list(gens.provenance.items()) == list(provenance.items())
+        assert gens.to_json() == GeneratorSet(
+            elements=elements, provenance=provenance, mode=mode,
+            field=cfg.field).to_json()
+
+
+_BUCKET_FAMILIES = {
+    **{f"standard{n}": functools.partial(standard_construction, n)
+       for n in [*range(3, 17), 18, 20]},
+    "a4": a4_example, "s4": s4_example, "a5": a5_example,
+    "c3_scaled3": lambda: c3_scaled(3),
+    "cyclic_4line": lambda: cyclic_4line(3, 4),
+    "affine5": lambda: affine(5),
+    "elementary_abelian5": lambda: elementary_abelian(5),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUCKET_FAMILIES))
+def test_bucketed_generator_set_matches_every_triple_reference(name):
+    _assert_matches_reference(_BUCKET_FAMILIES[name]().config)
+
+
+_BUCKET_FIELDS = [cyclotomic_field(n) for n in (5, 8, 12)]
+
+
+def _integer_config(field, mats, include_zero=True):
+    return LineConfig(field, [Mat2(*(field.from_coeffs(c) for c in m)) for m in mats],
+                      include_zero=include_zero)
+
+
+@st.composite
+def _integer_configs(draw):
+    field = draw(st.sampled_from(_BUCKET_FIELDS))
+    coeff = st.lists(st.integers(-2, 2), min_size=field.degree,
+                     max_size=field.degree)
+    mats = draw(st.lists(st.tuples(coeff, coeff, coeff, coeff),
+                         min_size=1, max_size=3))
+    cfg = _integer_config(field, mats, include_zero=draw(st.booleans()))
+    assume(cfg.validation.valid)
+    return cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(_integer_configs())
+def test_hypothesis_bucketed_generator_set_matches_reference(cfg):
+    _assert_matches_reference(cfg)
+
+
+def _random_integer_config(field, rng, lines):
+    while True:
+        mats = [[[rng.randint(-3, 3) for _ in range(field.degree)]
+                 for _ in range(4)] for _ in range(lines)]
+        cfg = _integer_config(field, mats)
+        if cfg.validation.valid:
+            return cfg
+
+
+def test_bucket_collisions_at_a_tiny_prime_keep_the_classes(monkeypatch):
+    # at p = 17 there are only |PGL2(F_17)| = 4896 buckets, so classes share
+    # them and some exact tests fail; the set must not change
+    f = cyclotomic_field(8)
+    rng = random.Random(8)
+    cfgs = [_random_integer_config(f, rng, 5) for _ in range(3)]
+    cfgs.append(standard_construction(8).config)
+    failed = []
+    in_class = sys.modules["skewlines.groupoid"]._in_class
+
+    def counted(*args):
+        out = in_class(*args)
+        if not out:
+            failed.append(args)
+        return out
+
+    monkeypatch.setattr(sys.modules["skewlines.groupoid"], "_in_class", counted)
+    for cfg in cfgs:
+        monkeypatch.setattr(cfg.field, "_reduction", reduction_at(f, 17))
+        _assert_matches_reference(cfg)
+    assert f.reduction().p == 17 and failed
+
+
+def test_denominator_at_the_reduction_prime_takes_the_exact_path(monkeypatch):
+    f = cyclotomic_field(5)
+    p = f.reduction().p
+    z = f.gen()
+    cfg = LineConfig(f, [Mat2.identity(f),
+                         mat(f, [[f"1/{p}", "1"], ["0", "2"]]),
+                         Mat2.diag(z, z * z + 3)])
+    assert cfg.validation.valid
+    canonicalized = []
+    canonical = sys.modules["skewlines.groupoid"]._canonical
+
+    def counted(field, ents):
+        canonicalized.append(ents)
+        return canonical(field, ents)
+
+    monkeypatch.setattr(sys.modules["skewlines.groupoid"], "_canonical", counted)
+    gens = generator_set(cfg)
+    # the triples whose image is undefined are canonicalized one by one
+    assert len(canonicalized) > len(gens.elements)
+    _assert_matches_reference(cfg)
+
+
+def test_bucketed_assembly_inverts_once_per_class(monkeypatch):
+    cfg = standard_construction(16).config
+    calls = []
+    inv = Field._inv
+
+    def counted(self, nums, den):
+        calls.append(nums)
+        return inv(self, nums, den)
+
+    monkeypatch.setattr(Field, "_inv", counted)
+    gens = generator_set(cfg)
+    assert len(gens.elements) == 16 and len(calls) == 16
+    calls.clear()
+    _reference_generator_set(cfg, "all_triples")
+    assert len(calls) > 4000  # one per triple without the buckets
+
+
+@pytest.mark.parametrize("fam", [
+    a4_example, s4_example, a5_example,
+    functools.partial(standard_construction, 8),
+    functools.partial(standard_construction, 12),
+    functools.partial(standard_construction, 16),
+], ids=["a4", "s4", "a5", "standard8", "standard12", "standard16"])
+def test_reduction_mod_p_keeps_order_and_census(fam):
+    # a finite group maps injectively at a prime of good reduction, so the
+    # closure of the images over F_p has the exact closure's order and census
+    cfg = fam().config
+    red = cfg.field.reduction()
+    fp = prime_field(red.p)
+    gens = generator_set(cfg)
+    images = []
+    for g in gens.elements:
+        vals = [red.image(e.nums, e.den) for e in g.rep.entries()]
+        assert None not in vals
+        images.append(proj_normalize(Mat2(*(fp.from_int(v) for v in vals))))
+    reduced = GeneratorSet(elements=images, provenance={g: [] for g in images},
+                           mode="all_triples", field=fp)
+    exact = classify(group_closure(gens)).to_json()
+    modular = classify(group_closure(reduced)).to_json()
+    assert modular["order"] == exact["order"]
+    assert modular["order_census"] == exact["order_census"]
 
 
 # ---------------------------------------------------------------------------
