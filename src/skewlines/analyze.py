@@ -24,7 +24,8 @@ from .groupoid import (
     generator_set,
     group_closure,
 )
-from .orbits import P3Point, orbit_full, orbit_geometric
+from .orbits import (P3Point, SeedNotOnConfiguration, find_carrier, orbit_full,
+                     orbit_geometric)
 
 SCHEMA_VERSION = "1"
 
@@ -123,6 +124,9 @@ def analyze(
     report = AnalysisReport(config=cfg.to_json(), validation=validation.to_json())
     if not validation.valid:
         return report
+    # a seed on no line is an input error, refused before any closure work
+    if seed is not None and find_carrier(cfg, seed) is None:
+        raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
 
     report.transversal = transversal_compute(cfg).to_json()
     try:

@@ -481,15 +481,6 @@ class Field:
         p = self.characteristic
         m = list(self._mod_minpoly)
         d = self.degree
-        if d == 2 and p != 2:
-            # z^2 + bz + c splits exactly when b^2 - 4c is a square mod p,
-            # zero included; Euler's criterion decides that with no search
-            disc = (m[1] * m[1] - 4 * m[0]) % p
-            if disc == 0 or pow(disc, (p - 1) // 2, p) == 1:
-                raise ReducibleMinpoly(
-                    f"minpoly factors mod {p} (discriminant {disc} is a square)"
-                )
-            return
         # Rabin's test: m is irreducible of degree d exactly when it divides
         # z^(p^d) - z and is coprime to z^(p^(d/q)) - z for each prime q | d
         # (Rabin, "Probabilistic algorithms in finite fields", 1980).
@@ -815,8 +806,12 @@ class Field:
         """Every element of a finite field, in lexicographic coefficient order."""
         if not self.is_finite:
             raise UnsupportedField("cannot enumerate an infinite field")
-        p = self.characteristic
-        for nums in itertools.product(range(p), repeat=self.degree):
+        # lazily, as the base-p digits of k with the first coefficient leading
+        p, d = self.characteristic, self.degree
+        for k in range(p ** d):
+            nums, rest = [0] * d, k
+            for i in reversed(range(d)):
+                rest, nums[i] = divmod(rest, p)
             yield self._make(nums, 1)
 
     @staticmethod
@@ -858,29 +853,13 @@ class Field:
 
     # -- roots and orders -------------------------------------------------------
 
-    def mult_order(self, a: FieldElement, bound: int) -> Optional[int]:
-        """Least n <= bound with a^n = 1, else None."""
-        if a.is_zero():
-            raise DivisionByZero("zero has no multiplicative order")
-        x = a
-        one = self.one()
-        for n in range(1, bound + 1):
-            if x == one:
-                return n
-            x = x * a
-        return None
-
-    def root_of_unity_bound(self, quadratic: bool = False) -> int:
-        """Provable cap on orders of roots of unity in this field.
-
-        With quadratic=True the cap covers any quadratic extension as well,
-        which bounds eigenvalue-ratio orders of 2x2 matrices over the field.
-        """
+    def root_of_unity_bound(self) -> int:
+        """Provable cap on orders of roots of unity in any quadratic
+        extension of this field, which bounds eigenvalue-ratio orders of 2x2
+        matrices over it."""
         if self.is_finite:
-            q = self.size
-            return q * q - 1 if quadratic else q - 1
-        d = self.degree * (2 if quadratic else 1)
-        return _max_order_with_phi_le(d)
+            return self.size ** 2 - 1
+        return _max_order_with_phi_le(2 * self.degree)
 
     def sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """A canonical square root of a in this field, or None if none exists.

@@ -8,6 +8,9 @@ generator_set).  The closure is a plain breadth-first walk over canonical
 PGL2 representatives with a hard element budget; every downstream consumer
 (classifier, orbit enumerator, CLI) works from its deterministic element
 list.
+
+The classifier walks Dickson's list of the finite subgroups of PGL2(K)
+and names a group only once its certificate holds (see classify).
 """
 
 from __future__ import annotations
@@ -298,49 +301,6 @@ class Classification:
         return out
 
 
-def _abelian_invariant_factors(order: int, census: dict[int, int]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an abelian group from its census.
-
-    For each prime p, n_k = #{g : g^(p^k) = 1} determines the partition of
-    the p-part (the multiset of exponents) by conjugation; aligning the
-    partitions largest-first and multiplying across primes gives the factors.
-    """
-    per_prime: dict[int, list[int]] = {}
-    for p in _factorize(order):
-        # m_k = log_p n_k;  d_k = m_k - m_{k-1} counts factors with exponent >= k
-        exponents: list[int] = []
-        prev_m = 0
-        k = 1
-        while True:
-            n_k = sum(
-                cnt for o, cnt in census.items()
-                if (p**k) % o == 0
-            )
-            m_k = 0
-            while p**m_k < n_k:
-                m_k += 1
-            if p**m_k != n_k:
-                raise ValueError("census is not that of an abelian p-group")
-            d_k = m_k - prev_m
-            if d_k == 0:
-                break
-            exponents = [e + 1 for e in exponents[:d_k]] + exponents[d_k:]
-            while len(exponents) < d_k:
-                exponents.append(1)
-            prev_m = m_k
-            k += 1
-        per_prime[p] = sorted(exponents, reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in per_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return sorted(factors)  # ascending: d_1 | d_2 | ...
-
-
 def element_order(g: ProjElem, bound: int) -> Optional[int]:
     """Least n <= bound with g^n = identity in PGL2, or None.
 
@@ -401,28 +361,24 @@ def _try_polyhedral(G: GroupClosure, census: dict[int, int],
 
 
 def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classification]:
-    """Non-abelian subgroup fixing a point of P^1: shape (C_p)^m x| C_n."""
+    """A non-abelian G fixing a point of P^1: (C_p)^m x| C_n.
+
+    The certificate is an eigenline of the first non-identity element that
+    every element fixes.  G then lies in that point's Borel subgroup, so the
+    identity and the elements of order p form a normal subgroup of order
+    p^m with cyclic quotient.  In characteristic 0 such a finite G is cyclic.
+    """
     p = G.elements[0].field.characteristic
     if p == 0:
-        return None  # finite affine groups in characteristic 0 are cyclic
-    # the unipotent elements are the identity and the elements of order p
-    p_part = census[1] + census.get(p, 0)
-    n = G.order
-    if p_part <= 1 or n % p_part:
-        return None
-    q = p_part
-    while q % p == 0:
-        q //= p
-    quotient = n // p_part
-    if q != 1 or quotient not in census:
         return None
     first = next(g for g in G.elements if not g.is_identity())
     fixed = next((v for _, v in eigenvectors(first.rep) or ()
                   if all(fixes_point(g, v) for g in G.elements)), None)
     if fixed is None:
         return None
+    p_part = census[1] + census.get(p, 0)
     return Classification(
-        label=f"affine({p_part},{quotient})", order=n, census=census,
+        label=f"affine({p_part},{G.order // p_part})", order=G.order, census=census,
         abelian=False, witnesses={"fixed_point": fixed.to_json()},
     )
 
@@ -455,10 +411,14 @@ def _try_dihedral(G: GroupClosure, census: dict[int, int],
 
 
 def classify(G: GroupClosure) -> Classification:
-    """Name the group: decision chain over order, census, and witnesses.
-
-    The order of each element is evaluated once; the census and every
-    classifier read that one list.
+    """Name the group by Dickson's list of the finite subgroups of PGL2(K)
+    (Beauville, Contemp. Math. 522, 2010), in its order: trivial; cyclic(n)
+    for an abelian group with an element of order n; elementary_abelian(p,e)
+    for any other abelian group, whose census the list forces to be
+    {1: 1, p: n - 1} (any other is an invariant violation); then affine,
+    A4/S4/A5 and a flagged dihedral, each on its certificate; and unknown,
+    which takes PSL2(F_q) and PGL2(F_q).  Each element order is evaluated
+    once, and the census and every branch read that one list.
     """
     if G.budget_hit:
         raise IncompleteClosure(
@@ -476,19 +436,13 @@ def classify(G: GroupClosure) -> Classification:
                 label=f"cyclic({n})", order=n, census=census,
                 abelian=True, invariant_factors=[n],
             )
-        factors = _abelian_invariant_factors(n, census)
-        primes = _factorize(n)
-        if len(primes) == 1:
-            (p, e), = primes.items()
-            if all(d == p for d in factors):
-                return Classification(
-                    label=f"elementary_abelian({p},{e})", order=n,
-                    census=census, abelian=True, invariant_factors=factors,
-                )
-        label = "abelian(" + ",".join(str(d) for d in factors) + ")"
+        p = max(census)
+        if census != {1: 1, p: n - 1}:
+            raise RuntimeError(f"abelian census {census} is not on Dickson's list")
+        e = _factorize(n)[p]
         return Classification(
-            label=label, order=n, census=census,
-            abelian=True, invariant_factors=factors,
+            label=f"elementary_abelian({p},{e})", order=n, census=census,
+            abelian=True, invariant_factors=[p] * e,
         )
     hit = _try_affine(G, census)
     if hit is not None:
@@ -559,7 +513,7 @@ def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioRepo
     A bound below the field's cap stops the scan early, and a ratio it
     misses is then undetermined rather than proved of infinite order.
     """
-    cap = gens.field.root_of_unity_bound(quadratic=True)
+    cap = gens.field.root_of_unity_bound()
     effective = cap if bound is None else min(bound, cap)
     report = RatioReport(cap=cap)
     for g in gens.elements:

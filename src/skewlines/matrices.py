@@ -125,8 +125,6 @@ class Mat2:
         if isinstance(other, Mat2):
             f = self.field
             return Mat2(*(FieldElement(f, n, d) for n, d in _product(self, other)))
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -264,18 +262,6 @@ class ProjElem:
     def inv(self) -> "ProjElem":
         # the adjugate is det * inverse — the same projective class, no division
         return proj_class(self.rep.adjugate())
-
-    def __pow__(self, n: int) -> "ProjElem":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = proj_identity(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def key(self) -> tuple:
         return self.rep.key()

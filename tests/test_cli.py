@@ -226,6 +226,19 @@ def test_orbit_seed_not_on_config(a4_path, capsys):
     assert "no line" in err
 
 
+def test_orbit_seed_on_no_line_is_refused_before_the_closure(
+        infinite_path, capsys, monkeypatch):
+    # the group of lines 0, inf, I, diag(4, 2) over Q is infinite, so a
+    # closure would run to its budget before the seed were looked at
+    def refuse(*args, **kwargs):
+        raise AssertionError("no closure for a seed on no line")
+
+    monkeypatch.setattr(sys.modules["skewlines.analyze"], "group_closure", refuse)
+    code, _, err = run(capsys, "orbit", infinite_path, "--seed-point", "[1:2:3:5]")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_orbit_seed_on_singular_line(tmp_path, capsys):
     # Without line 0 a singular M is allowed: D = diag(2, 0) sends (0, 1) to
     # (0, 0), so [0:1:0:0] = (v, Dv) with v = [0:1] lies on line 2.  G is
@@ -434,13 +447,40 @@ def test_group_on_a_huge_prime_field_stops_at_the_budget(tmp_path):
 
 
 def test_family_over_a_prime_above_the_factor_search_stops_at_the_budget():
-    # F_{p^2}, p = 1000003 > 10^6: Euler's criterion on the discriminant
-    # accepts z^2 - c at once; the group of order p^2 then exceeds the budget
+    # F_{p^2}, p = 1000003 > 10^6: Rabin's test accepts z^2 - c with no
+    # search over F_p; the group of order p^2 then exceeds the budget
     proc = subprocess.run([sys.executable, "-m", "skewlines.cli", "family",
                            "elementary_abelian", "p=1000003"],
                           capture_output=True, text=True, check=False, timeout=30)
     assert proc.returncode == 2
     assert "closure exceeded budget 5000" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+_CAPPED = ("import resource, sys\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+           "from skewlines.cli import main\n"
+           "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["transversals"], 0),
+    (["group", "--budget", "50"], 2),
+], ids=["transversals", "group"])
+def test_sqrt_over_a_billion_sized_prime_field_runs_in_little_memory(
+        tmp_path, argv, code):
+    # p = 10^9 + 9 is 1 mod 4, so Tonelli-Shanks needs a non-square; the
+    # search for one must not build a list of the field's elements.  The
+    # discriminant of [[3, 1], [2, 2]] is 9, which needs that search.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 1000000009},
+        "lines": ["zero", "infinity", [["3", "1"], ["2", "2"]]],
+    }))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, argv[0], str(path),
+                           *argv[1:]],
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
 
 

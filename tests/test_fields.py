@@ -181,8 +181,8 @@ def _has_monic_factor_by_search(m, p):
     return False
 
 
-@pytest.mark.parametrize("p, degree", [(2, 2), (2, 5), (2, 6), (3, 3), (3, 4),
-                                       (5, 3), (5, 4)])
+@pytest.mark.parametrize("p, degree", [(2, 2), (2, 5), (2, 6), (3, 2), (3, 3),
+                                       (3, 4), (5, 2), (5, 3), (5, 4), (7, 2)])
 def test_rabin_irreducibility_matches_factor_search(p, degree):
     base = prime_field(p)
     irreducible = 0
@@ -303,9 +303,9 @@ def test_z6_generator_relation():
     assert z * z == z - 1  # z^2 = z - 1 since z^2 - z + 1 = 0
     assert z**6 == Z6.one()
     assert z**3 == -Z6.one()
-    assert Z6.mult_order(z, 12) == 6
-    assert Z6.mult_order(z**2, 12) == 3
-    assert Z6.mult_order(-Z6.one(), 12) == 2
+    assert z**2 != Z6.one()  # with z^3 = -1 != 1, z has order exactly 6
+    assert (z**2) ** 3 == Z6.one()  # so z^2 has order exactly 3
+    assert (-Z6.one()) ** 2 == Z6.one() != -Z6.one()  # and -1 has order 2
 
 
 def test_inverses_verified_by_product():
@@ -509,6 +509,29 @@ def test_sqrt_tonelli_shanks_p_1_mod_4():
     assert r is not None and r * r == F.from_int(10)
 
 
+_BILLION_SQRT = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+from skewlines.fields import prime_field
+F = prime_field(10**9 + 9)
+start = time.perf_counter()
+assert F.sqrt(F.from_int(9)) == F.from_int(3)
+for k in (3, 7, 2, 5):
+    r = F.sqrt(F.from_int(k))
+    assert r is None or r * r == F.from_int(k)
+assert time.perf_counter() - start < 1
+"""
+
+
+def test_sqrt_over_a_billion_sized_prime_field_is_immediate():
+    # p = 10^9 + 9 = 1 + 8 t: Tonelli-Shanks needs a non-square, and the
+    # search for one must read the field lazily, not list its elements.
+    # The memory cap keeps a regression from taking the whole machine.
+    proc = subprocess.run([sys.executable, "-c", _BILLION_SQRT],
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _scan_sqrt(F, a):
     """Reference: the first square root of a in enumeration order, else None."""
     return next((x for x in F.elements() if x * x == a), None)
@@ -651,6 +674,12 @@ def test_finite_enumerations_exhaustive_and_deterministic():
     assert len(list(prime_field(7).elements())) == 7
 
 
+@pytest.mark.parametrize("F", [prime_field(7), F25], ids=repr)
+def test_finite_enumeration_is_lexicographic_first_coefficient_first(F):
+    want = list(itertools.product(range(F.characteristic), repeat=F.degree))
+    assert [x.nums for x in F.element_sequence()] == want
+
+
 def test_extension_sequence_deterministic_and_distinct():
     seq = list(itertools.islice(Z6.element_sequence(), 50))
     assert len(set(seq)) == 50
@@ -668,30 +697,17 @@ def test_infinite_field_cannot_enumerate_fully():
 # ---------------------------------------------------------------- orders, bounds
 
 
-def test_mult_order_bounds():
-    z = Z24.gen()
-    assert Z24.mult_order(z, 24) == 24
-    assert Z24.mult_order(z, 23) is None
-    assert Z24.mult_order(Z24.one(), 5) == 1
-    with pytest.raises(DivisionByZero):
-        Q.mult_order(Q.zero(), 10)
-
-
 def test_root_of_unity_bounds():
-    assert Q.root_of_unity_bound() == 2
-    assert Q.root_of_unity_bound(quadratic=True) == 6
-    assert Z20.root_of_unity_bound(quadratic=True) == 60
-    assert F25.root_of_unity_bound() == 24
-    assert F25.root_of_unity_bound(quadratic=True) == 624
-    assert prime_field(7).root_of_unity_bound(quadratic=True) == 48
+    assert Q.root_of_unity_bound() == 6
+    assert Z20.root_of_unity_bound() == 60
+    assert F25.root_of_unity_bound() == 624
+    assert prime_field(7).root_of_unity_bound() == 48
 
 
 def test_finite_multiplicative_group_orders_divide_q_minus_1():
     for x in F25.elements():
-        if not x:
-            continue
-        n = F25.mult_order(x, 24)
-        assert n is not None and 24 % n == 0
+        if x:
+            assert x**24 == F25.one()
 
 
 # ---------------------------------------------------------------- cyclotomics
@@ -723,8 +739,12 @@ def test_conductor_detection():
 def test_generator_order_matches_conductor():
     for n in (3, 4, 6, 8, 12, 20, 24):
         f = cyclotomic_field(n)
-        assert f.mult_order(f.gen(), n) == n
-        assert f.mult_order(f.gen(), n - 1) is None
+        z = f.gen()
+        # order exactly n: z^n = 1, and z^(n/q) != 1 for each prime q | n
+        assert z**n == f.one()
+        for q in (2, 3, 5):
+            if n % q == 0:
+                assert z ** (n // q) != f.one()
 
 
 # ---------------------------------------------------------------- parsing, json

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,9 +33,10 @@ from skewlines.fields import (
 )
 from skewlines.groupoid import (
     GeneratorSet,
+    GroupClosure,
     IncompleteClosure,
     IndexCollision,
-    _abelian_invariant_factors,
+    _try_affine,
     classify,
     eigratio_check,
     element_order,
@@ -47,6 +49,8 @@ from skewlines.matrices import (
     Mat2,
     ProjElem,
     ProjPoint,
+    eigenvectors,
+    fixes_point,
     moebius_apply,
     proj_identity,
     proj_normalize,
@@ -774,11 +778,94 @@ def test_classify_refuses_truncated_closure():
         classify(G)
 
 
-def test_invariant_factors_from_census():
-    assert _abelian_invariant_factors(8, {1: 1, 2: 3, 4: 4}) == [2, 4]
-    assert _abelian_invariant_factors(12, {1: 1, 2: 3, 3: 2, 6: 6}) == [2, 6]
-    with pytest.raises(ValueError):
-        _abelian_invariant_factors(4, {1: 1, 2: 2, 4: 1})
+def _hand_built_closure(field, gens):
+    return group_closure(GeneratorSet(
+        elements=gens, provenance={g: [] for g in gens}, mode="all_triples",
+        field=field))
+
+
+def test_klein_four_group_is_elementary_abelian():
+    # t -> -t and t -> 1/t commute in PGL2 and close to {t, -t, 1/t, -1/t}
+    neg = proj_normalize(Mat2.diag(-Q.one(), Q.one()))
+    flip = proj_normalize(mat(Q, [["0", "1"], ["1", "0"]]))
+    G = _hand_built_closure(Q, [neg, flip])
+    assert G.order == 4 and G.is_abelian()
+    c = classify(G)
+    assert c.label == "elementary_abelian(2,2)"
+    assert c.invariant_factors == [2, 2]
+    assert c.census == {1: 1, 2: 3}
+
+
+def test_abelian_census_outside_dicksons_list_is_an_invariant_violation():
+    # C2 x C4 is no subgroup of PGL2(K); a closure claiming its census from
+    # one generator (so commuting generators) must not be named
+    def cls(rows):
+        return proj_normalize(mat(F5, rows))
+
+    elements = [cls(r) for r in (
+        [["1", "0"], ["0", "1"]],
+        [["4", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]],
+        [["0", "1"], ["2", "0"]],
+        [["2", "0"], ["0", "1"]], [["3", "0"], ["0", "1"]],
+        [["2", "1"], ["0", "1"]], [["3", "1"], ["0", "1"]],
+    )]
+    G = GroupClosure(elements=elements, generators=elements[4:5],
+                     budget_hit=False, budget=5000,
+                     keys={g.key() for g in elements})
+    assert G.is_abelian()
+    assert [element_order(g, 8) for g in elements] == [1, 2, 2, 2, 4, 4, 4, 4]
+    with pytest.raises(RuntimeError):
+        classify(G)
+
+
+def _affine_by_census(G, census):
+    """Reference: the affine label from the census alone, kept only when
+    the unipotent part is a power of p that divides |G| with the quotient an
+    element order, and the fixed-point certificate holds."""
+    p = G.elements[0].field.characteristic
+    if p == 0:
+        return None
+    p_part = census[1] + census.get(p, 0)
+    n = G.order
+    if p_part <= 1 or n % p_part:
+        return None
+    q = p_part
+    while q % p == 0:
+        q //= p
+    quotient = n // p_part
+    if q != 1 or quotient not in census:
+        return None
+    first = next(g for g in G.elements if not g.is_identity())
+    if not any(all(fixes_point(g, v) for g in G.elements)
+               for _, v in eigenvectors(first.rep) or ()):
+        return None
+    return f"affine({p_part},{quotient})"
+
+
+def _criterion_5_small():
+    f = affine(5).config.field
+    return LineConfig(f, [
+        Mat2.identity(f),
+        Mat2.from_rows(f, [["-1", "1"], ["0", "-1"]]),
+        Mat2.diag(f.parse("2"), f.parse("3")),
+    ])
+
+
+@pytest.mark.parametrize("cfg", [
+    affine(3).config, affine(5).config, affine(7).config,
+    affine(5, dilation_square=3).config, _criterion_5_small(),
+    elementary_abelian(2).config, elementary_abelian(3).config,
+    elementary_abelian(5).config, elementary_abelian(3, ["z", "2"]).config,
+    LineConfig(F7, [Mat2.identity(F7), mat(F7, [["6", "3"], ["2", "3"]]),
+                    mat(F7, [["4", "6"], ["1", "4"]])]),
+], ids=["affine3", "affine5", "affine7", "affine5_c3", "criterion5_small",
+        "elementary_abelian2", "elementary_abelian3", "elementary_abelian5",
+        "elementary_abelian3_rank2", "pgl2_f7"])
+def test_affine_certificate_gives_the_census_label(cfg):
+    G = closure_of(cfg, budget=1000)
+    census = dict(Counter(element_order(g, G.order) for g in G.elements))
+    hit = _try_affine(G, census)
+    assert (hit and hit.label) == _affine_by_census(G, census)
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +911,7 @@ def test_analyze_ratio_scan_to_the_budget_misses_nothing_over_finite_fields():
                 elementary_abelian(3).config, affine(3).config):
         triples = generator_set(cfg)
         n = group_closure(triples).order
-        assert n < cfg.field.root_of_unity_bound(quadratic=True)
+        assert n < cfg.field.root_of_unity_bound()
         report = analyze(cfg, budget=n)
         assert not report.budget_hit
         assert report.eigenvalue_ratios == eigratio_check(triples).to_json()
