@@ -1,10 +1,12 @@
 """One-pass analysis pipeline over a line configuration.
 
 Runs validation, transversal search, the commutativity predictor, generator
-assembly, group closure, classification, the eigenvalue-ratio finiteness
-check, and (on request) an orbit enumeration — and folds the results into a
-single JSON-ready report.  Every stage is exact; reports built from the same
-input are identical.
+assembly, the eigenvalue-ratio finiteness check, group closure,
+classification, and (on request) an orbit enumeration — and folds the
+results into a single JSON-ready report.  A ratio that is provably not a
+root of unity settles the group as infinite, and the closure and orbit are
+then skipped.  Every stage is exact; reports built from the same input are
+identical.
 """
 
 from dataclasses import dataclass
@@ -80,10 +82,10 @@ class AnalysisReport:
         return out
 
 
-def _group_section(closure, classification) -> dict:
+def _group_section(order: int, budget_hit: bool, classification=None) -> dict:
     out = {
-        "order": closure.order,
-        "budget_hit": closure.budget_hit,
+        "order": order,
+        "budget_hit": budget_hit,
         "label": None,
         "order_census": None,
         "abelian": None,
@@ -140,16 +142,24 @@ def analyze(
     gens = triples if mode == "all_triples" else generator_set(cfg, mode=mode)
     report.generators = {"mode": mode, "count": len(gens.elements)}
 
-    # fewer than three lines give no triple F_ijk: the empty set closes to 1
-    closure = group_closure(gens, budget=budget)
-    classification = None if closure.budget_hit else classify(closure)
-    report.group = _group_section(closure, classification)
+    # checked here, since a witness below skips the closure that checks it
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     # a ratio order is the order of an element of G, at most |G|, so over F_q
     # a scan to the budget misses none when the closure completes; over Q the
     # field's small cap is what certifies an infinite group, so it is kept
     bound = budget if cfg.field.is_finite else None
-    report.eigenvalue_ratios = eigratio_check(triples, bound=bound).to_json()
+    ratios = eigratio_check(triples, bound=bound)
+    report.eigenvalue_ratios = ratios.to_json()
+    if ratios.infinite_witness:
+        # G is infinite, so its closure would stop at exactly budget elements
+        report.group = _group_section(budget, True)
+        return report
 
+    # fewer than three lines give no triple F_ijk: the empty set closes to 1
+    closure = group_closure(gens, budget=budget)
+    classification = None if closure.budget_hit else classify(closure)
+    report.group = _group_section(closure.order, closure.budget_hit, classification)
     if seed is not None and not closure.budget_hit:
         report.orbit = _orbit_section(cfg, seed, closure, triples, oracle)
     return report

@@ -126,8 +126,9 @@ def _dot(u: tuple, v: tuple) -> FieldElement:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
-def _meet(span: tuple, lam: tuple) -> P3Point:
-    """The point where the plane lam meets the line spanned by a and b.
+def _meet(span: tuple, lam: tuple) -> tuple:
+    """[s : t] with s a + t b the point where the plane lam meets the line
+    spanned by a and b.
 
     (lam.b) a - (lam.a) b lies on both; skewness keeps the line out of the
     plane, so the two dot products never vanish together.
@@ -136,7 +137,12 @@ def _meet(span: tuple, lam: tuple) -> P3Point:
     la, lb = _dot(lam, a), _dot(lam, b)
     if not la and not lb:
         raise RuntimeError("plane contains the target line; lines not skew?")
-    return P3Point(*(lb * ai - la * bi for ai, bi in zip(a, b)))
+    return lb, -la
+
+
+def _span_key(s: FieldElement, t: FieldElement) -> tuple:
+    """A key for [s : t] that does not depend on its scale."""
+    return (1, (t * s.inv()).sort_key()) if s else (0,)
 
 
 def point_on_line(cfg: LineConfig, i, v: ProjPoint) -> P3Point:
@@ -241,32 +247,39 @@ def _parameter(span: tuple, x: tuple) -> tuple:
 
 
 def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
-               closure: GroupClosure, step) -> OrbitReport:
+               closure: GroupClosure, start: tuple, step, build) -> OrbitReport:
     """Breadth-first walk from the seed along step.
+
+    The walk knows a point by its line and a key of its parameter there;
+    the lines are pairwise skew, so that pair names the point.  step(lab, p,
+    v) yields (line, key, parameter) for each neighbour of the point p with
+    parameter v, build(line, parameter) makes the P^3 point of a pair not
+    seen before, and start is the seed's (key, parameter).
 
     Every point the walk reaches on a line has parameter g v0 for some g in
     G, v0 the seed's parameter, so no line holds more than |G| / |Stab(v0)|
     of them.  A walk past that bound has left the orbit: an invariant
     violation, raised at the first such point.
     """
-    stab = _stabilizer_size(closure, _parameter(_span_rows(cfg, carrier), seed.coords))
+    key0, v0 = start
+    stab = _stabilizer_size(closure, v0)
     bound = closure.order // stab
     points: dict[str, list[P3Point]] = {lab: [] for lab in cfg.labels()}
     points[carrier].append(seed)
-    seen = {seed.key()}
-    queue = [(carrier, seed)]
-    for lab, p in queue:  # the queue grows while it is read
-        for nlab, np in step(lab, p):
-            k = np.key()
-            if k in seen:
+    seen = {(carrier, key0)}
+    queue = [(carrier, seed, v0)]
+    for lab, p, v in queue:  # the queue grows while it is read
+        for nlab, k, nv in step(lab, p, v):
+            if (nlab, k) in seen:
                 continue
             if len(points[nlab]) >= bound:
                 raise RuntimeError(
                     f"line {nlab} reached more than |G|/|Stab| = {bound} orbit points"
                 )
-            seen.add(k)
+            seen.add((nlab, k))
+            np = build(nlab, nv)
             points[nlab].append(np)
-            queue.append((nlab, np))
+            queue.append((nlab, np, nv))
     return OrbitReport(
         seed=seed,
         carrier=carrier,
@@ -297,8 +310,7 @@ def orbit_full(cfg: LineConfig, seed: P3Point,
     transport = {t: g for g, triples in gens.provenance.items() for t in triples}
     labels = cfg.labels()
 
-    def step(lab: str, p: P3Point) -> Iterator[tuple[str, P3Point]]:
-        v = line_parameter(cfg, lab, p)
+    def step(lab: str, _, v: ProjPoint) -> Iterator[tuple[str, tuple, ProjPoint]]:
         for j in labels:
             if j == lab:
                 continue
@@ -306,9 +318,11 @@ def orbit_full(cfg: LineConfig, seed: P3Point,
                 if k == lab or k == j:
                     continue
                 image = moebius_apply(transport[lab, j, k], v)
-                yield j, point_on_line(cfg, j, image)
+                yield j, image.key(), image
 
-    return _orbit_bfs(cfg, seed, carrier, closure, step)
+    v0 = line_parameter(cfg, carrier, seed)
+    return _orbit_bfs(cfg, seed, carrier, closure, (v0.key(), v0), step,
+                      lambda j, v: point_on_line(cfg, j, v))
 
 
 def orbit_on_line(cfg: LineConfig, G: GroupClosure,
@@ -347,7 +361,7 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
 
-    def step(lab: str, p: P3Point) -> Iterator[tuple[str, P3Point]]:
+    def step(lab: str, p: P3Point, _) -> Iterator[tuple[str, tuple, tuple]]:
         planes = {k: _plane(pluckers[k], p.coords) for k in labels if k != lab}
         for j in labels:
             if j == lab:
@@ -355,9 +369,15 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
             for k in labels:
                 if k == lab or k == j:
                     continue
-                yield j, _meet(spans[j], planes[k])
+                st = _meet(spans[j], planes[k])
+                yield j, _span_key(*st), st
 
-    return _orbit_bfs(cfg, seed, carrier, closure, step)
+    def build(j: str, st: tuple) -> P3Point:
+        (s, t), (a, b) = st, spans[j]
+        return P3Point(*(s * ai + t * bi for ai, bi in zip(a, b)))
+
+    v0 = _parameter(spans[carrier], seed.coords)
+    return _orbit_bfs(cfg, seed, carrier, closure, (_span_key(*v0), v0), step, build)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from skewlines.cli import main
 from skewlines.configs import LineConfig
 from skewlines.families import FAMILY_BUILDERS, a4_example, build_family
 from skewlines.fields import rational_field
+from skewlines.groupoid import group_closure
 from skewlines.matrices import Mat2, ProjPoint
 
 Q = rational_field()
@@ -151,12 +152,37 @@ def test_group_budget_exhaustion(infinite_path, capsys):
     assert payload["eigenvalue_ratios"]["infinite_witness"] is True
 
 
+def test_group_translation_without_a_witness_stops_at_the_budget(tmp_path, capsys,
+                                                                 monkeypatch):
+    # t -> t + 1 generates an infinite group whose ratio is 1: nothing proves
+    # it infinite before the closure, which runs to the budget
+    import importlib
+
+    analyze_mod = importlib.import_module("skewlines.analyze")
+    closed = []
+
+    def counted(gens, budget):
+        closed.append(budget)
+        return group_closure(gens, budget=budget)
+
+    monkeypatch.setattr(analyze_mod, "group_closure", counted)
+    path = tmp_path / "translation.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"},
+                                "lines": ["zero", "infinity", [["1", "1"], ["0", "1"]]]}))
+    code, out, _ = run(capsys, "group", str(path), "--json", "--budget", "50")
+    assert code == 2
+    assert closed == [50]
+    payload = json.loads(out)
+    assert (payload["order"], payload["budget_hit"]) == (50, True)
+    assert payload["eigenvalue_ratios"]["infinite_witness"] is False
+
+
 def test_group_invalid_config(broken_path, capsys):
     code, _, _ = run(capsys, "group", broken_path)
     assert code == 1
 
 
-def test_group_two_lines_is_trivial(tmp_path, capsys):
+def test_group_two_lines_is_trivial(tmp_path, infinite_path, capsys):
     # two lines admit no triple (i, j, k) of distinct lines, so there is no
     # transport map F_ijk and G_L is the trivial group
     path = tmp_path / "two.json"
@@ -168,10 +194,12 @@ def test_group_two_lines_is_trivial(tmp_path, capsys):
     assert payload["order"] == 1
     assert payload["label"] == "trivial"
     assert payload["order_census"] == {"1": 1}
-    # no closure runs, but a budget below 1 is still an input error
-    code, _, err = run(capsys, "group", str(path), "--budget", "0")
-    assert code == 1
-    assert err.startswith("error:")
+    # no closure runs, but a budget below 1 is still an input error; so too
+    # where the ratio test alone proves the group infinite
+    for config in (str(path), infinite_path):
+        code, _, err = run(capsys, "group", config, "--budget", "0")
+        assert code == 1
+        assert err.startswith("error:")
 
 
 def test_group_with_singular_matrix_line(tmp_path, capsys):
@@ -270,6 +298,23 @@ def test_orbit_respects_group_budget(infinite_path, capsys):
                        "--seed-point", "[0:0:0:1]", "--budget", "60", "--json")
     assert code == 2
     assert json.loads(out)["budget_hit"] is True
+
+
+def test_orbit_after_an_infinite_witness_runs_no_closure(infinite_path, capsys,
+                                                        monkeypatch):
+    import importlib
+
+    analyze_mod = importlib.import_module("skewlines.analyze")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure or orbit work ran after an infinite witness")
+
+    for name in ("group_closure", "orbit_full", "orbit_geometric"):
+        monkeypatch.setattr(analyze_mod, name, refuse)
+    code, out, _ = run(capsys, "orbit", infinite_path, "--seed-point", "[0:0:0:1]",
+                       "--oracle", "--budget", "60", "--json")
+    assert code == 2
+    assert json.loads(out) == {"schema_version": "1", "budget_hit": True, "order": 60}
 
 
 def test_oracle_mismatch_is_invariant_violation(a4_path, capsys, monkeypatch):

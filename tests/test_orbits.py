@@ -434,8 +434,7 @@ def test_oracle_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
     G = closed(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
     fresh = _fresh_points(f)
-    monkeypatch.setattr(orbits, "_meet",
-                        lambda span, lam: P3Point(*fresh(), f.one(), f.one()))
+    monkeypatch.setattr(orbits, "_meet", lambda span, lam: tuple(fresh()))
     with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
         orbit_geometric(cfg, seed, closure=G)
 
@@ -521,6 +520,115 @@ def test_oracle_respects_membership():
     cfg = affine_f5_config()
     with pytest.raises(SeedNotOnConfiguration):
         orbit_geometric(cfg, p3_from_string(F5, "[1:1:1:2]"))
+
+
+# ---------------------------------------------------------------------------
+# keyed walks: the reports of a walk that builds every candidate point
+
+
+def _pairs(labels, lab):
+    """The (target j, through k) pairs a step from line lab visits, in order."""
+    return itertools.permutations([x for x in labels if x != lab], 2)
+
+
+def _reference_orbit(cfg, seed, G, walk) -> OrbitReport:
+    """The walk that builds and normalizes a P3Point for every candidate
+    and knows each point by its whole key."""
+    carrier = find_carrier(cfg, seed)
+    labels = cfg.labels()
+    if walk is orbit_full:
+        transport = {t: g for g, ts in generator_set(cfg).provenance.items()
+                     for t in ts}
+
+        def step(lab, p):
+            v = line_parameter(cfg, lab, p)
+            for j, k in _pairs(labels, lab):
+                yield j, point_on_line(cfg, j, moebius_apply(transport[lab, j, k], v))
+    else:
+        spans = {lab: orbits._span_rows(cfg, lab) for lab in labels}
+        pluckers = {lab: orbits._plucker(*spans[lab]) for lab in labels}
+
+        def step(lab, p):
+            planes = {k: orbits._plane(pluckers[k], p.coords)
+                      for k in labels if k != lab}
+            for j, k in _pairs(labels, lab):
+                a, b = spans[j]
+                la, lb = orbits._dot(planes[k], a), orbits._dot(planes[k], b)
+                yield j, P3Point(*(lb * ai - la * bi for ai, bi in zip(a, b)))
+
+    points = {lab: [] for lab in labels}
+    points[carrier].append(seed)
+    seen = {seed.key()}
+    queue = [(carrier, seed)]
+    for lab, p in queue:
+        for nlab, np in step(lab, p):
+            if np.key() not in seen:
+                seen.add(np.key())
+                points[nlab].append(np)
+                queue.append((nlab, np))
+    v0 = line_parameter(cfg, carrier, seed)
+    return OrbitReport(
+        seed=seed, carrier=carrier, total_size=len(seen),
+        per_line_sizes={lab: len(pts) for lab, pts in points.items()},
+        stabilizer_order=sum(1 for g in G.elements if fixes_point(g, v0)),
+        points=points)
+
+
+def _f25_dilation_in_f5_config():
+    """Criterion 5 (b): lines I, [[-1, 1], [0, -1]], diag(2, 3) over F_25."""
+    f = affine(5).config.field
+    return LineConfig(f, [Mat2.identity(f),
+                          Mat2.from_rows(f, [["-1", "1"], ["0", "-1"]]),
+                          Mat2.diag(f.parse("2"), f.parse("3"))])
+
+
+_KEYED_WALK_CONFIGS = {
+    "a4": lambda: a4_example().config,
+    "s4": lambda: s4_example().config,
+    "a5": lambda: a5_example().config,
+    "affine5_f25": lambda: affine(5).config,
+    "f25_dilation_in_f5": _f25_dilation_in_f5_config,
+    "elementary_abelian5": lambda: elementary_abelian(5).config,
+    "standard6": lambda: standard_construction(6).config,
+    "singular_line": lambda: singular_line_config(Q),
+}
+
+
+@pytest.mark.parametrize("name", list(_KEYED_WALK_CONFIGS))
+def test_keyed_walks_match_the_point_keyed_reference(name):
+    # a point is named by its line and its parameter there, so the walk
+    # visits the same points in the same order as one keyed by P3Point
+    cfg = _KEYED_WALK_CONFIGS[name]()
+    f = cfg.field
+    G = closed(cfg)
+    for lab in cfg.labels():
+        seed = point_on_line(cfg, lab, ProjPoint(f.zero(), f.one()))
+        for walk in (orbit_full, orbit_geometric):
+            assert walk(cfg, seed, closure=G).to_json() == \
+                _reference_orbit(cfg, seed, G, walk).to_json(), (lab, walk)
+
+
+@pytest.mark.parametrize("walk", [orbit_full, orbit_geometric])
+def test_keyed_walks_build_one_point_per_orbit_point(monkeypatch, walk):
+    built = []
+
+    class Counted(P3Point):
+        __slots__ = ()
+
+        def __init__(self, *coords):
+            built.append(coords)
+            super().__init__(*coords)
+
+    monkeypatch.setattr(orbits, "P3Point", Counted)
+    for cfg in (a4_example().config, affine(5).config, singular_line_config(Q)):
+        f = cfg.field
+        G = closed(cfg)
+        built.clear()
+        # one P3Point for the seed and one for each other orbit point: a
+        # candidate already seen is never built
+        seed = point_on_line(cfg, "inf", ProjPoint(f.zero(), f.one()))
+        rep = walk(cfg, seed, closure=G)
+        assert len(built) == rep.total_size > 1
 
 
 # ---------------------------------------------------------------------------
