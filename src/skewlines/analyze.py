@@ -97,12 +97,12 @@ def _group_section(order: int, budget_hit: bool, classification=None) -> dict:
     return out
 
 
-def _orbit_section(cfg, seed, closure, triples, oracle: bool) -> dict:
-    report = orbit_full(cfg, seed, closure=closure, gens=triples)
+def _orbit_section(cfg, seed, carrier, closure, triples, oracle: bool) -> dict:
+    report = orbit_full(cfg, seed, closure=closure, gens=triples, carrier=carrier)
     out = report.to_json()
     out["group_order"] = closure.order
     if oracle:
-        check = orbit_geometric(cfg, seed, closure=closure)
+        check = orbit_geometric(cfg, seed, closure=closure, carrier=carrier)
         same = {lab: {p.key() for p in pts} for lab, pts in report.points.items()} == \
                {lab: {p.key() for p in pts} for lab, pts in check.points.items()}
         if not (same and report.total_size == check.total_size):
@@ -126,8 +126,10 @@ def analyze(
     report = AnalysisReport(config=cfg.to_json(), validation=validation.to_json())
     if not validation.valid:
         return report
-    # a seed on no line is an input error, refused before any closure work
-    if seed is not None and find_carrier(cfg, seed) is None:
+    # a seed on no line is an input error, refused before any closure work;
+    # both orbit walks start from this one carrier
+    carrier = None if seed is None else find_carrier(cfg, seed)
+    if seed is not None and carrier is None:
         raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
 
     report.transversal = transversal_compute(cfg).to_json()
@@ -161,5 +163,5 @@ def analyze(
     classification = None if closure.budget_hit else classify(closure)
     report.group = _group_section(closure.order, closure.budget_hit, classification)
     if seed is not None and not closure.budget_hit:
-        report.orbit = _orbit_section(cfg, seed, closure, triples, oracle)
+        report.orbit = _orbit_section(cfg, seed, carrier, closure, triples, oracle)
     return report

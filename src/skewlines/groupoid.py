@@ -4,10 +4,12 @@ finite groups that arise, and the eigenvalue-ratio finiteness test.
 The generator set canonicalizes one triple per class: over Q and Q(zeta_n)
 the triples are bucketed by their image mod p, and membership in a bucket's
 classes is decided exactly with three products and no inverse (see
-generator_set).  The closure is a plain breadth-first walk over canonical
-PGL2 representatives with a hard element budget; every downstream consumer
-(classifier, orbit enumerator, CLI) works from its deterministic element
-list.
+generator_set).  The closure is a breadth-first walk with a hard element
+budget.  It knows an element by where its inverse sends [1:0], [0:1] and
+[1:1], which PGL2 acting sharply 3-transitively on P^1 makes exact, so it
+forms an exact product only for a new element (see group_closure).  Every
+downstream consumer (classifier, orbit enumerator, CLI) works from its
+deterministic element list.
 
 The classifier walks Dickson's list of the finite subgroups of PGL2(K)
 and names a group only once its certificate holds (see classify).
@@ -213,7 +215,7 @@ def _in_class(f: Field, F: tuple, R: tuple, lead: int) -> bool:
 class GroupClosure:
     """Elements of the generated subgroup of PGL2 in BFS insertion order,
     with the non-identity generators the walk multiplied by and the set of
-    element keys it built on the way."""
+    the elements' keys."""
 
     elements: list[ProjElem]
     generators: list[ProjElem]
@@ -244,33 +246,83 @@ class GroupClosure:
 def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClosure:
     """Breadth-first closure of the generators under right multiplication.
 
+    The walk takes the elements in insertion order and tries x * g for every
+    non-identity generator g.  It knows an element y by the images of the
+    three points [1:0], [0:1] and [1:1] of P^1 under y^-1: PGL2(K) acts
+    sharply 3-transitively on P^1(K), so these images name y exactly.  As
+    (x * g)^-1 = g^-1 x^-1, the key of x * g is g^-1 applied to the key of
+    x, three point images with no walk and no product.  Each point image
+    under a generator's inverse (its adjugate) is formed once, by one fused
+    Field._dot pair and one scaling, and kept for the rest of the call.  So
+    only a new element costs an exact product: |G| - 1 products and at most
+    k |S| point images, for k generators and the set S of points met, where
+    a product for every x * g would cost |G| k.  Every key lies in the
+    orbits of the three points, so |S| <= 3 |G|, and over F_q also
+    |S| <= q + 1.
+
     The empty set closes to the trivial group: the walk starts from the
     identity and has nothing to multiply it by.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    f = gens.field
-    ident = proj_identity(f)
     mults = [g for g in gens.elements if not g.is_identity()]
+    elements, budget_hit = _walk(gens.field, mults, budget)
+    # the walk's keys and point images are freed before the element keys
+    return GroupClosure(elements=elements, generators=mults,
+                        budget_hit=budget_hit, budget=budget,
+                        keys={g.key() for g in elements})
+
+
+def _walk(f: Field, mults: list[ProjElem], budget: int) -> tuple[list[ProjElem], bool]:
+    """The elements of the closure in walk order, and whether the budget
+    stopped it (see group_closure)."""
+    ident = proj_identity(f)
+    one, zero = _entries(ident.rep)[:2]
+    # g^-1 acts as the adjugate of g, whose images are computed once each
+    adjs = [_entries(g.rep.adjugate()) for g in mults]
+    memos: list[dict] = [{} for _ in mults]
     elements: list[ProjElem] = [ident]
-    seen = {ident.key()}
-    budget_hit = False
+    # the key (x^-1 [1:0], x^-1 [0:1], x^-1 [1:1]) of each element x, in order
+    images = [((one, zero), (zero, one), (one, one))]
+    seen = set(images)
     idx = 0
-    while idx < len(elements) and not budget_hit:
-        x = elements[idx]
-        for g in mults:
-            y = x * g
-            k = y.key()
-            if k in seen:
+    while idx < len(elements):
+        qs = images[idx]
+        for gi, g in enumerate(mults):
+            memo = memos[gi]
+            try:
+                key = (memo[qs[0]], memo[qs[1]], memo[qs[2]])
+            except KeyError:
+                for q in qs:
+                    if q not in memo:
+                        memo[q] = _point_image(f, adjs[gi], q, one, zero)
+                key = (memo[qs[0]], memo[qs[1]], memo[qs[2]])
+            if key in seen:
                 continue
             if len(elements) >= budget:
-                budget_hit = True
-                break
-            seen.add(k)
-            elements.append(y)
+                return elements, True
+            seen.add(key)
+            elements.append(elements[idx] * g)
+            images.append(key)
         idx += 1
-    return GroupClosure(elements=elements, generators=mults,
-                        budget_hit=budget_hit, budget=budget, keys=seen)
+    return elements, False
+
+
+def _point_image(f: Field, m: tuple, q: tuple, one: tuple, zero: tuple) -> tuple:
+    """The image of the point q of P^1 under the matrix with raw entries m,
+    row-major.  A point is a pair of raw (nums, den) coordinates whose last
+    nonzero one is exactly 1, so equal points are equal tuples.  The
+    adjugate (d -b / 0 1) of a canonical triangular class (1 b / 0 d) then
+    maps [x : 1] to [d x - b : 1] with no inversion."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = m
+    (xn, xd), (yn, yd) = q
+    x = f._dot(an, ad, xn, xd, bn, bd, yn, yd)
+    y = f._dot(cn, cd, xn, xd, dn, dd, yn, yd)
+    if not any(y[0]):
+        return one, zero
+    if y == one or not any(x[0]):
+        return x, one
+    return f._mul(*x, *f._inv(*y)), one
 
 
 @dataclass
@@ -364,16 +416,19 @@ def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classificat
     """A non-abelian G fixing a point of P^1: (C_p)^m x| C_n.
 
     The certificate is an eigenline of the first non-identity element that
-    every element fixes.  G then lies in that point's Borel subgroup, so the
-    identity and the elements of order p form a normal subgroup of order
-    p^m with cyclic quotient.  In characteristic 0 such a finite G is cyclic.
+    every element fixes.  The elements fixing a point form a subgroup, so
+    the test reads only G.generators and relies on them generating
+    G.elements, as a closure's do.  G then lies in that point's Borel
+    subgroup, so the identity and the elements of order p form a normal
+    subgroup of order p^m with cyclic quotient.  In characteristic 0 such a
+    finite G is cyclic.
     """
     p = G.elements[0].field.characteristic
     if p == 0:
         return None
     first = next(g for g in G.elements if not g.is_identity())
     fixed = next((v for _, v in eigenvectors(first.rep) or ()
-                  if all(fixes_point(g, v) for g in G.elements)), None)
+                  if all(fixes_point(g, v) for g in G.generators)), None)
     if fixed is None:
         return None
     p_part = census[1] + census.get(p, 0)
@@ -410,6 +465,28 @@ def _try_dihedral(G: GroupClosure, census: dict[int, int],
     return None
 
 
+def _orders(elements: list[ProjElem], bound: int) -> list[Optional[int]]:
+    """element_order of every element, evaluated once per value of the class
+    function tr^2/det, which is formed on the raw entries; the identity,
+    which shares tr^2/det = 4 with the unipotent classes, has order 1 and is
+    taken first."""
+    by_value: dict[tuple, Optional[int]] = {}
+    orders = []
+    for g in elements:
+        if g.is_identity():
+            orders.append(1)
+            continue
+        f = g.field
+        a, b, c, d = _entries(g.rep)
+        tr = f._add(*a, *d)
+        det = f._dot(*a, *d, f._neg_nums(b[0]), b[1], *c)
+        value = f._mul(*f._mul(*tr, *tr), *f._inv(*det))
+        if value not in by_value:
+            by_value[value] = element_order(g, bound)
+        orders.append(by_value[value])
+    return orders
+
+
 def classify(G: GroupClosure) -> Classification:
     """Name the group by Dickson's list of the finite subgroups of PGL2(K)
     (Beauville, Contemp. Math. 522, 2010), in its order: trivial; cyclic(n)
@@ -417,8 +494,9 @@ def classify(G: GroupClosure) -> Classification:
     for any other abelian group, whose census the list forces to be
     {1: 1, p: n - 1} (any other is an invariant violation); then affine,
     A4/S4/A5 and a flagged dihedral, each on its certificate; and unknown,
-    which takes PSL2(F_q) and PGL2(F_q).  Each element order is evaluated
-    once, and the census and every branch read that one list.
+    which takes PSL2(F_q) and PGL2(F_q).  The order of every element is
+    read into one list, evaluated once per value of tr^2/det (a class
+    function), and the census and every branch read that list.
     """
     if G.budget_hit:
         raise IncompleteClosure(
@@ -426,7 +504,7 @@ def classify(G: GroupClosure) -> Classification:
             "complete element list"
         )
     n = G.order
-    orders = [element_order(g, n) for g in G.elements]
+    orders = _orders(G.elements, n)
     census = dict(Counter(orders))
     if n == 1:
         return Classification(label="trivial", order=1, census=census, abelian=True)

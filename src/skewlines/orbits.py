@@ -209,14 +209,16 @@ class OrbitReport:
 
 
 def _prepare(cfg: LineConfig, seed: P3Point, closure: Optional[GroupClosure],
-             gens: Optional[GeneratorSet] = None
+             gens: Optional[GeneratorSet] = None, carrier: Optional[str] = None
              ) -> tuple[str, GroupClosure, Optional[GeneratorSet]]:
-    """Check the seed, then close gens (built here if absent) unless a
-    closure is supplied; an incomplete closure is refused."""
+    """Check the seed and find its carrier unless one is supplied, then
+    close gens (built here if absent) unless a closure is supplied; an
+    incomplete closure is refused."""
     cfg.require_valid()
     if seed.field.spec != cfg.field.spec:
         raise MixedFields("seed lies over a different field")
-    carrier = find_carrier(cfg, seed)
+    if carrier is None:
+        carrier = find_carrier(cfg, seed)
     if carrier is None:
         raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
     if closure is None:
@@ -292,7 +294,8 @@ def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
 
 def orbit_full(cfg: LineConfig, seed: P3Point,
                closure: Optional[GroupClosure] = None,
-               gens: Optional[GeneratorSet] = None) -> OrbitReport:
+               gens: Optional[GeneratorSet] = None,
+               carrier: Optional[str] = None) -> OrbitReport:
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
@@ -300,11 +303,12 @@ def orbit_full(cfg: LineConfig, seed: P3Point,
     of an all_triples generator set, and the closure is needed for the
     stabilizer count and the orbit bound; either is computed here
     unless supplied (a built set is the one closed), and an incomplete
-    closure is refused.
+    closure is refused.  carrier, when given, must be find_carrier's
+    label for the seed.
     """
     if gens is not None and gens.mode != "all_triples":
         raise ValueError("orbit_full reads every F_ijk: it needs an all_triples set")
-    carrier, closure, gens = _prepare(cfg, seed, closure, gens)
+    carrier, closure, gens = _prepare(cfg, seed, closure, gens, carrier)
     if gens is None:
         gens = generator_set(cfg)
     transport = {t: g for g, triples in gens.provenance.items() for t in triples}
@@ -348,15 +352,17 @@ def orbit_on_line(cfg: LineConfig, G: GroupClosure,
 
 
 def orbit_geometric(cfg: LineConfig, seed: P3Point,
-                    closure: Optional[GroupClosure] = None) -> OrbitReport:
+                    closure: Optional[GroupClosure] = None,
+                    carrier: Optional[str] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
 
     Each step spans the plane through the current point and a third line,
     then meets it with the target line: Pluecker-coordinate linear algebra
     in four coordinates, serving as an independent oracle for the matrix
-    path.
+    path.  closure and carrier are computed here unless supplied, as in
+    orbit_full.
     """
-    carrier, closure, _ = _prepare(cfg, seed, closure)
+    carrier, closure, _ = _prepare(cfg, seed, closure, carrier=carrier)
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}

@@ -93,3 +93,28 @@ def _triangular_configs(draw):
 def test_hypothesis_triangular_configs_match_the_closing_pipeline(cfg, mode, budget):
     assert analyze(cfg, budget=budget, mode=mode).to_json() == \
         _closing_analyze(cfg, budget, mode).to_json()
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_seeded_analyze_finds_the_carrier_once(monkeypatch, oracle):
+    from skewlines.families import a4_example, elementary_abelian
+    from skewlines.orbits import p3_from_string
+
+    orbits_mod = importlib.import_module("skewlines.orbits")
+    plain = orbits_mod.find_carrier
+    calls = []
+
+    def counted(cfg, p):
+        calls.append(p)
+        return plain(cfg, p)
+
+    monkeypatch.setattr(orbits_mod, "find_carrier", counted)
+    monkeypatch.setattr(analyze_mod, "find_carrier", counted)
+    for fam in (a4_example(), elementary_abelian(5)):
+        cfg = fam.config
+        seed = p3_from_string(cfg.field, "[0:0:0:1]")
+        calls.clear()
+        report = analyze(cfg, seed=seed, oracle=oracle)
+        assert report.orbit["carrier"] == plain(cfg, seed)
+        assert report.orbit.get("oracle_agrees", False) is oracle
+        assert len(calls) == 1

@@ -32,6 +32,7 @@ from skewlines.fields import (
     reduction_at,
 )
 from skewlines.groupoid import (
+    DEFAULT_BUDGET,
     GeneratorSet,
     GroupClosure,
     IncompleteClosure,
@@ -327,6 +328,133 @@ def test_closure_json_shape():
     assert blob["order"] == 6
     assert blob["budget_hit"] is False
     assert len(blob["elements"]) == 6
+
+
+# ---------------------------------------------------------------------------
+# the closure keyed by point images against the product-keyed reference walk
+
+
+def _reference_closure(gens, budget=DEFAULT_BUDGET):
+    """Breadth-first closure that forms and canonicalizes every product x * g
+    and knows it by its matrix key."""
+    ident = proj_identity(gens.field)
+    mults = [g for g in gens.elements if not g.is_identity()]
+    elements, seen = [ident], {ident.key()}
+    budget_hit = False
+    idx = 0
+    while idx < len(elements) and not budget_hit:
+        x = elements[idx]
+        for g in mults:
+            y = x * g
+            k = y.key()
+            if k in seen:
+                continue
+            if len(elements) >= budget:
+                budget_hit = True
+                break
+            seen.add(k)
+            elements.append(y)
+        idx += 1
+    return GroupClosure(elements=elements, generators=mults,
+                        budget_hit=budget_hit, budget=budget, keys=seen)
+
+
+def _assert_closure_matches_reference(gens, budget):
+    G = group_closure(gens, budget=budget)
+    R = _reference_closure(gens, budget=budget)
+    assert [g.key() for g in G.elements] == [g.key() for g in R.elements]
+    assert G.keys == R.keys
+    assert G.generators == R.generators
+    assert (G.budget_hit, G.budget) == (R.budget_hit, R.budget)
+    return G
+
+
+_REFERENCE_FAMILIES = {
+    "standard5": lambda: standard_construction(5),
+    "c3_scaled2": lambda: c3_scaled(2),
+    "cyclic_4line33": lambda: cyclic_4line(3, 3),
+    "elementary_abelian3": lambda: elementary_abelian(3),
+    "elementary_abelian5": lambda: elementary_abelian(5),
+    "affine3": lambda: affine(3),
+    "affine5": lambda: affine(5),
+    "a4": a4_example,
+    "s4": s4_example,
+    "a5": a5_example,
+}
+
+
+@pytest.mark.parametrize("mode", ["all_triples", "differences"])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+def test_closure_matches_the_product_keyed_reference_on_families(name, mode):
+    fam = _REFERENCE_FAMILIES[name]()
+    gens = generator_set(fam.config, mode=mode)
+    for budget in (1, 7, DEFAULT_BUDGET):
+        G = _assert_closure_matches_reference(gens, budget)
+    assert G.order == fam.expected_order and not G.budget_hit
+
+
+@pytest.mark.parametrize("mode", ["all_triples", "differences"])
+def test_closure_matches_the_reference_prefix_on_an_infinite_group(mode):
+    # lines 0, inf, I, diag(4, 2) generate an infinite group
+    G = _assert_closure_matches_reference(
+        generator_set(diag_config(Q, (4, 2)), mode=mode), 200)
+    assert G.budget_hit and G.order == 200
+
+
+_CLOSURE_FIELDS = [
+    prime_field(2), prime_field(3),
+    extension_field(prime_field(2), [1, 1, 1]),  # F_4
+    F5, F7,
+    extension_field(prime_field(2), [1, 1, 0, 1]),  # F_8: z^3 = z + 1
+    extension_field(prime_field(3), [1, 0, 1]),  # F_9: z^2 = -1
+    extension_field(prime_field(2), [1, 1, 0, 0, 1]),  # F_16: z^4 = z + 1
+    extension_field(F5, [3, 0, 1]),  # F_25: z^2 = 2
+    extension_field(prime_field(3), [1, 2, 0, 1]),  # F_27: z^3 = z + 2
+    extension_field(F7, [4, 0, 1]),  # F_49: z^2 = 3
+    cyclotomic_field(8),
+]
+
+
+@st.composite
+def _random_generator_sets(draw):
+    f = draw(st.sampled_from(_CLOSURE_FIELDS))
+
+    def entry():
+        return f.from_coeffs(draw(st.lists(
+            st.integers(min_value=-2, max_value=2),
+            min_size=f.degree, max_size=f.degree)))
+
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        m = Mat2(entry(), entry(), entry(), entry())
+        assume(m.det())
+        gens.append(proj_normalize(m))
+    gens = sorted(set(gens), key=lambda g: g.key())
+    budget = draw(st.sampled_from([1, 5, 40, 150]))
+    return GeneratorSet(elements=gens, provenance={g: [] for g in gens},
+                        mode="all_triples", field=f), budget
+
+
+@given(_random_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_hypothesis_closure_matches_the_product_keyed_reference(case):
+    gens, budget = case
+    _assert_closure_matches_reference(gens, budget)
+
+
+def test_closure_forms_one_product_per_new_element(monkeypatch):
+    products = []
+    plain = ProjElem.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(ProjElem, "__mul__", counted)
+    for budget in (50, DEFAULT_BUDGET):
+        products.clear()
+        G = group_closure(generator_set(affine(5).config), budget=budget)
+        assert len(products) == G.order - 1
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +970,14 @@ def _affine_by_census(G, census):
     return f"affine({p_part},{quotient})"
 
 
+def _fixed_point_on_all_elements(G):
+    """Reference certificate: the first eigenline of the first non-identity
+    element that every element of G fixes."""
+    first = next(g for g in G.elements if not g.is_identity())
+    return next((v for _, v in eigenvectors(first.rep) or ()
+                 if all(fixes_point(g, v) for g in G.elements)), None)
+
+
 def _criterion_5_small():
     f = affine(5).config.field
     return LineConfig(f, [
@@ -855,17 +991,34 @@ def _criterion_5_small():
     affine(3).config, affine(5).config, affine(7).config,
     affine(5, dilation_square=3).config, _criterion_5_small(),
     elementary_abelian(2).config, elementary_abelian(3).config,
-    elementary_abelian(5).config, elementary_abelian(3, ["z", "2"]).config,
+    elementary_abelian(5).config, elementary_abelian(7).config,
+    elementary_abelian(3, ["z", "2"]).config,
     LineConfig(F7, [Mat2.identity(F7), mat(F7, [["6", "3"], ["2", "3"]]),
                     mat(F7, [["4", "6"], ["1", "4"]])]),
 ], ids=["affine3", "affine5", "affine7", "affine5_c3", "criterion5_small",
         "elementary_abelian2", "elementary_abelian3", "elementary_abelian5",
-        "elementary_abelian3_rank2", "pgl2_f7"])
+        "elementary_abelian7", "elementary_abelian3_rank2", "pgl2_f7"])
 def test_affine_certificate_gives_the_census_label(cfg):
     G = closure_of(cfg, budget=1000)
     census = dict(Counter(element_order(g, G.order) for g in G.elements))
     hit = _try_affine(G, census)
     assert (hit and hit.label) == _affine_by_census(G, census)
+    # the fixed point checked on the generators is the one on every element
+    want = _fixed_point_on_all_elements(G)
+    assert (hit and hit.witnesses["fixed_point"]) == (want and want.to_json())
+
+
+def test_affine_certificate_is_none_when_no_eigenline_is_fixed():
+    # t -> t + 1 fixes only [1:0], which t -> 1/t moves to [0:1]
+    shift = proj_normalize(mat(F5, [["1", "1"], ["0", "1"]]))
+    flip = proj_normalize(mat(F5, [["0", "1"], ["1", "0"]]))
+    G = _hand_built_closure(F5, [shift, flip])
+    assert not G.budget_hit and not G.is_abelian()
+    first = next(g for g in G.elements if not g.is_identity())
+    assert eigenvectors(first.rep)
+    assert _fixed_point_on_all_elements(G) is None
+    census = dict(Counter(element_order(g, G.order) for g in G.elements))
+    assert _try_affine(G, census) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1056,23 +1209,35 @@ def test_hypothesis_element_order_matches_proj_order(case):
         assert want == expected[kind]
 
 
-def test_classify_evaluates_each_element_order_once(monkeypatch):
+def _class_value(g):
+    m = g.rep
+    return (m.trace() * m.trace() / m.det()).sort_key()
+
+
+def test_classify_evaluates_element_order_once_per_class_value(monkeypatch):
+    groupoid = importlib.import_module("skewlines.groupoid")
     seen = []
 
     def counted(g, bound):
-        seen.append(id(g))
+        seen.append(g)
         return element_order(g, bound)
 
-    monkeypatch.setattr(importlib.import_module("skewlines.groupoid"),
-                        "element_order", counted)
     for name in ("a5", "affine5", "standard5"):
         G = _family_closure(name)
-        seen.clear()
-        classify(G)
-        # the polyhedral relation checks may also ask for orders of fresh
-        # products; every closure element is asked exactly once
-        for g in G.elements:
-            assert seen.count(id(g)) == 1
+        reference = [element_order(g, G.order) for g in G.elements]
+        values = {_class_value(g) for g in G.elements if not g.is_identity()}
+        with monkeypatch.context() as m:
+            m.setattr(groupoid, "element_order", counted)
+            seen.clear()
+            census = classify(G).census
+            # the polyhedral relation checks also ask for orders of fresh
+            # products; closure elements are asked at most once per value
+            asked = [g for g in seen if any(g is h for h in G.elements)]
+            assert len(asked) <= len(values)
+            assert not any(g.is_identity() for g in asked)
+            assert len({_class_value(g) for g in asked}) == len(asked)
+            assert groupoid._orders(G.elements, G.order) == reference
+        assert census == dict(Counter(reference))
 
 
 def test_is_abelian_multiplies_only_generator_pairs(monkeypatch):
