@@ -269,6 +269,9 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
+
     def is_rational(self) -> bool:
         """True when the element lies in the prime field / rationals."""
         return not any(self.nums[1:])
@@ -419,6 +422,20 @@ class Reduction:
         if not den:
             return None
         return sum(a * w for a, w in zip(nums, self.powers)) * pow(den, -1, p) % p
+
+    def key(self, image: Optional[Sequence[Optional[int]]]) -> Optional[tuple]:
+        """The image of a projective point or class, scaled so that its first
+        nonzero entry is 1; None when the image or one of its entries is
+        undefined, or every entry is zero.  Equal points or classes whose
+        images are defined and nonzero have equal keys."""
+        if image is None or None in image:
+            return None
+        p = self.p
+        for x in image:
+            if x:
+                s = pow(x, -1, p)
+                return tuple(y * s % p for y in image)
+        return None
 
 
 class Field:

@@ -87,18 +87,6 @@ class GeneratorSet:
     mode: str
     field: Field
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "elements": [
-                {
-                    "matrix": g.to_json(),
-                    "triples": [list(t) for t in self.provenance[g]],
-                }
-                for g in self.elements
-            ],
-        }
-
 
 def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     """Generators in one of two shapes.
@@ -145,8 +133,7 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
         if mode == "differences" and t[1] != INF_LABEL:
             continue
         F = _entries(_transport(*t, *exact))
-        key = None if modular is None else _bucket_key(
-            _transport(*t, *modular), red.p)
+        key = None if modular is None else red.key(_transport(*t, *modular))
         if key is None:
             g = _canonical(f, F)
         else:
@@ -187,18 +174,6 @@ def _modular(red: Reduction, diffs: dict) -> tuple:
     return (1, 0, 0, 1), lambda a, b: images[a, b], lambda a, b: adjs[a, b], mul
 
 
-def _bucket_key(image: Optional[tuple[int, ...]], p: int) -> Optional[tuple]:
-    """The image scaled so that its first nonzero entry is 1; None when the
-    image is undefined or zero."""
-    if image is None:
-        return None
-    for x in image:
-        if x:
-            s = pow(x, -1, p)
-            return tuple(y * s % p for y in image)
-    return None
-
-
 def _in_class(f: Field, F: tuple, R: tuple, lead: int) -> bool:
     """Whether the raw entries F lie in the class with canonical raw entries
     R, whose first nonzero entry R_lead is 1."""
@@ -214,33 +189,21 @@ def _in_class(f: Field, F: tuple, R: tuple, lead: int) -> bool:
 @dataclass
 class GroupClosure:
     """Elements of the generated subgroup of PGL2 in BFS insertion order,
-    with the non-identity generators the walk multiplied by and the set of
-    the elements' keys."""
+    with the non-identity generators the walk multiplied by."""
 
     elements: list[ProjElem]
     generators: list[ProjElem]
     budget_hit: bool
     budget: int
-    keys: set = dc_field(repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: ProjElem) -> bool:
-        return g.key() in self.keys
-
     def is_abelian(self) -> bool:
         """A group is abelian exactly when its generators commute pairwise."""
         return all(g * h == h * g
                    for g, h in itertools.combinations(self.generators, 2))
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "budget_hit": self.budget_hit,
-            "elements": [g.to_json() for g in self.elements],
-        }
 
 
 def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClosure:
@@ -267,10 +230,8 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
         raise ValueError("budget must be at least 1")
     mults = [g for g in gens.elements if not g.is_identity()]
     elements, budget_hit = _walk(gens.field, mults, budget)
-    # the walk's keys and point images are freed before the element keys
     return GroupClosure(elements=elements, generators=mults,
-                        budget_hit=budget_hit, budget=budget,
-                        keys={g.key() for g in elements})
+                        budget_hit=budget_hit, budget=budget)
 
 
 def _walk(f: Field, mults: list[ProjElem], budget: int) -> tuple[list[ProjElem], bool]:
@@ -552,10 +513,6 @@ class RatioReport:
     @property
     def infinite_witness(self) -> bool:
         return any(e["status"] == "not_root_of_unity" for e in self.entries)
-
-    @property
-    def all_roots_of_unity(self) -> bool:
-        return all(e["status"] == "root_of_unity" for e in self.entries)
 
     def to_json(self) -> dict:
         return {

@@ -158,9 +158,17 @@ class Mat2:
             n >>= 1
         return out
 
-    def apply(self, v: tuple[FieldElement, FieldElement]):
+    def apply(self, v) -> tuple[FieldElement, FieldElement]:
+        """The image (ax + by, cx + dy) of the pair v = (x, y), each entry
+        one fused Field._dot."""
         x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
+        f = _same_field(self.a, x, y)
+        dot = f._dot
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (FieldElement(f, *dot(a.nums, a.den, x.nums, x.den,
+                                     b.nums, b.den, y.nums, y.den)),
+                FieldElement(f, *dot(c.nums, c.den, x.nums, x.den,
+                                     d.nums, d.den, y.nums, y.den)))
 
     # -- identity & encoding
 
@@ -209,11 +217,6 @@ class ProjPoint:
         else:
             y = field.one()
         self.x, self.y, self.field = x, y, field
-
-    @staticmethod
-    def from_pair(field: Field, x, y) -> "ProjPoint":
-        return ProjPoint(field.element_from_json(x) if not isinstance(x, FieldElement) else x,
-                         field.element_from_json(y) if not isinstance(y, FieldElement) else y)
 
     def key(self) -> tuple:
         return (self.x.sort_key(), self.y.sort_key())

@@ -6,6 +6,12 @@ P^1 parameter of each line around with the transport classes, while
 through the point and one line, intersect it with another" — linear
 algebra on the lines' Pluecker coordinates, with no per-line cases.
 Agreement between them is the strongest correctness check the package has.
+
+Both walks share one point index (_orbit_bfs): a candidate is filed by the
+image of its line parameter under Field.reduction(), and a key hit is
+confirmed exactly without an inverse, so only a new point is normalized
+and built.  This is the modular method with exact confirmation (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
-from .fields import Field, FieldElement, MixedFields
+from .fields import Field, FieldElement, MixedFields, Reduction
 from .groupoid import (
     GeneratorSet,
     GroupClosure,
@@ -23,7 +29,7 @@ from .groupoid import (
     generator_set,
     group_closure,
 )
-from .matrices import ProjPoint, fixes_point, moebius_apply
+from .matrices import ProjElem, ProjPoint, fixes_point, moebius_apply
 
 
 class SeedNotOnConfiguration(Exception):
@@ -45,8 +51,10 @@ class P3Point:
         lead = next((c for c in coords if not c.is_zero()), None)
         if lead is None:
             raise ValueError("a projective point needs a nonzero coordinate")
-        scale = lead.inv()
-        self.coords = tuple(scale * c for c in coords)
+        if not lead.is_one():
+            scale = lead.inv()
+            coords = tuple(scale * c for c in coords)
+        self.coords = coords
 
     @property
     def field(self) -> Field:
@@ -140,27 +148,52 @@ def _meet(span: tuple, lam: tuple) -> tuple:
     return lb, -la
 
 
-def _span_key(s: FieldElement, t: FieldElement) -> tuple:
-    """A key for [s : t] that does not depend on its scale."""
-    return (1, (t * s.inv()).sort_key()) if s else (0,)
+def _on_plane(lam: tuple, x: P3Point, _) -> bool:
+    """Whether the point x lies on the plane lam: lam.x = 0, four products
+    in two fused Field._dot calls, and no meet."""
+    f = x.field
+    (a, b, c, d), (p, q, r, s) = lam, x.coords
+    u = f._dot(a.nums, a.den, p.nums, p.den, b.nums, b.den, q.nums, q.den)
+    v = f._dot(c.nums, c.den, r.nums, r.den, d.nums, d.den, s.nums, s.den)
+    return u == (f._neg_nums(v[0]), v[1])
 
 
-def point_on_line(cfg: LineConfig, i, v: ProjPoint) -> P3Point:
-    """Embed the P^1 parameter v as a point of line i in P^3.
+def _images(red: Optional[Reduction], xs: tuple) -> Optional[tuple]:
+    """The images of the elements xs under red; None with no reduction or
+    when an image is undefined."""
+    if red is None:
+        return None
+    out = tuple(red.image(x.nums, x.den) for x in xs)
+    return None if None in out else out
+
+
+def _meet_key(red: Reduction, ab: Optional[tuple],
+              lam: Optional[tuple]) -> Optional[tuple]:
+    """The key of _meet((a, b), lam) from the images of a + b and of lam
+    alone: the meet formed over F_p.  None when either image is undefined."""
+    if ab is None or lam is None:
+        return None
+    p = red.p
+    return red.key((sum(x * y for x, y in zip(lam, ab[4:])) % p,
+                    -sum(x * y for x, y in zip(lam, ab)) % p))
+
+
+def point_on_line(cfg: LineConfig, i, v) -> P3Point:
+    """Embed the P^1 parameter v, a ProjPoint or a pair (x, y), as a point
+    of line i in P^3.
 
     The zero and infinity lines occupy complementary coordinate pairs;
     every other line is the graph (v, M_i v) of its matrix.
     """
     label = str(i)
-    f = cfg.field
-    zero = f.zero()
+    x, y = v
+    zero = cfg.field.zero()
     if label == ZERO_LABEL and cfg.include_zero:
-        return P3Point(v.x, v.y, zero, zero)
+        return P3Point(x, y, zero, zero)
     if label == INF_LABEL and cfg.include_infinity:
-        return P3Point(zero, zero, v.x, v.y)
-    m = cfg.matrix(label)
-    mx, my = m.apply((v.x, v.y))
-    return P3Point(v.x, v.y, mx, my)
+        return P3Point(zero, zero, x, y)
+    mx, my = cfg.matrix(label).apply((x, y))
+    return P3Point(x, y, mx, my)
 
 
 def find_carrier(cfg: LineConfig, p: P3Point) -> Optional[str]:
@@ -248,48 +281,128 @@ def _parameter(span: tuple, x: tuple) -> tuple:
     return x[i] * b[j] - x[j] * b[i], a[i] * x[j] - a[j] * x[i]
 
 
+def _normalized(s: FieldElement, t: FieldElement) -> tuple:
+    """The pair [s : t] scaled so that its first nonzero entry is exactly 1,
+    with at most one inversion (ProjPoint's normalization)."""
+    if not s:
+        return s, t.field.one()
+    if s.is_one():
+        return s, t
+    return s.field.one(), t * s.inv()
+
+
+def _pair_key(red: Optional[Reduction], s: FieldElement,
+              t: FieldElement) -> Optional[tuple]:
+    """Reduction.key of the image of [s : t]; None with no reduction."""
+    if red is None:
+        return None
+    return red.key((red.image(s.nums, s.den), red.image(t.nums, t.den)))
+
+
+class _LinePoints:
+    """The points a walk has placed on one line.  buckets files each point
+    with its normalized parameter under a key, exact holds the exact key of
+    every parameter, and unkeyed records a point filed under no key."""
+
+    __slots__ = ("points", "buckets", "exact", "unkeyed")
+
+    def __init__(self):
+        self.points: list[P3Point] = []
+        self.buckets: dict[tuple, list[tuple]] = {}
+        self.exact: set = set()
+        self.unkeyed = False
+
+    def add(self, key: Optional[tuple], p: P3Point, v: tuple) -> None:
+        if key is None:
+            self.unkeyed = True
+        else:
+            self.buckets.setdefault(key, []).append((p, v))
+        self.exact.add(_exact_key(v))
+        self.points.append(p)
+
+    def holds(self, key: tuple, same, cand) -> bool:
+        """Whether a point filed under key passes same(cand, point, v)."""
+        return any(same(cand, p, v) for p, v in self.buckets.get(key, ()))
+
+
+def _exact_key(v: tuple) -> tuple:
+    x, y = v
+    return x.sort_key(), y.sort_key()
+
+
 def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
-               closure: GroupClosure, start: tuple, step, build) -> OrbitReport:
+               closure: GroupClosure, v0, step, same, pair, build) -> OrbitReport:
     """Breadth-first walk from the seed along step.
 
-    The walk knows a point by its line and a key of its parameter there;
-    the lines are pairwise skew, so that pair names the point.  step(lab, p,
-    v) yields (line, key, parameter) for each neighbour of the point p with
-    parameter v, build(line, parameter) makes the P^3 point of a pair not
-    seen before, and start is the seed's (key, parameter).
+    A point is named by its line and its parameter [s : t] there, since the
+    lines are pairwise skew.  step(lab, p, v) yields (line, key, candidate)
+    for each neighbour of the point p with normalized parameter v.  The key
+    is the candidate's parameter reduced by Field.reduction() and scaled to
+    a leading 1 (Reduction.key), or None when that image is undefined or
+    zero, or when the field has no reduction.  A ring map sends equal points
+    with defined, nonzero images to one key, so on each line:
+
+    - a key hit is confirmed exactly by same(candidate, point, parameter),
+      with no inverse;
+    - a key that no point of the line carries means a new point, unless the
+      line holds a point filed under no key;
+    - a candidate with no key, or one that finds no point on such a line, is
+      normalized (one inversion) and looked up by its exact parameter.
+
+    pair(line, candidate) is the candidate's exact [s : t], formed only for
+    a new point or a candidate looked up exactly, and build(line, v) the P^3
+    point of a new point's normalized parameter v.  A new point is filed
+    under its candidate's key, or else under the key of its own parameter.
+    A collision mod p costs one failed exact test and never a wrong point,
+    so the walk visits the points in the order of a walk keyed exactly.
 
     Every point the walk reaches on a line has parameter g v0 for some g in
     G, v0 the seed's parameter, so no line holds more than |G| / |Stab(v0)|
     of them.  A walk past that bound has left the orbit: an invariant
     violation, raised at the first such point.
     """
-    key0, v0 = start
+    red = cfg.field.reduction()
     stab = _stabilizer_size(closure, v0)
     bound = closure.order // stab
-    points: dict[str, list[P3Point]] = {lab: [] for lab in cfg.labels()}
-    points[carrier].append(seed)
-    seen = {(carrier, key0)}
+    lines = {lab: _LinePoints() for lab in cfg.labels()}
+    lines[carrier].add(_pair_key(red, *v0), seed, v0)
     queue = [(carrier, seed, v0)]
     for lab, p, v in queue:  # the queue grows while it is read
-        for nlab, k, nv in step(lab, p, v):
-            if (nlab, k) in seen:
+        for nlab, key, cand in step(lab, p, v):
+            line = lines[nlab]
+            if key is not None and line.holds(key, same, cand):
                 continue
-            if len(points[nlab]) >= bound:
+            nv = _normalized(*pair(nlab, cand))
+            if (key is None or line.unkeyed) and _exact_key(nv) in line.exact:
+                continue
+            if len(line.points) >= bound:
                 raise RuntimeError(
                     f"line {nlab} reached more than |G|/|Stab| = {bound} orbit points"
                 )
-            seen.add((nlab, k))
             np = build(nlab, nv)
-            points[nlab].append(np)
+            line.add(_pair_key(red, *nv) if key is None else key, np, nv)
             queue.append((nlab, np, nv))
     return OrbitReport(
         seed=seed,
         carrier=carrier,
-        total_size=len(seen),
-        per_line_sizes={lab: len(pts) for lab, pts in points.items()},
+        total_size=sum(len(line.points) for line in lines.values()),
+        per_line_sizes={lab: len(line.points) for lab, line in lines.items()},
         stabilizer_order=stab,
-        points=points,
+        points={lab: line.points for lab, line in lines.items()},
     )
+
+
+def _apply(g: ProjElem, v) -> tuple[FieldElement, FieldElement]:
+    """g.v as a pair [s : t] left unscaled: moebius_apply with no inversion."""
+    return g.rep.apply(v)
+
+
+def _same_parameter(st: tuple, _, v: tuple) -> bool:
+    """Whether [s : t] is the point with normalized parameter v: t = s w for
+    v = [1 : w], s = 0 for v = [0 : 1]; at most one product."""
+    s, t = st
+    x, y = v
+    return t == s * y if x else not s
 
 
 def orbit_full(cfg: LineConfig, seed: P3Point,
@@ -299,7 +412,8 @@ def orbit_full(cfg: LineConfig, seed: P3Point,
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
-    F_ijk v on line j.  The transport classes are read from the provenance
+    F_ijk v on line j, formed by two fused products and keyed by its image
+    mod p.  The transport classes are read from the provenance
     of an all_triples generator set, and the closure is needed for the
     stabilizer count and the orbit bound; either is computed here
     unless supplied (a built set is the one closed), and an incomplete
@@ -313,20 +427,21 @@ def orbit_full(cfg: LineConfig, seed: P3Point,
         gens = generator_set(cfg)
     transport = {t: g for g, triples in gens.provenance.items() for t in triples}
     labels = cfg.labels()
+    red = cfg.field.reduction()
 
-    def step(lab: str, _, v: ProjPoint) -> Iterator[tuple[str, tuple, ProjPoint]]:
+    def step(lab: str, _, v) -> Iterator[tuple[str, Optional[tuple], tuple]]:
         for j in labels:
             if j == lab:
                 continue
             for k in labels:
                 if k == lab or k == j:
                     continue
-                image = moebius_apply(transport[lab, j, k], v)
-                yield j, image.key(), image
+                s, t = _apply(transport[lab, j, k], v)
+                yield j, _pair_key(red, s, t), (s, t)
 
-    v0 = line_parameter(cfg, carrier, seed)
-    return _orbit_bfs(cfg, seed, carrier, closure, (v0.key(), v0), step,
-                      lambda j, v: point_on_line(cfg, j, v))
+    return _orbit_bfs(cfg, seed, carrier, closure,
+                      line_parameter(cfg, carrier, seed), step, _same_parameter,
+                      lambda j, st: st, lambda j, v: point_on_line(cfg, j, v))
 
 
 def orbit_on_line(cfg: LineConfig, G: GroupClosure,
@@ -366,24 +481,27 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
+    red = cfg.field.reduction()
+    span_images = {lab: _images(red, a + b) for lab, (a, b) in spans.items()}
 
-    def step(lab: str, p: P3Point, _) -> Iterator[tuple[str, tuple, tuple]]:
+    def step(lab: str, p: P3Point, _) -> Iterator[tuple[str, Optional[tuple], tuple]]:
         planes = {k: _plane(pluckers[k], p.coords) for k in labels if k != lab}
+        images = {k: _images(red, lam) for k, lam in planes.items()}
         for j in labels:
             if j == lab:
                 continue
             for k in labels:
                 if k == lab or k == j:
                     continue
-                st = _meet(spans[j], planes[k])
-                yield j, _span_key(*st), st
+                yield j, _meet_key(red, span_images[j], images[k]), planes[k]
 
-    def build(j: str, st: tuple) -> P3Point:
-        (s, t), (a, b) = st, spans[j]
+    def build(j: str, v: tuple) -> P3Point:
+        (s, t), (a, b) = v, spans[j]
         return P3Point(*(s * ai + t * bi for ai, bi in zip(a, b)))
 
-    v0 = _parameter(spans[carrier], seed.coords)
-    return _orbit_bfs(cfg, seed, carrier, closure, (_span_key(*v0), v0), step, build)
+    v0 = _normalized(*_parameter(spans[carrier], seed.coords))
+    return _orbit_bfs(cfg, seed, carrier, closure, v0, step, _on_plane,
+                      lambda j, lam: _meet(spans[j], lam), build)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from skewlines.configs import LineConfig
 from skewlines.families import FAMILY_BUILDERS, a4_example, build_family
 from skewlines.fields import rational_field
 from skewlines.groupoid import group_closure
-from skewlines.matrices import Mat2, ProjPoint
+from skewlines.matrices import Mat2
 
 Q = rational_field()
 
@@ -334,10 +334,10 @@ def test_oracle_mismatch_is_invariant_violation(a4_path, capsys, monkeypatch):
 
 
 def test_orbit_walk_off_the_orbit_exits_3(a4_path, capsys, monkeypatch):
-    # every transport image is a new parameter [1 : n], never one of G.v0
+    # every transport candidate is a new parameter [1 : n], never one of G.v0
     counter = itertools.count(1)
-    monkeypatch.setattr("skewlines.orbits.moebius_apply", lambda g, v: ProjPoint(
-        v.field.one(), v.field.from_int(next(counter))))
+    monkeypatch.setattr("skewlines.orbits._apply", lambda g, v: (
+        g.field.one(), g.field.from_int(next(counter))))
     code, _, err = run(capsys, "orbit", a4_path, "--seed-point", "[0:0:0:1]")
     assert code == 3
     assert "invariant violation" in err and "|G|/|Stab|" in err

@@ -79,6 +79,30 @@ def closure_of(cfg, mode="all_triples", budget=5000):
     return group_closure(generator_set(cfg, mode=mode), budget=budget)
 
 
+def element_keys(G) -> set:
+    return {g.key() for g in G.elements}
+
+
+def closure_json(G) -> dict:
+    return {"order": G.order, "budget_hit": G.budget_hit,
+            "elements": [g.to_json() for g in G.elements]}
+
+
+def generator_set_json(gens) -> dict:
+    return {"mode": gens.mode,
+            "elements": [{"matrix": g.to_json(),
+                          "triples": [list(t) for t in gens.provenance[g]]}
+                         for g in gens.elements]}
+
+
+def all_roots_of_unity(report) -> bool:
+    return all(e["status"] == "root_of_unity" for e in report.entries)
+
+
+def point_from_json(field, pair) -> ProjPoint:
+    return ProjPoint(*(field.element_from_json(x) for x in pair))
+
+
 # ---------------------------------------------------------------------------
 # single generators
 
@@ -186,7 +210,7 @@ def test_generator_modes_agree_on_closure():
                 a4_example().config):
         all_t = closure_of(cfg, mode="all_triples")
         diffs = closure_of(cfg, mode="differences")
-        assert all_t.keys == diffs.keys
+        assert element_keys(all_t) == element_keys(diffs)
 
 
 def test_differences_mode_needs_infinity_line():
@@ -220,7 +244,7 @@ def test_generator_modes_agree_with_infinity_but_no_zero_line():
         all_t = closure_of(cfg, mode="all_triples")
         diffs = closure_of(cfg, mode="differences")
         assert all_t.order == diffs.order
-        assert all_t.keys == diffs.keys
+        assert element_keys(all_t) == element_keys(diffs)
         checked += 1
 
 
@@ -238,7 +262,7 @@ def test_minimal_configuration_generates_trivially():
 
 def test_generator_set_json_shape():
     gens = generator_set(diag_config(Q, (2, 7)), mode="differences")
-    blob = gens.to_json()
+    blob = generator_set_json(gens)
     assert blob["mode"] == "differences"
     for entry in blob["elements"]:
         assert isinstance(entry["matrix"], list)
@@ -252,10 +276,11 @@ def test_generator_set_json_shape():
 def test_closure_is_group():
     G = closure_of(standard_construction(5).config)
     assert G.order == 10
+    keys = element_keys(G)
     for g in G.elements:
-        assert g.inv() in G
+        assert g.inv().key() in keys
         for h in G.elements:
-            assert g * h in G
+            assert (g * h).key() in keys
 
 
 def test_closure_is_deterministic():
@@ -271,7 +296,7 @@ def test_generators_and_closure_form_no_determinant(monkeypatch):
     # classes is a class: neither the transport maps nor the closure
     # products need a determinant
     cfg = affine(5).config
-    expected = group_closure(generator_set(cfg)).to_json()
+    expected = closure_json(group_closure(generator_set(cfg)))
 
     def refuse(self):
         raise AssertionError("determinant formed")
@@ -279,7 +304,7 @@ def test_generators_and_closure_form_no_determinant(monkeypatch):
     monkeypatch.setattr(Mat2, "det", refuse)
     G = group_closure(generator_set(cfg))
     assert G.order == 200
-    assert G.to_json() == expected
+    assert closure_json(G) == expected
 
 
 def test_closure_budget_stops_infinite_group():
@@ -299,7 +324,7 @@ def test_closure_rejects_bad_budget_and_closes_empty_set_to_trivial():
     G = group_closure(empty, budget=1)
     assert [g.key() for g in G.elements] == [proj_identity(Q).key()]
     assert G.generators == [] and not G.budget_hit and G.budget == 1
-    assert G.keys == {proj_identity(Q).key()}
+    assert element_keys(G) == {proj_identity(Q).key()}
     assert classify(G).label == "trivial"
 
 
@@ -307,9 +332,9 @@ def test_closure_membership():
     cfg = standard_construction(5).config
     f = cfg.field
     G = closure_of(cfg)
-    assert proj_identity(f) in G
+    assert proj_identity(f).key() in element_keys(G)
     outsider = proj_normalize(Mat2.diag(f.from_int(7), f.one()))
-    assert outsider not in G
+    assert outsider.key() not in element_keys(G)
 
 
 def test_closure_abelian_detection():
@@ -324,7 +349,7 @@ def test_order_census_of_six_cycle():
 
 def test_closure_json_shape():
     G = closure_of(standard_construction(3).config)
-    blob = G.to_json()
+    blob = closure_json(G)
     assert blob["order"] == 6
     assert blob["budget_hit"] is False
     assert len(blob["elements"]) == 6
@@ -356,14 +381,14 @@ def _reference_closure(gens, budget=DEFAULT_BUDGET):
             elements.append(y)
         idx += 1
     return GroupClosure(elements=elements, generators=mults,
-                        budget_hit=budget_hit, budget=budget, keys=seen)
+                        budget_hit=budget_hit, budget=budget)
 
 
 def _assert_closure_matches_reference(gens, budget):
     G = group_closure(gens, budget=budget)
     R = _reference_closure(gens, budget=budget)
     assert [g.key() for g in G.elements] == [g.key() for g in R.elements]
-    assert G.keys == R.keys
+    assert element_keys(G) == element_keys(R)
     assert G.generators == R.generators
     assert (G.budget_hit, G.budget) == (R.budget_hit, R.budget)
     return G
@@ -578,9 +603,9 @@ def _assert_matches_reference(cfg, modes=("all_triples", "differences")):
         assert gens.elements == elements
         assert [g.key() for g in gens.elements] == [g.key() for g in elements]
         assert list(gens.provenance.items()) == list(provenance.items())
-        assert gens.to_json() == GeneratorSet(
+        assert generator_set_json(gens) == generator_set_json(GeneratorSet(
             elements=elements, provenance=provenance, mode=mode,
-            field=cfg.field).to_json()
+            field=cfg.field))
 
 
 _BUCKET_FAMILIES = {
@@ -778,7 +803,7 @@ def _assert_witnesses_generate(G, c, field):
     pair = GeneratorSet(elements=[r, s], provenance={}, mode="witnesses", field=field)
     H = group_closure(pair, budget=G.order + 1)
     assert not H.budget_hit
-    assert H.keys == G.keys
+    assert element_keys(H) == element_keys(G)
 
 
 @pytest.mark.parametrize("fam", [a4_example, s4_example, a5_example,
@@ -848,7 +873,7 @@ def test_affine_extension_classification(p, order, label):
     assert G.order == order == fam.expected_order
     c = classify(G)
     assert c.label == label == fam.expected_label
-    fixed = ProjPoint.from_pair(fam.config.field, *c.witnesses["fixed_point"])
+    fixed = point_from_json(fam.config.field, c.witnesses["fixed_point"])
     assert all(moebius_apply(g, fixed) == fixed for g in G.elements)
 
 
@@ -864,7 +889,7 @@ def test_affine_prime_field_dilation():
     assert G.order == 20
     c = classify(G)
     assert c.label == "affine(5,4)"
-    fixed = ProjPoint.from_pair(F5, *c.witnesses["fixed_point"])
+    fixed = point_from_json(F5, c.witnesses["fixed_point"])
     assert fixed == ProjPoint(F5.one(), F5.zero())
 
 
@@ -938,8 +963,7 @@ def test_abelian_census_outside_dicksons_list_is_an_invariant_violation():
         [["2", "1"], ["0", "1"]], [["3", "1"], ["0", "1"]],
     )]
     G = GroupClosure(elements=elements, generators=elements[4:5],
-                     budget_hit=False, budget=5000,
-                     keys={g.key() for g in elements})
+                     budget_hit=False, budget=5000)
     assert G.is_abelian()
     assert [element_order(g, 8) for g in elements] == [1, 2, 2, 2, 4, 4, 4, 4]
     with pytest.raises(RuntimeError):
@@ -1038,7 +1062,7 @@ def test_ratio_orders_directly():
 def test_eigratio_accepts_icosahedral_configuration():
     report = eigratio_check(generator_set(a5_example().config))
     assert report.cap == 60
-    assert report.all_roots_of_unity
+    assert all_roots_of_unity(report)
     assert not report.infinite_witness
 
 
@@ -1077,7 +1101,7 @@ def test_analyze_ratio_scan_to_the_budget_misses_nothing_over_finite_fields():
 
 def test_eigratio_flags_unipotent_generators():
     report = eigratio_check(generator_set(elementary_abelian(3).config))
-    assert report.all_roots_of_unity
+    assert all_roots_of_unity(report)
     flagged = [e for e in report.entries if not e["semisimple"]]
     assert flagged
     assert all(e["ratio_order"] == 1 for e in flagged)

@@ -1,6 +1,7 @@
 """P^3 points, line membership, orbit enumeration, and the geometric oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,13 @@ from skewlines.families import (
     s4_example,
     standard_construction,
 )
-from skewlines.fields import MixedFields, cyclotomic_field, prime_field, rational_field
+from skewlines.fields import (
+    MixedFields,
+    cyclotomic_field,
+    prime_field,
+    rational_field,
+    reduction_at,
+)
 from skewlines.groupoid import IncompleteClosure, generator_set, group_closure
 from skewlines.matrices import (
     Mat2,
@@ -423,7 +430,9 @@ def test_orbit_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
     f = cfg.field
     G = closed(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
-    monkeypatch.setattr(orbits, "moebius_apply", _fresh_points(f))
+    fresh = _fresh_points(f)
+    # every transport candidate [s : t] the walk forms is a new parameter
+    monkeypatch.setattr(orbits, "_apply", lambda g, v: tuple(fresh()))
     with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
         orbit_full(cfg, seed, closure=G)
 
@@ -629,6 +638,182 @@ def test_keyed_walks_build_one_point_per_orbit_point(monkeypatch, walk):
         seed = point_on_line(cfg, "inf", ProjPoint(f.zero(), f.one()))
         rep = walk(cfg, seed, closure=G)
         assert len(built) == rep.total_size > 1
+
+
+# ---------------------------------------------------------------------------
+# modular keys: the walk keyed exactly by each candidate's normalized parameter
+
+
+def _exact_key_orbit(cfg, seed, G, walk) -> OrbitReport:
+    """The walk that normalizes every candidate (one inversion each) and
+    knows it by that exact key: the transport walk by the P^1 point
+    moebius_apply returns, the oracle by the meet scaled to a leading 1."""
+    carrier = find_carrier(cfg, seed)
+    labels = cfg.labels()
+    if walk is orbit_full:
+        transport = {t: g for g, ts in generator_set(cfg).provenance.items()
+                     for t in ts}
+
+        def step(lab, p, v):
+            for j, k in _pairs(labels, lab):
+                image = moebius_apply(transport[lab, j, k], v)
+                yield j, image.key(), image
+
+        def build(j, v):
+            return point_on_line(cfg, j, v)
+
+        v0 = line_parameter(cfg, carrier, seed)
+        key0 = v0.key()
+    else:
+        spans = {lab: orbits._span_rows(cfg, lab) for lab in labels}
+        pluckers = {lab: orbits._plucker(*spans[lab]) for lab in labels}
+
+        def span_key(s, t):
+            return (1, (t * s.inv()).sort_key()) if s else (0,)
+
+        def step(lab, p, v):
+            planes = {k: orbits._plane(pluckers[k], p.coords)
+                      for k in labels if k != lab}
+            for j, k in _pairs(labels, lab):
+                st = orbits._meet(spans[j], planes[k])
+                yield j, span_key(*st), st
+
+        def build(j, st):
+            (s, t), (a, b) = st, spans[j]
+            return P3Point(*(s * ai + t * bi for ai, bi in zip(a, b)))
+
+        v0 = orbits._parameter(spans[carrier], seed.coords)
+        key0 = span_key(*v0)
+
+    points = {lab: [] for lab in labels}
+    points[carrier].append(seed)
+    seen = {(carrier, key0)}
+    queue = [(carrier, seed, v0)]
+    for lab, p, v in queue:
+        for nlab, k, nv in step(lab, p, v):
+            if (nlab, k) in seen:
+                continue
+            seen.add((nlab, k))
+            np = build(nlab, nv)
+            points[nlab].append(np)
+            queue.append((nlab, np, nv))
+    return OrbitReport(
+        seed=seed, carrier=carrier, total_size=len(seen),
+        per_line_sizes={lab: len(pts) for lab, pts in points.items()},
+        stabilizer_order=sum(1 for g in G.elements if fixes_point(g, v0)),
+        points=points)
+
+
+def _seeded_orbit_point(cfg, seed: int):
+    """A point of the orbit of [0:0:0:1]: two to four seeded transport moves."""
+    from skewlines.groupoid import generator
+
+    rng = random.Random(seed)
+    f = cfg.field
+    label, v = "inf", ProjPoint(f.zero(), f.one())
+    labels = cfg.labels()
+    for _ in range(rng.randint(2, 4)):
+        j = rng.choice([lab for lab in labels if lab != label])
+        k = rng.choice([lab for lab in labels if lab not in (label, j)])
+        v = moebius_apply(generator(cfg, label, j, k), v)
+        label = j
+    return point_on_line(cfg, label, v)
+
+
+_MODULAR_KEY_CONFIGS = {
+    "a4": lambda: a4_example().config,
+    "s4": lambda: s4_example().config,
+    "a5": lambda: a5_example().config,
+    "elementary_abelian5": lambda: elementary_abelian(5).config,
+    "affine5": lambda: affine(5).config,
+    "standard6": lambda: standard_construction(6).config,
+}
+
+
+def _assert_walks_match_exact_keys(cfg, seed, G):
+    for walk in (orbit_full, orbit_geometric):
+        got = walk(cfg, seed, closure=G)
+        want = _exact_key_orbit(cfg, seed, G, walk)
+        assert got.points == want.points  # every point, in walk order
+        assert got.total_size == want.total_size
+        assert got.per_line_sizes == want.per_line_sizes
+        assert got.stabilizer_order == want.stabilizer_order
+        assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("name", list(_MODULAR_KEY_CONFIGS))
+def test_modular_keys_match_the_exact_key_walk(name):
+    cfg = _MODULAR_KEY_CONFIGS[name]()
+    G = closed(cfg)
+    seeds = [p3_from_string(cfg.field, "[0:0:0:1]")]
+    seeds += [_seeded_orbit_point(cfg, n) for n in (1, 2)]
+    for seed in seeds:
+        _assert_walks_match_exact_keys(cfg, seed, G)
+
+
+def _recording(fn, outcomes):
+    def wrapper(*args):
+        ok = fn(*args)
+        outcomes.append(ok)
+        return ok
+    return wrapper
+
+
+@pytest.mark.parametrize("name, p", [("a5", 41), ("a4", 13), ("s4", 5)])
+def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name, p):
+    # at a split prime this small, distinct orbit points share a key (the
+    # orbit of a5 through [1 : 1/41] has 60 points a line, P^1(F_41) only
+    # 42), so some key hits must be refused by the exact check; images that
+    # vanish or are undefined take the exact path, and the seed [1 : 1/p]
+    # has no image of its own.
+    cfg = _MODULAR_KEY_CONFIGS[name]()
+    f = cfg.field
+    G = closed(cfg)
+    one = f.one()
+    seeds = [p3_from_string(f, "[0:0:0:1]"),
+             point_on_line(cfg, "inf", ProjPoint(one, one / p))]
+    walks = (orbit_full, orbit_geometric)
+    want = [_exact_key_orbit(cfg, seed, G, walk).to_json()
+            for seed in seeds for walk in walks]
+    assert [walk(cfg, seed, closure=G).to_json()
+            for seed in seeds for walk in walks] == want
+    monkeypatch.setattr(f, "reduction", lambda: reduction_at(f, p))
+    outcomes = {"_same_parameter": [], "_on_plane": []}
+    for fn, seen in outcomes.items():
+        monkeypatch.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
+    assert [walk(cfg, seed, closure=G).to_json()
+            for seed in seeds for walk in walks] == want
+    for seen in outcomes.values():
+        assert False in seen and True in seen
+
+
+def test_seed_with_denominator_p_is_looked_up_exactly():
+    # [1 : 1/p] on the carrier has an undefined image at the field's own
+    # prime, so its line keeps the exact scan; the walk is unchanged
+    cfg = a4_example().config
+    f = cfg.field
+    G = closed(cfg)
+    p = f.reduction().p
+    seed = point_on_line(cfg, "1", ProjPoint(f.one(), f.one() / p))
+    _assert_walks_match_exact_keys(cfg, seed, G)
+    assert orbit_full(cfg, seed, closure=G).total_size == G.order * len(cfg.labels())
+
+
+@pytest.mark.parametrize("name", ["a4", "s4", "a5"])
+def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
+    cfg = _MODULAR_KEY_CONFIGS[name]()
+    f = cfg.field
+    G = closed(cfg)
+    gens = generator_set(cfg)
+    seed = p3_from_string(f, "[0:0:0:1]")
+    carrier = find_carrier(cfg, seed)
+    calls = []
+    inv = type(f)._inv
+    monkeypatch.setattr(type(f), "_inv", lambda self, *a: calls.append(1) or inv(self, *a))
+    full = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
+    oracle = orbit_geometric(cfg, seed, closure=G, carrier=carrier)
+    built = full.total_size - 1 + oracle.total_size - 1
+    assert 0 < len(calls) <= 2 * built
 
 
 # ---------------------------------------------------------------------------
