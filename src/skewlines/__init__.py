@@ -16,7 +16,6 @@ from .configs import (
     LineConfig,
     TransversalReport,
     ValidationReport,
-    config_validate,
     predict_abelian,
     transversal_compute,
 )

@@ -24,7 +24,6 @@ from .configs import (
     InvalidConfiguration,
     InvalidIndex,
     LineConfig,
-    config_validate,
     transversal_compute,
 )
 from .families import FAMILY_BUILDERS, InvalidParameters, build_family
@@ -74,7 +73,7 @@ def _census_text(census) -> str:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    rep = config_validate(cfg)
+    rep = cfg.validation
     payload = {"schema_version": SCHEMA_VERSION, "labels": cfg.labels(), **rep.to_json()}
     lines = [f"lines: {', '.join(cfg.labels())}"]
     if rep.valid:
@@ -93,7 +92,7 @@ def cmd_validate(args) -> int:
 
 def cmd_transversals(args) -> int:
     cfg = _load_config(args.config)
-    check = config_validate(cfg)
+    check = cfg.validation
     if not check.valid:
         _emit({"schema_version": SCHEMA_VERSION, "validation": check.to_json()},
               args, ["configuration is not pairwise skew; fix it first"])

@@ -244,10 +244,6 @@ class LineConfig:
                 f"zero={self.include_zero}, inf={self.include_infinity})")
 
 
-def config_validate(cfg: LineConfig) -> ValidationReport:
-    return cfg.validation
-
-
 def _nonscalar_matrices(cfg: LineConfig) -> list[tuple[str, Mat2]]:
     return [
         (lab, m)

@@ -424,10 +424,10 @@ class Reduction:
         return sum(a * w for a, w in zip(nums, self.powers)) * pow(den, -1, p) % p
 
     def key(self, image: Optional[Sequence[Optional[int]]]) -> Optional[tuple]:
-        """The image of a projective point or class, scaled so that its first
-        nonzero entry is 1; None when the image or one of its entries is
-        undefined, or every entry is zero.  Equal points or classes whose
-        images are defined and nonzero have equal keys."""
+        """The image of a projective point, scaled so that its first nonzero
+        entry is 1; None when the image or one of its entries is undefined,
+        or every entry is zero.  Equal points whose images are defined and
+        nonzero have equal keys."""
         if image is None or None in image:
             return None
         p = self.p

@@ -1,15 +1,14 @@
 """Groupoid generators F_ijk, group closure in PGL2, classification of the
 finite groups that arise, and the eigenvalue-ratio finiteness test.
 
-The generator set canonicalizes one triple per class: over Q and Q(zeta_n)
-the triples are bucketed by their image mod p, and membership in a bucket's
-classes is decided exactly with three products and no inverse (see
-generator_set).  The closure is a breadth-first walk with a hard element
-budget.  It knows an element by where its inverse sends [1:0], [0:1] and
-[1:1], which PGL2 acting sharply 3-transitively on P^1 makes exact, so it
-forms an exact product only for a new element (see group_closure).  Every
-downstream consumer (classifier, orbit enumerator, CLI) works from its
-deterministic element list.
+The generator set evaluates every F_ijk as a word in the difference
+classes [D_ab]: each class is canonicalized and inverted once, and each
+product of two classes is formed once (see generator_set).  The closure is
+a breadth-first walk with a hard element budget.  It knows an element by
+where its inverse sends [1:0], [0:1] and [1:1], which PGL2 acting sharply
+3-transitively on P^1 makes exact, so it forms an exact product only for a
+new element (see group_closure).  Every downstream consumer (classifier,
+orbit enumerator, CLI) works from its deterministic element list.
 
 The classifier walks Dickson's list of the finite subgroups of PGL2(K)
 and names a group only once its certificate holds (see classify).
@@ -24,11 +23,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .configs import INF_LABEL, InvalidIndex, LineConfig
-from .fields import Field, Reduction, _factorize
+from .fields import Field, _factorize
 from .matrices import (
     Mat2,
     ProjElem,
-    _canonical,
     _entries,
     eigenvectors,
     fixes_point,
@@ -52,8 +50,8 @@ def _transport(i: str, j: str, k: str, one, diff, adj, mul):
     one when k is infinity, D_ik when j is, adj D_jk when i is, and
     adj(D_jk) D_ik otherwise (adjugate = det * inverse, no division).
     diff(a, b) and adj(a, b) give D_ab and adj D_ab, and mul multiplies
-    two of them, all in one representation: exact matrices, or images
-    mod p.  Validation proved every D_ab nonsingular, so no determinant
+    two of them, all in one representation: exact matrices, or their
+    classes.  Validation proved every D_ab nonsingular, so no determinant
     is checked."""
     if k == INF_LABEL:
         return one
@@ -100,90 +98,42 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     G; without it the [D_ab] can generate more than G, and the mode is
     refused.
 
-    Many triples share a class, and each class is canonicalized (one exact
-    inversion) once.  Over Q and Q(zeta_n) every triple is put in a bucket:
-    the image of F_ijk under the field's reduction mod p, scaled so that its
-    first nonzero entry is 1.  All members of a class have images that
-    differ by a unit, so they share a bucket.  A triple joins the class R
-    of its bucket for which F ~ R holds exactly: F is zero before R's
-    leading index l, F_l != 0 and F_e = F_l R_e after l, three products and
-    no inverse.  A triple that matches no class of its bucket is
-    canonicalized and starts a class there.  A triple with an undefined
-    image (p divides a denominator) or a zero one, and every triple over a
-    field with no reduction, is canonicalized directly.  So a collision mod
-    p costs one failed exact test and never a wrong class.
+    The words are evaluated on classes, since the class of a product is the
+    product of the classes.  Each [D_ab] is canonicalized and inverted once
+    per unordered pair, as D_ba = -D_ab lies in the same class, and each
+    product [D_jk]^-1 [D_ik] is formed once per distinct pair of factor
+    classes.  Many triples share their factors' classes, so the exact
+    products number far fewer than the triples.
     """
     cfg.require_valid()
     if mode not in ("all_triples", "differences"):
         raise ValueError(f"unknown generator mode {mode!r}")
     if mode == "differences" and not cfg.include_infinity:
         raise ValueError("differences mode needs the infinity line")
-    f = cfg.field
     finite = [lab for lab in cfg.labels() if lab != INF_LABEL]
-    adjs = {ab: cfg.difference(*ab).adjugate()
-            for ab in itertools.permutations(finite, 2)}
-    exact = (Mat2.identity(f), cfg.difference, lambda a, b: adjs[a, b],
-             operator.mul)
-    red = f.reduction()
-    modular = None if red is None else _modular(
-        red, {ab: _entries(cfg.difference(*ab)) for ab in adjs})
-    buckets: dict[tuple, list] = {}
+    classes, inverses = {}, {}
+    for a, b in itertools.combinations(finite, 2):
+        g = proj_class(cfg.difference(a, b))
+        classes[a, b] = classes[b, a] = g
+        inverses[a, b] = inverses[b, a] = g.inv()
+    products: dict[tuple[ProjElem, ProjElem], ProjElem] = {}
+
+    def mul(x: ProjElem, y: ProjElem) -> ProjElem:
+        xy = products.get((x, y))
+        if xy is None:
+            xy = products[x, y] = x * y
+        return xy
+
+    classes_of = (proj_identity(cfg.field), lambda a, b: classes[a, b],
+                  lambda a, b: inverses[a, b], mul)
     provenance: dict[ProjElem, list[tuple[str, str, str]]] = {}
     for t in itertools.permutations(cfg.labels(), 3):
         if mode == "differences" and t[1] != INF_LABEL:
             continue
-        F = _entries(_transport(*t, *exact))
-        key = None if modular is None else red.key(_transport(*t, *modular))
-        if key is None:
-            g = _canonical(f, F)
-        else:
-            bucket = buckets.setdefault(key, [])
-            g = next((cls for cls, R, lead in bucket if _in_class(f, F, R, lead)),
-                     None)
-            if g is None:
-                g = _canonical(f, F)
-                R = _entries(g.rep)
-                bucket.append((g, R, next(e for e in range(4) if any(R[e][0]))))
-        provenance.setdefault(g, []).append(t)
+        provenance.setdefault(_transport(*t, *classes_of), []).append(t)
     elements = sorted(provenance, key=lambda g: g.key())
     return GeneratorSet(elements=elements, provenance=provenance, mode=mode,
                         field=cfg.field)
-
-
-def _modular(red: Reduction, diffs: dict) -> tuple:
-    """The arguments of _transport over F_p, from the raw entries of the
-    D_ab, each reduced once: the identity, D_ab, adj D_ab and the product
-    mod p, with None for a matrix whose image is undefined."""
-    p = red.p
-    images, adjs = {}, {}
-    for ab, ents in diffs.items():
-        v = tuple(red.image(n, d) for n, d in ents)
-        if None in v:
-            images[ab] = adjs[ab] = None
-        else:
-            images[ab], adjs[ab] = v, (v[3], -v[1] % p, -v[2] % p, v[0])
-
-    def mul(x, y):
-        if x is None or y is None:
-            return None
-        a, b, c, d = x
-        A, B, C, D = y
-        return ((a * A + b * C) % p, (a * B + b * D) % p,
-                (c * A + d * C) % p, (c * B + d * D) % p)
-
-    return (1, 0, 0, 1), lambda a, b: images[a, b], lambda a, b: adjs[a, b], mul
-
-
-def _in_class(f: Field, F: tuple, R: tuple, lead: int) -> bool:
-    """Whether the raw entries F lie in the class with canonical raw entries
-    R, whose first nonzero entry R_lead is 1."""
-    if any(any(n) for n, _ in F[:lead]):
-        return False
-    ln, ld = F[lead]
-    if not any(ln):
-        return False
-    mul = f._mul
-    return all(F[e] == mul(ln, ld, *R[e]) for e in range(lead + 1, 4))
 
 
 @dataclass

@@ -10,7 +10,6 @@ from skewlines.analyze import AnalysisReport, _group_section, analyze
 from skewlines.configs import (
     InvalidConfiguration,
     LineConfig,
-    config_validate,
     predict_abelian,
     transversal_compute,
 )
@@ -25,7 +24,7 @@ analyze_mod = importlib.import_module("skewlines.analyze")
 
 def _closing_analyze(cfg, budget, mode="all_triples") -> AnalysisReport:
     """The report of a pipeline that always closes, then runs the ratio test."""
-    validation = config_validate(cfg)
+    validation = cfg.validation
     report = AnalysisReport(config=cfg.to_json(), validation=validation.to_json())
     report.transversal = transversal_compute(cfg).to_json()
     try:
@@ -118,3 +117,21 @@ def test_seeded_analyze_finds_the_carrier_once(monkeypatch, oracle):
         assert report.orbit["carrier"] == plain(cfg, seed)
         assert report.orbit.get("oracle_agrees", False) is oracle
         assert len(calls) == 1
+
+
+def test_oracle_points_out_of_order_are_a_mismatch(monkeypatch):
+    # the oracle finds the same points on each line, one line in reverse order
+    from skewlines.analyze import OracleMismatch
+    from skewlines.families import a4_example
+    from skewlines.orbits import orbit_geometric, p3_from_string
+
+    def reversed_walk(*args, **kwargs):
+        report = orbit_geometric(*args, **kwargs)
+        lab = next(lab for lab, pts in report.points.items() if len(pts) > 1)
+        report.points[lab] = report.points[lab][::-1]
+        return report
+
+    monkeypatch.setattr(analyze_mod, "orbit_geometric", reversed_walk)
+    cfg = a4_example().config
+    with pytest.raises(OracleMismatch):
+        analyze(cfg, seed=p3_from_string(cfg.field, "[0:0:0:1]"), oracle=True)

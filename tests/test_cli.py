@@ -333,6 +333,26 @@ def test_oracle_mismatch_is_invariant_violation(a4_path, capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+def test_oracle_points_out_of_order_exit_3(a4_path, capsys, monkeypatch):
+    # the oracle finds the same points on each line, one line in reverse order
+    import importlib
+
+    analyze_mod = importlib.import_module("skewlines.analyze")
+    plain = analyze_mod.orbit_geometric
+
+    def reversed_walk(*args, **kwargs):
+        report = plain(*args, **kwargs)
+        lab = next(lab for lab, pts in report.points.items() if len(pts) > 1)
+        report.points[lab] = report.points[lab][::-1]
+        return report
+
+    monkeypatch.setattr(analyze_mod, "orbit_geometric", reversed_walk)
+    code, _, err = run(capsys, "orbit", a4_path,
+                       "--seed-point", "[0:0:0:1]", "--oracle")
+    assert code == 3
+    assert "invariant violation" in err
+
+
 def test_orbit_walk_off_the_orbit_exits_3(a4_path, capsys, monkeypatch):
     # every transport candidate is a new parameter [1 : n], never one of G.v0
     counter = itertools.count(1)

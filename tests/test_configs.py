@@ -17,7 +17,6 @@ from skewlines.configs import (
     _commutation_case,
     InvalidIndex,
     LineConfig,
-    config_validate,
     predict_abelian,
     transversal_compute,
 )
@@ -107,7 +106,7 @@ def test_special_lines_only_is_valid():
 def test_generic_diagonal_config_valid():
     # a, d outside {0, 1} and distinct
     cfg = LineConfig(Q, [Mat2.identity(Q), diag(Q, 2, 3)])
-    rep = config_validate(cfg)
+    rep = cfg.validation
     assert rep.valid
     assert rep.pair_violations == []
     assert rep.meets_zero == []

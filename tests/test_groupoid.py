@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skewlines import matrices
 from skewlines.analyze import analyze
 from skewlines.configs import InvalidConfiguration, InvalidIndex, LineConfig
 from skewlines.families import (
@@ -29,7 +30,6 @@ from skewlines.fields import (
     extension_field,
     prime_field,
     rational_field,
-    reduction_at,
 )
 from skewlines.groupoid import (
     DEFAULT_BUDGET,
@@ -468,6 +468,8 @@ def test_hypothesis_closure_matches_the_product_keyed_reference(case):
 
 
 def test_closure_forms_one_product_per_new_element(monkeypatch):
+    # the set is assembled first: its class products are not the closure's
+    gens = generator_set(affine(5).config)
     products = []
     plain = ProjElem.__mul__
 
@@ -478,7 +480,7 @@ def test_closure_forms_one_product_per_new_element(monkeypatch):
     monkeypatch.setattr(ProjElem, "__mul__", counted)
     for budget in (50, DEFAULT_BUDGET):
         products.clear()
-        G = group_closure(generator_set(affine(5).config), budget=budget)
+        G = group_closure(gens, budget=budget)
         assert len(products) == G.order - 1
 
 
@@ -582,8 +584,8 @@ def test_analyze_with_orbit_builds_one_set_and_calls_no_generator(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# generator assembly by modular buckets: the same set as canonicalizing
-# every triple
+# generator assembly by products of difference classes: the same set as
+# canonicalizing every triple
 
 
 def _reference_generator_set(cfg, mode):
@@ -608,7 +610,7 @@ def _assert_matches_reference(cfg, modes=("all_triples", "differences")):
             field=cfg.field))
 
 
-_BUCKET_FAMILIES = {
+_ASSEMBLY_FAMILIES = {
     **{f"standard{n}": functools.partial(standard_construction, n)
        for n in [*range(3, 17), 18, 20]},
     "a4": a4_example, "s4": s4_example, "a5": a5_example,
@@ -619,12 +621,9 @@ _BUCKET_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("name", list(_BUCKET_FAMILIES))
-def test_bucketed_generator_set_matches_every_triple_reference(name):
-    _assert_matches_reference(_BUCKET_FAMILIES[name]().config)
-
-
-_BUCKET_FIELDS = [cyclotomic_field(n) for n in (5, 8, 12)]
+@pytest.mark.parametrize("name", list(_ASSEMBLY_FAMILIES))
+def test_generator_set_matches_every_triple_reference(name):
+    _assert_matches_reference(_ASSEMBLY_FAMILIES[name]().config)
 
 
 def _integer_config(field, mats, include_zero=True):
@@ -633,8 +632,8 @@ def _integer_config(field, mats, include_zero=True):
 
 
 @st.composite
-def _integer_configs(draw):
-    field = draw(st.sampled_from(_BUCKET_FIELDS))
+def _integer_configs(draw, fields):
+    field = draw(st.sampled_from(fields))
     coeff = st.lists(st.integers(-2, 2), min_size=field.degree,
                      max_size=field.degree)
     mats = draw(st.lists(st.tuples(coeff, coeff, coeff, coeff),
@@ -645,8 +644,25 @@ def _integer_configs(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_integer_configs())
-def test_hypothesis_bucketed_generator_set_matches_reference(cfg):
+@given(_integer_configs([cyclotomic_field(n) for n in (5, 8, 12)]))
+def test_hypothesis_generator_set_matches_reference_over_cyclotomic_fields(cfg):
+    _assert_matches_reference(cfg)
+
+
+# fields with no reduction mod p: F_5, F_25, F_8 (characteristic 2), Q(sqrt 2)
+# and the cubic Q(2^(1/3))
+_UNREDUCED_FIELDS = [
+    F5,
+    extension_field(F5, [3, 0, 1]),  # F_25: z^2 = 2
+    extension_field(prime_field(2), [1, 1, 0, 1]),  # F_8: z^3 = z + 1
+    extension_field(Q, [-2, 0, 1]),  # z^2 = 2
+    extension_field(Q, [-2, 0, 0, 1]),  # z^3 = 2
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_integer_configs(_UNREDUCED_FIELDS))
+def test_hypothesis_generator_set_matches_reference_over_other_fields(cfg):
     _assert_matches_reference(cfg)
 
 
@@ -659,30 +675,15 @@ def _random_integer_config(field, rng, lines):
             return cfg
 
 
-def test_bucket_collisions_at_a_tiny_prime_keep_the_classes(monkeypatch):
-    # at p = 17 there are only |PGL2(F_17)| = 4896 buckets, so classes share
-    # them and some exact tests fail; the set must not change
+def test_random_five_line_configurations_match_the_reference():
     f = cyclotomic_field(8)
     rng = random.Random(8)
-    cfgs = [_random_integer_config(f, rng, 5) for _ in range(3)]
-    cfgs.append(standard_construction(8).config)
-    failed = []
-    in_class = sys.modules["skewlines.groupoid"]._in_class
-
-    def counted(*args):
-        out = in_class(*args)
-        if not out:
-            failed.append(args)
-        return out
-
-    monkeypatch.setattr(sys.modules["skewlines.groupoid"], "_in_class", counted)
-    for cfg in cfgs:
-        monkeypatch.setattr(cfg.field, "_reduction", reduction_at(f, 17))
+    for cfg in [_random_integer_config(f, rng, 5) for _ in range(3)]:
         _assert_matches_reference(cfg)
-    assert f.reduction().p == 17 and failed
 
 
-def test_denominator_at_the_reduction_prime_takes_the_exact_path(monkeypatch):
+def test_entry_with_the_reduction_prime_in_its_denominator_matches():
+    # an entry 1/p, for the prime p at which Q(zeta_5) reduces
     f = cyclotomic_field(5)
     p = f.reduction().p
     z = f.gen()
@@ -690,35 +691,34 @@ def test_denominator_at_the_reduction_prime_takes_the_exact_path(monkeypatch):
                          mat(f, [[f"1/{p}", "1"], ["0", "2"]]),
                          Mat2.diag(z, z * z + 3)])
     assert cfg.validation.valid
-    canonicalized = []
-    canonical = sys.modules["skewlines.groupoid"]._canonical
-
-    def counted(field, ents):
-        canonicalized.append(ents)
-        return canonical(field, ents)
-
-    monkeypatch.setattr(sys.modules["skewlines.groupoid"], "_canonical", counted)
-    gens = generator_set(cfg)
-    # the triples whose image is undefined are canonicalized one by one
-    assert len(canonicalized) > len(gens.elements)
     _assert_matches_reference(cfg)
 
 
-def test_bucketed_assembly_inverts_once_per_class(monkeypatch):
+def test_assembly_multiplies_each_pair_of_classes_once(monkeypatch):
+    # standard n=16 has 17 finite lines (0 and M_1..M_16), so 136 unordered
+    # pairs {a, b}.  Every [D_ab] is diag(1, zeta_16^m), 0 <= m < 16, so at
+    # most 16 classes, closed under inversion, enter the products: at most
+    # 16^2 = 256 products of two classes.  Field._inv runs at most once to
+    # canonicalize each [D_ab] and once to invert it: 2 * 136 = 272.  A
+    # product per all-finite triple would be 17 * 16 * 15 = 4080.
     cfg = standard_construction(16).config
-    calls = []
-    inv = Field._inv
+    products, inversions = [], []
+    product, inv = matrices._product, Field._inv
 
-    def counted(self, nums, den):
-        calls.append(nums)
+    def counted_product(x, y):
+        products.append(1)
+        return product(x, y)
+
+    def counted_inv(self, nums, den):
+        inversions.append(1)
         return inv(self, nums, den)
 
-    monkeypatch.setattr(Field, "_inv", counted)
+    monkeypatch.setattr(matrices, "_product", counted_product)
+    monkeypatch.setattr(Field, "_inv", counted_inv)
     gens = generator_set(cfg)
-    assert len(gens.elements) == 16 and len(calls) == 16
-    calls.clear()
-    _reference_generator_set(cfg, "all_triples")
-    assert len(calls) > 4000  # one per triple without the buckets
+    assert len(gens.elements) == 16
+    assert len(products) <= 16 ** 2
+    assert len(inversions) <= 2 * 136
 
 
 @pytest.mark.parametrize("fam", [
