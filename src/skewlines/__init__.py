@@ -77,7 +77,6 @@ from .matrices import (
 )
 from .orbits import (
     OrbitReport,
-    P3Point,
     SeedNotOnConfiguration,
     find_carrier,
     generic_seed,

@@ -25,8 +25,8 @@ from .groupoid import (
     generator_set,
     group_closure,
 )
-from .orbits import (P3Point, SeedNotOnConfiguration, find_carrier, orbit_full,
-                     orbit_geometric)
+from .matrices import ProjPoint
+from .orbits import SeedNotOnConfiguration, find_carrier, orbit_full, orbit_geometric
 
 SCHEMA_VERSION = "1"
 
@@ -117,7 +117,7 @@ def analyze(
     *,
     budget: int = DEFAULT_BUDGET,
     mode: str = "all_triples",
-    seed: Optional[P3Point] = None,
+    seed: Optional[ProjPoint] = None,
     oracle: bool = False,
 ) -> AnalysisReport:
     """Run the full pipeline; later stages are skipped if validation fails."""

@@ -347,6 +347,10 @@ def main(argv=None) -> int:
     except OracleMismatch as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # a RuntimeError, but raised by the parsers on input nested too deeply
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

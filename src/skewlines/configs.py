@@ -271,9 +271,10 @@ def transversal_compute(cfg: LineConfig) -> TransversalReport:
         )
 
     def verify(v: ProjPoint) -> bool:
+        vx, vy = v
         for _, m in working:
-            x, y = m.apply((v.x, v.y))
-            if x * v.y != y * v.x:  # image not proportional to v
+            x, y = m.apply((vx, vy))
+            if x * vy != y * vx:  # image not proportional to v
                 return False
         return True
 

@@ -1,9 +1,11 @@
 """2x2 matrices over an exact field, canonical PGL2 representatives, points of
-P^1, and eigenvalue/eigenvector extraction that never leaves the field.
+P^1 and P^3, and eigenvalue/eigenvector extraction that never leaves the field.
 
-Projective classes are deduplicated by a canonical representative whose first
-nonzero entry (row-major) is 1; that single convention makes closure
-enumeration a plain hash-set walk.
+Projective classes and points are deduplicated by a canonical representative
+whose first nonzero entry (row-major) is 1; that single convention makes
+closure enumeration and orbit walks plain hash-set walks.  ProjPoint is the
+one point type, of any dimension: a parameter [x : y] on a line and a point
+[x : y : z : w] of P^3 share its constructor, key and encoding.
 
 Every 2x2 product, of Mat2s or of ProjElems, forms each entry as one fused
 Field._dot on the raw (nums, den) coefficient tuples.  One routine,
@@ -28,7 +30,7 @@ class ZeroMatrix(Exception):
     """The zero matrix has no projective class."""
 
 
-class ZeroVector(Exception):
+class ZeroVector(ValueError):
     """The zero vector names no point of P^1 or P^3."""
 
 
@@ -36,7 +38,7 @@ def _same_field(*elts: FieldElement) -> Field:
     f = elts[0].field
     for e in elts[1:]:
         if e.field is not f and e.field.spec != f.spec:
-            raise MixedFields("matrix entries lie in different fields")
+            raise MixedFields("entries lie in different fields")
     return f
 
 
@@ -203,23 +205,31 @@ def commutator(x: Mat2, y: Mat2) -> Mat2:
 
 
 class ProjPoint:
-    """A point of P^1 as a canonical pair [x : y], first nonzero entry 1."""
+    """A point of projective space by its coordinates, scaled so that the
+    first nonzero one is exactly 1: [x : y] on P^1, [x : y : z : w] on P^3.
+    Hash and equality use that canonical form."""
 
-    __slots__ = ("x", "y", "field")
+    __slots__ = ("coords", "field")
 
-    def __init__(self, x: FieldElement, y: FieldElement):
-        field = _same_field(x, y)
-        if not x and not y:
-            raise ZeroVector("[0 : 0] is not a point")
-        if x:
-            inv = x.inv()
-            x, y = field.one(), y * inv
+    def __init__(self, *coords: FieldElement):
+        field = _same_field(*coords)
+        for i, lead in enumerate(coords):
+            if lead:
+                break
         else:
-            y = field.one()
-        self.x, self.y, self.field = x, y, field
+            raise ZeroVector("the zero vector is not a point")
+        if not lead.is_one():
+            # the lead becomes 1; only the entries after it are scaled, by
+            # one inversion, and a last lead needs none
+            tail = coords[i + 1:]
+            if tail:
+                inv = lead.inv()
+                tail = tuple([c * inv for c in tail])
+            coords = coords[:i] + (field.one(),) + tail
+        self.coords, self.field = coords, field
 
     def key(self) -> tuple:
-        return (self.x.sort_key(), self.y.sort_key())
+        return tuple([c.sort_key() for c in self.coords])
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -230,13 +240,13 @@ class ProjPoint:
         return hash(self.key())
 
     def __iter__(self):
-        return iter((self.x, self.y))
+        return iter(self.coords)
 
     def to_json(self) -> list:
-        return [self.x.to_json(), self.y.to_json()]
+        return [c.to_json() for c in self.coords]
 
     def __repr__(self):
-        return f"[{self.x!r} : {self.y!r}]"
+        return "[" + " : ".join([repr(c) for c in self.coords]) + "]"
 
 
 class ProjElem:
@@ -358,8 +368,7 @@ def proj_order(g: ProjElem, bound: int = 120) -> Optional[int]:
 def moebius_apply(g: ProjElem, p: ProjPoint) -> ProjPoint:
     if g.field.spec != p.field.spec:
         raise MixedFields("element and point lie over different fields")
-    x, y = g.rep.apply((p.x, p.y))
-    return ProjPoint(x, y)
+    return ProjPoint(*g.rep.apply(p.coords))
 
 
 def fixes_point(g: ProjElem, p) -> bool:

@@ -11,7 +11,9 @@ Both walks share one point index (_orbit_bfs): a candidate is filed by the
 image of its line parameter under Field.reduction(), and a key hit is
 confirmed exactly without an inverse, so only a new point is normalized
 and built.  This is the modular method with exact confirmation (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).
+Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).  Points of P^3 and
+their P^1 parameters are both matrices.ProjPoint, with one normalization
+and one exact key.
 """
 
 from __future__ import annotations
@@ -36,49 +38,7 @@ class SeedNotOnConfiguration(Exception):
     """The seed point lies on none of the configuration's lines."""
 
 
-class P3Point:
-    """A point of P^3 scaled so its first nonzero coordinate is 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, x: FieldElement, y: FieldElement,
-                 z: FieldElement, w: FieldElement):
-        coords = (x, y, z, w)
-        f = x.field
-        for c in coords:
-            if c.field.spec != f.spec:
-                raise MixedFields("coordinates lie over different fields")
-        lead = next((c for c in coords if not c.is_zero()), None)
-        if lead is None:
-            raise ValueError("a projective point needs a nonzero coordinate")
-        if not lead.is_one():
-            scale = lead.inv()
-            coords = tuple(scale * c for c in coords)
-        self.coords = coords
-
-    @property
-    def field(self) -> Field:
-        return self.coords[0].field
-
-    def key(self) -> tuple:
-        return tuple(c.sort_key() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, P3Point):
-            return NotImplemented
-        return self.field.spec == other.field.spec and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coords]
-
-    def __repr__(self):
-        return "[" + " : ".join(repr(c) for c in self.coords) + "]"
-
-
-def p3_from_string(field: Field, text: str) -> P3Point:
+def p3_from_string(field: Field, text: str) -> ProjPoint:
     """Parse "[x:y:z:w]" (brackets optional) with exact field expressions."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
@@ -86,7 +46,7 @@ def p3_from_string(field: Field, text: str) -> P3Point:
     parts = body.split(":")
     if len(parts) != 4:
         raise ValueError("expected four colon-separated coordinates")
-    return P3Point(*(field.parse(p) for p in parts))
+    return ProjPoint(*(field.parse(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +108,7 @@ def _meet(span: tuple, lam: tuple) -> tuple:
     return lb, -la
 
 
-def _on_plane(lam: tuple, x: P3Point, _) -> bool:
+def _on_plane(lam: tuple, x: ProjPoint, _) -> bool:
     """Whether the point x lies on the plane lam: lam.x = 0, four products
     in two fused Field._dot calls, and no meet."""
     f = x.field
@@ -178,7 +138,7 @@ def _meet_key(red: Reduction, ab: Optional[tuple],
                     -sum(x * y for x, y in zip(lam, ab)) % p))
 
 
-def point_on_line(cfg: LineConfig, i, v) -> P3Point:
+def point_on_line(cfg: LineConfig, i, v) -> ProjPoint:
     """Embed the P^1 parameter v, a ProjPoint or a pair (x, y), as a point
     of line i in P^3.
 
@@ -189,14 +149,14 @@ def point_on_line(cfg: LineConfig, i, v) -> P3Point:
     x, y = v
     zero = cfg.field.zero()
     if label == ZERO_LABEL and cfg.include_zero:
-        return P3Point(x, y, zero, zero)
+        return ProjPoint(x, y, zero, zero)
     if label == INF_LABEL and cfg.include_infinity:
-        return P3Point(zero, zero, x, y)
+        return ProjPoint(zero, zero, x, y)
     mx, my = cfg.matrix(label).apply((x, y))
-    return P3Point(x, y, mx, my)
+    return ProjPoint(x, y, mx, my)
 
 
-def find_carrier(cfg: LineConfig, p: P3Point) -> Optional[str]:
+def find_carrier(cfg: LineConfig, p: ProjPoint) -> Optional[str]:
     """The label of the first configuration line through p, or None.
 
     p is on a line exactly when the line's dual Pluecker matrix kills it.
@@ -206,7 +166,7 @@ def find_carrier(cfg: LineConfig, p: P3Point) -> Optional[str]:
                 None)
 
 
-def line_parameter(cfg: LineConfig, label: str, p: P3Point) -> ProjPoint:
+def line_parameter(cfg: LineConfig, label: str, p: ProjPoint) -> ProjPoint:
     """The P^1 parameter of a point known to lie on the given line."""
     x, y, z, w = p.coords
     if label == INF_LABEL:
@@ -218,12 +178,12 @@ def line_parameter(cfg: LineConfig, label: str, p: P3Point) -> ProjPoint:
 class OrbitReport:
     """A full orbit grouped by the line each point landed on."""
 
-    seed: P3Point
+    seed: ProjPoint
     carrier: str
     total_size: int
     per_line_sizes: dict[str, int]
     stabilizer_order: int
-    points: dict[str, list[P3Point]]
+    points: dict[str, list[ProjPoint]]
 
     def to_json(self) -> dict:
         return {
@@ -241,7 +201,7 @@ class OrbitReport:
         }
 
 
-def _prepare(cfg: LineConfig, seed: P3Point, closure: Optional[GroupClosure],
+def _prepare(cfg: LineConfig, seed: ProjPoint, closure: Optional[GroupClosure],
              gens: Optional[GeneratorSet] = None, carrier: Optional[str] = None
              ) -> tuple[str, GroupClosure, Optional[GeneratorSet]]:
     """Check the seed and find its carrier unless one is supplied, then
@@ -281,16 +241,6 @@ def _parameter(span: tuple, x: tuple) -> tuple:
     return x[i] * b[j] - x[j] * b[i], a[i] * x[j] - a[j] * x[i]
 
 
-def _normalized(s: FieldElement, t: FieldElement) -> tuple:
-    """The pair [s : t] scaled so that its first nonzero entry is exactly 1,
-    with at most one inversion (ProjPoint's normalization)."""
-    if not s:
-        return s, t.field.one()
-    if s.is_one():
-        return s, t
-    return s.field.one(), t * s.inv()
-
-
 def _pair_key(red: Optional[Reduction], s: FieldElement,
               t: FieldElement) -> Optional[tuple]:
     """Reduction.key of the image of [s : t]; None with no reduction."""
@@ -301,23 +251,24 @@ def _pair_key(red: Optional[Reduction], s: FieldElement,
 
 class _LinePoints:
     """The points a walk has placed on one line.  buckets files each point
-    with its normalized parameter under a key, exact holds the exact key of
-    every parameter, and unkeyed records a point filed under no key."""
+    with its parameter, a P^1 ProjPoint, under a key, exact holds the
+    ProjPoint key of every parameter, and unkeyed records a point filed
+    under no key."""
 
     __slots__ = ("points", "buckets", "exact", "unkeyed")
 
     def __init__(self):
-        self.points: list[P3Point] = []
+        self.points: list[ProjPoint] = []
         self.buckets: dict[tuple, list[tuple]] = {}
         self.exact: set = set()
         self.unkeyed = False
 
-    def add(self, key: Optional[tuple], p: P3Point, v: tuple) -> None:
+    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint) -> None:
         if key is None:
             self.unkeyed = True
         else:
             self.buckets.setdefault(key, []).append((p, v))
-        self.exact.add(_exact_key(v))
+        self.exact.add(v.key())
         self.points.append(p)
 
     def holds(self, key: tuple, same, cand) -> bool:
@@ -325,18 +276,14 @@ class _LinePoints:
         return any(same(cand, p, v) for p, v in self.buckets.get(key, ()))
 
 
-def _exact_key(v: tuple) -> tuple:
-    x, y = v
-    return x.sort_key(), y.sort_key()
-
-
-def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
+def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
                closure: GroupClosure, v0, step, same, pair, build) -> OrbitReport:
     """Breadth-first walk from the seed along step.
 
     A point is named by its line and its parameter [s : t] there, since the
     lines are pairwise skew.  step(lab, p, v) yields (line, key, candidate)
-    for each neighbour of the point p with normalized parameter v.  The key
+    for each neighbour of the point p with parameter v, a P^1 ProjPoint
+    (the walk's points are P^3 ProjPoints).  The key
     is the candidate's parameter reduced by Field.reduction() and scaled to
     a leading 1 (Reduction.key), or None when that image is undefined or
     zero, or when the field has no reduction.  A ring map sends equal points
@@ -346,12 +293,13 @@ def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
       with no inverse;
     - a key that no point of the line carries means a new point, unless the
       line holds a point filed under no key;
-    - a candidate with no key, or one that finds no point on such a line, is
-      normalized (one inversion) and looked up by its exact parameter.
+    - a candidate with no key, or one that finds no point on such a line,
+      becomes a ProjPoint (at most one inversion) and is looked up by its
+      key().
 
     pair(line, candidate) is the candidate's exact [s : t], formed only for
     a new point or a candidate looked up exactly, and build(line, v) the P^3
-    point of a new point's normalized parameter v.  A new point is filed
+    point of a new point's parameter v.  A new point is filed
     under its candidate's key, or else under the key of its own parameter.
     A collision mod p costs one failed exact test and never a wrong point,
     so the walk visits the points in the order of a walk keyed exactly.
@@ -365,22 +313,22 @@ def _orbit_bfs(cfg: LineConfig, seed: P3Point, carrier: str,
     stab = _stabilizer_size(closure, v0)
     bound = closure.order // stab
     lines = {lab: _LinePoints() for lab in cfg.labels()}
-    lines[carrier].add(_pair_key(red, *v0), seed, v0)
+    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0)
     queue = [(carrier, seed, v0)]
     for lab, p, v in queue:  # the queue grows while it is read
         for nlab, key, cand in step(lab, p, v):
             line = lines[nlab]
             if key is not None and line.holds(key, same, cand):
                 continue
-            nv = _normalized(*pair(nlab, cand))
-            if (key is None or line.unkeyed) and _exact_key(nv) in line.exact:
+            nv = ProjPoint(*pair(nlab, cand))
+            if (key is None or line.unkeyed) and nv.key() in line.exact:
                 continue
             if len(line.points) >= bound:
                 raise RuntimeError(
                     f"line {nlab} reached more than |G|/|Stab| = {bound} orbit points"
                 )
             np = build(nlab, nv)
-            line.add(_pair_key(red, *nv) if key is None else key, np, nv)
+            line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv)
             queue.append((nlab, np, nv))
     return OrbitReport(
         seed=seed,
@@ -397,15 +345,15 @@ def _apply(g: ProjElem, v) -> tuple[FieldElement, FieldElement]:
     return g.rep.apply(v)
 
 
-def _same_parameter(st: tuple, _, v: tuple) -> bool:
-    """Whether [s : t] is the point with normalized parameter v: t = s w for
+def _same_parameter(st: tuple, _, v: ProjPoint) -> bool:
+    """Whether [s : t] is the point with parameter v: t = s w for
     v = [1 : w], s = 0 for v = [0 : 1]; at most one product."""
     s, t = st
-    x, y = v
+    x, y = v.coords
     return t == s * y if x else not s
 
 
-def orbit_full(cfg: LineConfig, seed: P3Point,
+def orbit_full(cfg: LineConfig, seed: ProjPoint,
                closure: Optional[GroupClosure] = None,
                gens: Optional[GeneratorSet] = None,
                carrier: Optional[str] = None) -> OrbitReport:
@@ -436,7 +384,7 @@ def orbit_full(cfg: LineConfig, seed: P3Point,
             for k in labels:
                 if k == lab or k == j:
                     continue
-                s, t = _apply(transport[lab, j, k], v)
+                s, t = _apply(transport[lab, j, k], v.coords)
                 yield j, _pair_key(red, s, t), (s, t)
 
     return _orbit_bfs(cfg, seed, carrier, closure,
@@ -466,7 +414,7 @@ def orbit_on_line(cfg: LineConfig, G: GroupClosure,
     return size, stab
 
 
-def orbit_geometric(cfg: LineConfig, seed: P3Point,
+def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
                     closure: Optional[GroupClosure] = None,
                     carrier: Optional[str] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
@@ -484,7 +432,7 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
     red = cfg.field.reduction()
     span_images = {lab: _images(red, a + b) for lab, (a, b) in spans.items()}
 
-    def step(lab: str, p: P3Point, _) -> Iterator[tuple[str, Optional[tuple], tuple]]:
+    def step(lab: str, p: ProjPoint, _) -> Iterator[tuple[str, Optional[tuple], tuple]]:
         planes = {k: _plane(pluckers[k], p.coords) for k in labels if k != lab}
         images = {k: _images(red, lam) for k, lam in planes.items()}
         for j in labels:
@@ -495,11 +443,11 @@ def orbit_geometric(cfg: LineConfig, seed: P3Point,
                     continue
                 yield j, _meet_key(red, span_images[j], images[k]), planes[k]
 
-    def build(j: str, v: tuple) -> P3Point:
-        (s, t), (a, b) = v, spans[j]
-        return P3Point(*(s * ai + t * bi for ai, bi in zip(a, b)))
+    def build(j: str, v: ProjPoint) -> ProjPoint:
+        (s, t), (a, b) = v.coords, spans[j]
+        return ProjPoint(*(s * ai + t * bi for ai, bi in zip(a, b)))
 
-    v0 = _normalized(*_parameter(spans[carrier], seed.coords))
+    v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
     return _orbit_bfs(cfg, seed, carrier, closure, v0, step, _on_plane,
                       lambda j, lam: _meet(spans[j], lam), build)
 

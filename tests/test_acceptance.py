@@ -35,7 +35,6 @@ from skewlines.groupoid import (
 )
 from skewlines.matrices import Mat2, ProjElem, ProjPoint, proj_order
 from skewlines.orbits import (
-    P3Point,
     generic_seed,
     orbit_full,
     orbit_geometric,
@@ -195,7 +194,7 @@ def test_criterion_02_octahedral_group():
     i = f12.parse("z^3")
     sqrt3 = f12.parse("z + z^11")
     w = (f12.one() - i) * (f12.one() + sqrt3) / f12.from_int(2)
-    mid = orbit_full(big, P3Point(f12.zero(), f12.zero(), -f12.one(), w),
+    mid = orbit_full(big, ProjPoint(f12.zero(), f12.zero(), -f12.one(), w),
                      closure=G12)
     print("criterion 2 field recorded for the middle seed: "
           "12th cyclotomic field (conductor 12, i = z^3, sqrt(3) = z + z^11)")
@@ -233,10 +232,10 @@ def test_criterion_03_tetrahedral_group():
     eps = f.parse("z^2")
     zero, one = f.zero(), f.one()
     harmonic = {
-        P3Point(zero, zero, zero, one),        # w/z = infinity
-        P3Point(zero, zero, one, eps.inv()),   # w/z = 1/(eps*a)
-        P3Point(zero, zero, one, zero),        # w/z = 0
-        P3Point(zero, zero, one, -eps),        # w/z = -eps/a
+        ProjPoint(zero, zero, zero, one),        # w/z = infinity
+        ProjPoint(zero, zero, one, eps.inv()),   # w/z = 1/(eps*a)
+        ProjPoint(zero, zero, one, zero),        # w/z = 0
+        ProjPoint(zero, zero, one, -eps),        # w/z = -eps/a
     }
     _report(3, "tetrahedral example", [
         ("closure order", 12, G.order),

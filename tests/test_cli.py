@@ -493,6 +493,40 @@ def test_zero_denominator_seed_point_is_an_input_error(a4_path):
     assert "Traceback" not in proc.stderr
 
 
+def _assert_input_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_seed_point_is_an_input_error(a4_path):
+    _assert_input_error(run_module("orbit", a4_path, "--seed-point", "[0:0:0:0]"))
+
+
+# input nested past the interpreter's recursion limit (1000 frames by
+# default) is malformed input, not an internal fault
+_DEEP = 3000
+_NESTED_ONE = "(" * _DEEP + "1" + ")" * _DEEP
+
+
+def test_deeply_nested_seed_coordinate_is_an_input_error(infinite_path):
+    _assert_input_error(run_module("orbit", infinite_path,
+                                   "--seed-point", f"[{_NESTED_ONE}:0:0:1]"))
+
+
+def test_deeply_nested_family_parameter_is_an_input_error():
+    _assert_input_error(run_module("family", "a4", f"a={_NESTED_ONE}"))
+
+
+def test_deeply_nested_field_is_an_input_error(tmp_path):
+    # the field's base nests _DEEP extensions deep; json.load itself recurses
+    field = ('{"kind": "extension", "base": ' * _DEEP + '{"kind": "rational"}'
+             + ', "minpoly": ["1", "0", "1"]}' * _DEEP)
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": ' + field + ', "lines": ["zero", "infinity", "identity"]}')
+    _assert_input_error(run_module("validate", str(path)))
+
+
 def test_group_on_a_huge_prime_field_stops_at_the_budget(tmp_path):
     # lines 0, inf, I, diag(2, 3) over F_p, p = 10^18 + 3: the ratio scan
     # would run to p^2 - 1, so it stops at the closure budget instead

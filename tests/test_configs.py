@@ -299,8 +299,9 @@ def test_transversals_decided_over_a_field_of_10201_elements():
     assert rep.method == "simultaneous-eigen"
     assert len(rep.witnesses) == 2
     for v in rep.witnesses:
-        x, y = m.apply((v.x, v.y))
-        assert x * v.y == y * v.x
+        vx, vy = v
+        x, y = m.apply((vx, vy))
+        assert x * vy == y * vx
 
 
 def test_transversals_decided_over_a_field_of_2_to_the_14_elements():
@@ -329,8 +330,9 @@ def test_commuting_family_uses_the_first_decided_eigenlines():
     assert set(rep.witnesses) == {ProjPoint(Z8.one(), root2), ProjPoint(Z8.one(), -root2)}
     for w in rep.witnesses:
         for m in cfg.matrices:
-            x, y = m.apply((w.x, w.y))
-            assert x * w.y == y * w.x
+            wx, wy = w
+            x, y = m.apply((wx, wy))
+            assert x * wy == y * wx
 
 
 def test_witnesses_are_sound():
@@ -345,8 +347,9 @@ def test_witnesses_are_sound():
         assert rep.exists
         for w in rep.witnesses:
             for m in cfg.matrices:
-                x, y = m.apply((w.x, w.y))
-                assert x * w.y == y * w.x
+                wx, wy = w
+                x, y = m.apply((wx, wy))
+                assert x * wy == y * wx
 
 
 def test_transversal_implies_singular_commutators():

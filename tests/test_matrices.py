@@ -297,8 +297,9 @@ def test_moebius_action_is_a_group_action():
 
 def _check_pairs(m, pairs):
     for lam, v in pairs:
-        img = m.apply((v.x, v.y))
-        assert img[0] == lam * v.x and img[1] == lam * v.y
+        vx, vy = v
+        img = m.apply((vx, vy))
+        assert img[0] == lam * vx and img[1] == lam * vy
 
 
 def test_eigen_scalar_matrix():

@@ -33,7 +33,6 @@ from skewlines.matrices import (
 )
 from skewlines.orbits import (
     OrbitReport,
-    P3Point,
     SeedNotOnConfiguration,
     find_carrier,
     generic_seed,
@@ -98,12 +97,12 @@ def test_p3_point_canonical_scaling():
 def test_p3_point_needs_a_nonzero_coordinate():
     z = Q.zero()
     with pytest.raises(ValueError):
-        P3Point(z, z, z, z)
+        ProjPoint(z, z, z, z)
 
 
 def test_p3_point_rejects_mixed_fields():
     with pytest.raises(MixedFields):
-        P3Point(Q.one(), Q.zero(), F5.one(), F5.zero())
+        ProjPoint(Q.one(), Q.zero(), F5.one(), F5.zero())
 
 
 def test_p3_parsing_variants():
@@ -186,7 +185,7 @@ def test_find_carrier_matches_parametrization_on_all_of_p3_f5():
     points = []
     for lead in range(4):
         for tail in itertools.product(elements, repeat=3 - lead):
-            points.append(P3Point(*([zero] * lead + [one] + list(tail))))
+            points.append(ProjPoint(*([zero] * lead + [one] + list(tail))))
     assert len(points) == 156
     for cfg in (diag_config(F5, (2, 3)), affine_f5_config(), singular_line_config(F5)):
         on_some_line = 0
@@ -255,9 +254,12 @@ def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the plane oracle used the matrix parametrization")
 
+    # ProjPoint is the point type both walks share; the transport walk's
+    # matrix step is _apply, that is Mat2.apply
     for name in ("point_on_line", "line_parameter", "moebius_apply",
-                 "generator_set", "ProjPoint"):
+                 "generator_set", "_apply"):
         monkeypatch.setattr(orbits, name, forbidden)
+    monkeypatch.setattr(Mat2, "apply", forbidden)
     for cfg, seed, G, want in expected:
         assert orbit_geometric(cfg, seed, closure=G).to_json() == want
 
@@ -312,7 +314,7 @@ def test_octahedral_orbits():
     sqrt3 = f.parse("z + z^11")
     assert sqrt3 * sqrt3 == f.from_int(3)
     w = (f.one() - i) * (f.one() + sqrt3) / f.from_int(2)
-    mid = P3Point(f.zero(), f.zero(), -f.one(), w)
+    mid = ProjPoint(f.zero(), f.zero(), -f.one(), w)
     rep = orbit_full(cfg, mid, closure=G)
     assert rep.total_size == 40
     assert rep.stabilizer_order == 3
@@ -345,8 +347,8 @@ def test_tetrahedral_orbits_and_equianharmonic_points():
     relabeled = {
         p3_from_string(f, "[0:0:0:1]"),
         p3_from_string(f, "[0:0:1:0]"),
-        P3Point(f.zero(), f.zero(), f.one(), (eps * f.one()).inv()),
-        P3Point(f.zero(), f.zero(), f.one(), -eps),
+        ProjPoint(f.zero(), f.zero(), f.one(), (eps * f.one()).inv()),
+        ProjPoint(f.zero(), f.zero(), f.one(), -eps),
     }
     assert set(rep.points["inf"]) == relabeled
 
@@ -541,7 +543,7 @@ def _pairs(labels, lab):
 
 
 def _reference_orbit(cfg, seed, G, walk) -> OrbitReport:
-    """The walk that builds and normalizes a P3Point for every candidate
+    """The walk that builds and normalizes a P^3 ProjPoint for every candidate
     and knows each point by its whole key."""
     carrier = find_carrier(cfg, seed)
     labels = cfg.labels()
@@ -563,7 +565,7 @@ def _reference_orbit(cfg, seed, G, walk) -> OrbitReport:
             for j, k in _pairs(labels, lab):
                 a, b = spans[j]
                 la, lb = orbits._dot(planes[k], a), orbits._dot(planes[k], b)
-                yield j, P3Point(*(lb * ai - la * bi for ai, bi in zip(a, b)))
+                yield j, ProjPoint(*(lb * ai - la * bi for ai, bi in zip(a, b)))
 
     points = {lab: [] for lab in labels}
     points[carrier].append(seed)
@@ -606,7 +608,7 @@ _KEYED_WALK_CONFIGS = {
 @pytest.mark.parametrize("name", list(_KEYED_WALK_CONFIGS))
 def test_keyed_walks_match_the_point_keyed_reference(name):
     # a point is named by its line and its parameter there, so the walk
-    # visits the same points in the same order as one keyed by P3Point
+    # visits the same points in the same order as one keyed by its P^3 point
     cfg = _KEYED_WALK_CONFIGS[name]()
     f = cfg.field
     G = closed(cfg)
@@ -621,19 +623,20 @@ def test_keyed_walks_match_the_point_keyed_reference(name):
 def test_keyed_walks_build_one_point_per_orbit_point(monkeypatch, walk):
     built = []
 
-    class Counted(P3Point):
+    class Counted(ProjPoint):
         __slots__ = ()
 
         def __init__(self, *coords):
-            built.append(coords)
+            if len(coords) == 4:  # a point of P^3, not a line parameter
+                built.append(coords)
             super().__init__(*coords)
 
-    monkeypatch.setattr(orbits, "P3Point", Counted)
+    monkeypatch.setattr(orbits, "ProjPoint", Counted)
     for cfg in (a4_example().config, affine(5).config, singular_line_config(Q)):
         f = cfg.field
         G = closed(cfg)
         built.clear()
-        # one P3Point for the seed and one for each other orbit point: a
+        # one P^3 point for the seed and one for each other orbit point: a
         # candidate already seen is never built
         seed = point_on_line(cfg, "inf", ProjPoint(f.zero(), f.one()))
         rep = walk(cfg, seed, closure=G)
@@ -680,7 +683,7 @@ def _exact_key_orbit(cfg, seed, G, walk) -> OrbitReport:
 
         def build(j, st):
             (s, t), (a, b) = st, spans[j]
-            return P3Point(*(s * ai + t * bi for ai, bi in zip(a, b)))
+            return ProjPoint(*(s * ai + t * bi for ai, bi in zip(a, b)))
 
         v0 = orbits._parameter(spans[carrier], seed.coords)
         key0 = span_key(*v0)
