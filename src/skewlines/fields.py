@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class FieldError(Exception):
@@ -405,23 +406,59 @@ class FieldElement:
 
 
 class Reduction:
-    """A ring map onto F_p from the elements of Q or Q(zeta_n) whose
-    denominator p does not divide.  It sends zeta to a root r of the
-    minimal polynomial mod p, a primitive n-th root of unity since
-    p = 1 (mod n); powers holds r^i mod p for i below the degree."""
+    """The ring maps onto F_p from the elements of Q or Q(zeta_n) whose
+    denominator p does not divide, one for each root of the minimal
+    polynomial m = Phi_n mod p.  As p = 1 (mod n), m has d = phi(n)
+    distinct roots mod p: the primitive n-th roots of unity r^k, k prime to
+    n.  roots holds, for each of them in order of k, its powers r^(ik) mod p
+    for i below d; the first (k = 1) is powers, the map image and key use.
 
-    __slots__ = ("p", "powers")
+    vanishes certifies that an expression E in exact elements is zero from
+    its images at every root.  Let A in Z[z], of degree < d, be the
+    numerator of E cleared by the product D of its operands' denominators.
+    m is monic in Z[z] with d distinct roots mod p, so an A that vanishes at
+    all of them is divisible by m mod p, and having degree < d it is 0 mod
+    p.  When 2H < p for a bound H on A's coefficients, A = 0 and so E = 0.
+    For a sum of terms, each a product of f stored elements x = N/delta,
+    H = sum over the terms of mu^(f-1) * prod h(N) * D / prod delta, with h
+    the largest |coefficient|: mu = d (1 + the largest column sum of |the
+    field's reduction rows|) bounds the growth of one product reduced
+    modulo m (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).
+    """
 
-    def __init__(self, p: int, powers: tuple[int, ...]):
-        self.p, self.powers = p, powers
+    __slots__ = ("p", "powers", "roots", "mu")
+
+    def __init__(self, p: int, roots: tuple[tuple[int, ...], ...], mu: int):
+        self.p, self.roots, self.mu = p, roots, mu
+        self.powers = roots[0]
 
     def image(self, nums: Sequence[int], den: int) -> Optional[int]:
-        """The image of the element nums/den, or None when p divides den."""
+        """The image of the element nums/den at the first root, or None when
+        p divides den."""
         p = self.p
         den %= p
         if not den:
             return None
         return sum(a * w for a, w in zip(nums, self.powers)) * pow(den, -1, p) % p
+
+    def images(self, nums: Sequence[int], den: int) -> Optional[tuple[int, ...]]:
+        """The images of nums/den at every root, the first root first, or
+        None when p divides den."""
+        p = self.p
+        den %= p
+        if not den:
+            return None
+        s = pow(den, -1, p)
+        return tuple(sum(map(operator.mul, nums, w)) * s % p for w in self.roots)
+
+    def vanishes(self, values: Iterable[int], height: int) -> Optional[bool]:
+        """Whether E is zero, from values, its images at every root, and
+        height, a bound H on its cleared numerator as in the class
+        docstring; None when 2H >= p, where the images cannot decide."""
+        p = self.p
+        if 2 * height >= p:
+            return None
+        return not any(map(p.__rmod__, values))
 
     def key(self, image: Optional[Sequence[Optional[int]]]) -> Optional[tuple]:
         """The image of a projective point, scaled so that its first nonzero
@@ -489,8 +526,11 @@ class Field:
                 self._detect_conductor()
                 self._check_irreducible_char0()
                 self._build_reduction_rows()
-        elif spec.kind == "rational":
-            self.conductor = 1
+        else:
+            # no reduction rows: _fold only normalizes in degree 1
+            self._red_rows, self._red_den = (), 1
+            if spec.kind == "rational":
+                self.conductor = 1
 
     # -- construction-time checks -------------------------------------------
 
@@ -586,9 +626,11 @@ class Field:
         self._red_den = den
 
     def reduction(self) -> Optional[Reduction]:
-        """The reduction of Q (n = 1) or Q(zeta_n) at the least prime
-        p > 2^31 with p = 1 (mod n), built on first use and kept; None for
-        every field with no conductor."""
+        """The reductions of Q (n = 1) or Q(zeta_n) at the least prime
+        p > 2^31 with p = 1 (mod n), at every root of the minimal
+        polynomial, built on first use and kept; None for every field with
+        no conductor (F_q, and every other number field: one whose minimal
+        polynomial is not monic in Z[z] included)."""
         n = self.conductor
         if n is None:
             return None
@@ -676,9 +718,10 @@ class Field:
         self._conv(n1, n2, conv)
         return self._fold(conv, d1 * d2)
 
-    def _dot(self, n1, d1, n2, d2, n3, d3, n4, d4):
-        """x1*x2 + x3*x4 on raw (nums, den) pairs, with one reduction and one
-        normalization for the sum instead of one per product and the add."""
+    def _dot(self, n1, d1, n2, d2, n3, d3, n4, d4, *more):
+        """x1*x2 + x3*x4 on raw (nums, den) pairs, plus one more product for
+        each further four operands in more, with one reduction and one
+        normalization for the sum instead of one per product and add."""
         p = self.characteristic
         den = 1
         if not p:
@@ -688,12 +731,22 @@ class Field:
                 n1 = [a * e34 for a in n1]
                 n3 = [a * den for a in n3]
                 den *= e34
-        if self.degree == 1:
+        if self.degree == 1 and not more:
             s = n1[0] * n2[0] + n3[0] * n4[0]
             return ((s % p,), 1) if p else self._normalize([s], den)
         conv = [0] * (2 * self.degree - 1)
         self._conv(n1, n2, conv)
         self._conv(n3, n4, conv)
+        if more:
+            for i in range(0, len(more), 4):
+                n5, d5, n6, d6 = more[i:i + 4]
+                e = d5 * d6
+                if not p and e != den:
+                    # the sum so far and this product onto a common denominator
+                    conv = [c * e for c in conv]
+                    n5 = [a * den for a in n5]
+                    den *= e
+                self._conv(n5, n6, conv)
         return self._fold(conv, den)
 
     def _inv(self, nums, den):
@@ -1145,23 +1198,29 @@ class Field:
 
 
 def reduction_at(field: Field, p: int) -> Reduction:
-    """The reduction of Q or Q(zeta_n) at a prime p = 1 (mod n): zeta goes
-    to the first a^((p-1)/n), a = 2, 3, ..., that is a root of the minimal
-    polynomial mod p.  One exists, as F_p* is cyclic of order divisible
-    by n."""
+    """The reductions of Q or Q(zeta_n) at a prime p = 1 (mod n).  The
+    first sends zeta to the first a^((p-1)/n), a = 2, 3, ..., that is a
+    root r of the minimal polynomial mod p; one exists, as F_p* is cyclic of
+    order divisible by n.  r is then a primitive n-th root of unity, and the
+    others send zeta to r^k for each other k in 1..n prime to n."""
     n = field.conductor
     if n is None or (p - 1) % n or not _is_prime(p):
         raise UnsupportedField(f"{field} has no reduction at {p}")
-    if field.degree == 1:
-        return Reduction(p, (1,))
-    m = [int(c) % p for c in field.minpoly]
-    for a in itertools.count(2):
-        r = pow(a, (p - 1) // n, p)
-        value = 0
-        for c in reversed(m):
-            value = (value * r + c) % p
-        if not value:
-            return Reduction(p, tuple(pow(r, i, p) for i in range(field.degree)))
+    d = field.degree
+    r = 1
+    if d > 1:
+        m = [int(c) % p for c in field.minpoly]
+        for a in itertools.count(2):
+            r = pow(a, (p - 1) // n, p)
+            value = 0
+            for c in reversed(m):
+                value = (value * r + c) % p
+            if not value:
+                break
+    roots = tuple(tuple(pow(r, i * k, p) for i in range(d))
+                  for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    spread = max(sum(abs(row[i]) for row in field._red_rows) for i in range(d))
+    return Reduction(p, roots, d * (1 + spread))
 
 
 def _tokenize(text: str):

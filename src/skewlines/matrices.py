@@ -251,13 +251,15 @@ class ProjPoint:
 
 class ProjElem:
     """An element of PGL2: a nonsingular Mat2 scaled so its first nonzero
-    entry (row-major) is 1.  Hash/equality use that canonical form."""
+    entry (row-major) is 1.  Hash/equality use that canonical form, whose
+    key is formed once, on first use."""
 
-    __slots__ = ("rep",)
+    __slots__ = ("rep", "_key")
 
     def __init__(self, rep: Mat2):
         # trusted constructor: rep must already be canonical (use proj_normalize)
         self.rep = rep
+        self._key = None
 
     @property
     def field(self) -> Field:
@@ -277,16 +279,21 @@ class ProjElem:
         return proj_class(self.rep.adjugate())
 
     def key(self) -> tuple:
-        return self.rep.key()
+        key = self._key
+        if key is None:
+            key = self._key = self.rep.key()
+        return key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ProjElem):
             return NotImplemented
         return ((self.field is other.field or self.field.spec == other.field.spec)
-                and self.rep.key() == other.rep.key())
+                and self.key() == other.key())
 
     def __hash__(self):
-        return hash(self.rep.key())
+        return hash(self.key())
 
     def to_json(self) -> list:
         return self.rep.to_json()

@@ -8,19 +8,31 @@ algebra on the lines' Pluecker coordinates, with no per-line cases.
 Agreement between them is the strongest correctness check the package has.
 
 Both walks share one point index (_orbit_bfs): a candidate is filed by the
-image of its line parameter under Field.reduction(), and a key hit is
-confirmed exactly without an inverse, so only a new point is normalized
-and built.  This is the modular method with exact confirmation (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).  Points of P^3 and
-their P^1 parameters are both matrices.ProjPoint, with one normalization
-and one exact key.
+image of its line parameter under Field.reduction(), at the first root of
+the minimal polynomial m mod p.  A key hit is decided from images alone:
+each new point, each transport class and each line's Pluecker coordinates
+keep their images at all d roots of m mod p, computed once, so the test
+t x' - s y' = 0 (transport) or lam.x = 0 (oracle) is integer arithmetic mod
+p at every root.  If the expression E vanishes at all d roots, m divides
+its cleared numerator mod p; that numerator has degree below d, so p
+divides each of its coefficients, and E = 0 once 2H < p for a bound H on
+them built from the operands' heights (Reduction).  Where that bound fails,
+or an image is undefined, or the field has no reduction, the hit is
+confirmed exactly without an inverse.  So only a new point is formed
+exactly, normalized and built.  This is the modular method with a height
+bound (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).
+Points of P^3 and their P^1 parameters are both matrices.ProjPoint, with
+one normalization and one exact key.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
 from .fields import Field, FieldElement, MixedFields, Reduction
@@ -77,9 +89,34 @@ def _plucker(a: tuple, b: tuple) -> tuple:
     return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
 
 
+# coordinate c of the plane through a point x and a line pl (in the order
+# of _PAIRS) is the sum of sign * pl[i] * x[j] over (sign, i, j) in
+# _PLANE[c]: the line's dual Pluecker matrix applied to x
+_PLANE = (
+    ((1, 5, 1), (-1, 4, 2), (1, 3, 3)),
+    ((1, 2, 2), (-1, 5, 0), (-1, 1, 3)),
+    ((1, 4, 0), (-1, 2, 1), (1, 0, 3)),
+    ((1, 1, 1), (-1, 3, 0), (-1, 0, 2)),
+)
+
+
 def _plane(pl: tuple, x: tuple) -> tuple:
-    """The plane through the point x and the line pl: its dual Pluecker
-    matrix applied to x.  All four coordinates vanish when x is on the line."""
+    """The plane through the point x and the line pl, each coordinate one
+    fused Field._dot of three products.  All four coordinates vanish when
+    x is on the line."""
+    f = x[0].field
+    out = []
+    for row in _PLANE:
+        ops = []
+        for sign, i, j in row:
+            a, b = pl[i], x[j]
+            ops += (a.nums if sign > 0 else f._neg_nums(a.nums), a.den, b.nums, b.den)
+        out.append(FieldElement(f, *f._dot(*ops)))
+    return tuple(out)
+
+
+def _plane_at(pl: tuple, x: tuple) -> tuple:
+    """_plane on the images of pl and x at one root: integers, not reduced."""
     p01, p02, p03, p12, p13, p23 = pl
     x0, x1, x2, x3 = x
     return (
@@ -91,7 +128,12 @@ def _plane(pl: tuple, x: tuple) -> tuple:
 
 
 def _dot(u: tuple, v: tuple) -> FieldElement:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+    """u . v, one fused Field._dot."""
+    f = u[0].field
+    ops = []
+    for x, y in zip(u, v):
+        ops += (x.nums, x.den, y.nums, y.den)
+    return FieldElement(f, *f._dot(*ops))
 
 
 def _meet(span: tuple, lam: tuple) -> tuple:
@@ -109,33 +151,83 @@ def _meet(span: tuple, lam: tuple) -> tuple:
 
 
 def _on_plane(lam: tuple, x: ProjPoint, _) -> bool:
-    """Whether the point x lies on the plane lam: lam.x = 0, four products
-    in two fused Field._dot calls, and no meet."""
-    f = x.field
-    (a, b, c, d), (p, q, r, s) = lam, x.coords
-    u = f._dot(a.nums, a.den, p.nums, p.den, b.nums, b.den, q.nums, q.den)
-    v = f._dot(c.nums, c.den, r.nums, r.den, d.nums, d.den, s.nums, s.den)
-    return u == (f._neg_nums(v[0]), v[1])
+    """Whether the point x lies on the plane lam: lam.x = 0, one fused
+    Field._dot of four products, and no meet."""
+    return not _dot(lam, x.coords)
 
 
-def _images(red: Optional[Reduction], xs: tuple) -> Optional[tuple]:
-    """The images of the elements xs under red; None with no reduction or
-    when an image is undefined."""
-    if red is None:
-        return None
-    out = tuple(red.image(x.nums, x.den) for x in xs)
-    return None if None in out else out
-
-
-def _meet_key(red: Reduction, ab: Optional[tuple],
-              lam: Optional[tuple]) -> Optional[tuple]:
-    """The key of _meet((a, b), lam) from the images of a + b and of lam
-    alone: the meet formed over F_p.  None when either image is undefined."""
-    if ab is None or lam is None:
+def _meet_key(red: Reduction, ab: Optional[tuple], lam: Sequence[int]) -> Optional[tuple]:
+    """The key of _meet((a, b), lam) from the images of a + b and of lam at
+    the first root alone: the meet formed over F_p.  None when the image of
+    a + b is undefined."""
+    if ab is None:
         return None
     p = red.p
-    return red.key((sum(x * y for x, y in zip(lam, ab[4:])) % p,
-                    -sum(x * y for x, y in zip(lam, ab)) % p))
+    return red.key((sum(map(operator.mul, lam, ab[4:])) % p,
+                    -sum(map(operator.mul, lam, ab)) % p))
+
+
+# ---------------------------------------------------------------------------
+# certified hits: images at every root of Field.reduction()
+
+
+def _certified(red: Optional[Reduction], xs: tuple) -> Optional[tuple]:
+    """The images of the stored elements xs at every root of red, one tuple
+    over the roots for each element, and their cleared heights
+    h(x) * D / den(x), D the product of their denominators and h the
+    largest |numerator coefficient|; None with no reduction or when an
+    image is undefined.
+
+    A term of a product of stored elements, one from each of several such
+    tuples, is bounded in a numerator cleared by all their denominators by
+    mu^(f-1) times the product of its factors' cleared heights
+    (Reduction)."""
+    if red is None:
+        return None
+    images = tuple(red.images(x.nums, x.den) for x in xs)
+    if None in images:
+        return None
+    dens = math.prod(x.den for x in xs)
+    return images, tuple(max(map(abs, x.nums)) * (dens // x.den) for x in xs)
+
+
+def _vanishes(red: Reduction, form: Optional[tuple],
+              held: Optional[tuple]) -> Optional[bool]:
+    """Whether sum_i c_i x_i = 0, for a candidate's form c and a stored
+    point's _certified elements x.  The form holds the images of each c_i
+    at every root and a bound W_i = mu * (the sum over its terms, products
+    of two stored elements, of their cleared heights); red.vanishes
+    decides, with H = mu * sum_i W_i h(x_i).  None when either side has no
+    images or 2H >= p.
+    """
+    if form is None or held is None:
+        return None
+    (cs, cw), (xs, xw) = form, held
+    # root by root, the sum over i of c_i x_i
+    values = map(sum, zip(*map(map, itertools.repeat(operator.mul), cs, xs)))
+    return red.vanishes(values, red.mu * sum(map(operator.mul, cw, xw)))
+
+
+def _transport_form(mu: int, g: tuple, v: tuple) -> tuple:
+    """The form (t, -s) of the candidate [s : t] = g.v, from the _certified
+    entries of g and coordinates of v: t x' - s y' vanishes exactly at the
+    stored parameter [x' : y'] = [s : t]."""
+    (gs, (wa, wb, wc, wd)), (vs, (wx, wy)) = g, v
+    (a, b, c, d), (x, y) = gs, vs
+    mul, add = operator.mul, operator.add
+    t = tuple(map(add, map(mul, c, x), map(mul, d, y)))
+    s = map(add, map(mul, a, x), map(mul, b, y))
+    return ((t, tuple(map(operator.neg, s))),
+            (mu * (wc * wx + wd * wy), mu * (wa * wx + wb * wy)))
+
+
+def _plane_form(mu: int, pl: tuple, x: tuple) -> tuple:
+    """The form of the plane through x and the line pl, from their
+    _certified Pluecker and point coordinates: it vanishes at a stored
+    point exactly when the point lies on the plane."""
+    (ps, pw), (xs, xw) = pl, x
+    return (tuple(zip(*map(_plane_at, zip(*ps), zip(*xs)))),
+            tuple(mu * sum(pw[i] * xw[j] for _, i, j in row) for row in _PLANE))
 
 
 def point_on_line(cfg: LineConfig, i, v) -> ProjPoint:
@@ -251,9 +343,9 @@ def _pair_key(red: Optional[Reduction], s: FieldElement,
 
 class _LinePoints:
     """The points a walk has placed on one line.  buckets files each point
-    with its parameter, a P^1 ProjPoint, under a key, exact holds the
-    ProjPoint key of every parameter, and unkeyed records a point filed
-    under no key."""
+    with its parameter, a P^1 ProjPoint, and its _certified held elements
+    under a key, exact holds the ProjPoint key of every parameter, and
+    unkeyed records a point filed under no key."""
 
     __slots__ = ("points", "buckets", "exact", "unkeyed")
 
@@ -263,46 +355,68 @@ class _LinePoints:
         self.exact: set = set()
         self.unkeyed = False
 
-    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint) -> None:
+    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint,
+            held: Optional[tuple]) -> None:
         if key is None:
             self.unkeyed = True
         else:
-            self.buckets.setdefault(key, []).append((p, v))
+            self.buckets.setdefault(key, []).append((p, v, held))
         self.exact.add(v.key())
         self.points.append(p)
 
-    def holds(self, key: tuple, same, cand) -> bool:
-        """Whether a point filed under key passes same(cand, point, v)."""
-        return any(same(cand, p, v) for p, v in self.buckets.get(key, ()))
+    def holds(self, key: tuple, red: Reduction, form: Optional[tuple],
+              exact, same) -> bool:
+        """Whether a point filed under key is the candidate: decided by
+        _vanishes from the candidate's form where it can, else by
+        same(exact(), point, v) on the exact candidate."""
+        for p, v, held in self.buckets.get(key, ()):
+            hit = _vanishes(red, form, held)
+            if hit is None:
+                hit = same(exact(), p, v)
+            if hit:
+                return True
+        return False
 
 
 def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
-               closure: GroupClosure, v0, step, same, pair, build) -> OrbitReport:
+               closure: GroupClosure, v0, step, same, pair, build,
+               held) -> OrbitReport:
     """Breadth-first walk from the seed along step.
 
     A point is named by its line and its parameter [s : t] there, since the
-    lines are pairwise skew.  step(lab, p, v) yields (line, key, candidate)
-    for each neighbour of the point p with parameter v, a P^1 ProjPoint
-    (the walk's points are P^3 ProjPoints).  The key
-    is the candidate's parameter reduced by Field.reduction() and scaled to
-    a leading 1 (Reduction.key), or None when that image is undefined or
-    zero, or when the field has no reduction.  A ring map sends equal points
-    with defined, nonzero images to one key, so on each line:
+    lines are pairwise skew.  step(lab, p, v, c) yields
+    (line, key, form, exact) for each neighbour of the point p with
+    parameter v, a P^1 ProjPoint (the walk's points are P^3 ProjPoints),
+    and c, the _certified images of the point's held(p, v) elements.  key
+    is the candidate's parameter reduced at the first root of
+    Field.reduction() and scaled to a leading 1 (Reduction.key), or None
+    when that image is undefined or zero, or when the field has no
+    reduction.  form holds the images at every root of a linear form in
+    the held elements of a stored point that vanishes exactly at the
+    candidate, with a bound on its height, or None.  exact() forms the
+    exact candidate.  A ring map sends equal points with defined, nonzero
+    images to one key, so on each line:
 
-    - a key hit is confirmed exactly by same(candidate, point, parameter),
-      with no inverse;
+    - a key hit is decided from images alone (_vanishes): the form
+      vanishes at every root and 2H < p for the height bound H, so the
+      cleared numerator, of degree below that of the minimal polynomial m
+      and divisible by m mod p, is zero (Reduction);
+    - a hit the images cannot decide (an image undefined, 2H >= p, or no
+      reduction at all) is confirmed exactly by same(exact(), point,
+      parameter), with no inverse;
     - a key that no point of the line carries means a new point, unless the
       line holds a point filed under no key;
     - a candidate with no key, or one that finds no point on such a line,
       becomes a ProjPoint (at most one inversion) and is looked up by its
       key().
 
-    pair(line, candidate) is the candidate's exact [s : t], formed only for
+    pair(line, candidate) is the exact candidate's [s : t], formed only for
     a new point or a candidate looked up exactly, and build(line, v) the P^3
-    point of a new point's parameter v.  A new point is filed
-    under its candidate's key, or else under the key of its own parameter.
-    A collision mod p costs one failed exact test and never a wrong point,
-    so the walk visits the points in the order of a walk keyed exactly.
+    point of a new point's parameter v.  A new point is filed under its
+    candidate's key, or else under the key of its own parameter, with the
+    images of its held elements, computed once.  A collision mod p costs
+    one refused hit and never a wrong point, so the walk visits the points
+    in the order of a walk keyed exactly.
 
     Every point the walk reaches on a line has parameter g v0 for some g in
     G, v0 the seed's parameter, so no line holds more than |G| / |Stab(v0)|
@@ -313,14 +427,15 @@ def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
     stab = _stabilizer_size(closure, v0)
     bound = closure.order // stab
     lines = {lab: _LinePoints() for lab in cfg.labels()}
-    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0)
-    queue = [(carrier, seed, v0)]
-    for lab, p, v in queue:  # the queue grows while it is read
-        for nlab, key, cand in step(lab, p, v):
+    c0 = _certified(red, held(seed, v0))
+    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, c0)
+    queue = [(carrier, seed, v0, c0)]
+    for lab, p, v, c in queue:  # the queue grows while it is read
+        for nlab, key, form, exact in step(lab, p, v, c):
             line = lines[nlab]
-            if key is not None and line.holds(key, same, cand):
+            if key is not None and line.holds(key, red, form, exact, same):
                 continue
-            nv = ProjPoint(*pair(nlab, cand))
+            nv = ProjPoint(*pair(nlab, exact()))
             if (key is None or line.unkeyed) and nv.key() in line.exact:
                 continue
             if len(line.points) >= bound:
@@ -328,8 +443,9 @@ def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
                     f"line {nlab} reached more than |G|/|Stab| = {bound} orbit points"
                 )
             np = build(nlab, nv)
-            line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv)
-            queue.append((nlab, np, nv))
+            nc = _certified(red, held(np, nv))
+            line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv, nc)
+            queue.append((nlab, np, nv, nc))
     return OrbitReport(
         seed=seed,
         carrier=carrier,
@@ -360,8 +476,11 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint,
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
-    F_ijk v on line j, formed by two fused products and keyed by its image
-    mod p.  The transport classes are read from the provenance
+    F_ijk v on line j.  Its images at every root of Field.reduction() come
+    from those of v and of the class F_ijk, each computed once, and decide
+    a key hit by t x' - s y' = 0; the exact F_ijk v, two fused products, is
+    formed only for a new point or a hit they cannot decide.  The transport
+    classes are read from the provenance
     of an all_triples generator set, and the closure is needed for the
     stabilizer count and the orbit bound; either is computed here
     unless supplied (a built set is the one closed), and an incomplete
@@ -373,23 +492,32 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint,
     carrier, closure, gens = _prepare(cfg, seed, closure, gens, carrier)
     if gens is None:
         gens = generator_set(cfg)
-    transport = {t: g for g, triples in gens.provenance.items() for t in triples}
-    labels = cfg.labels()
     red = cfg.field.reduction()
+    classes = {g: _certified(red, g.rep.entries()) for g in gens.provenance}
+    transport = {t: (g, classes[g])
+                 for g, triples in gens.provenance.items() for t in triples}
+    labels = cfg.labels()
 
-    def step(lab: str, _, v) -> Iterator[tuple[str, Optional[tuple], tuple]]:
+    def step(lab: str, _, v, c) -> Iterator[tuple]:
         for j in labels:
             if j == lab:
                 continue
             for k in labels:
                 if k == lab or k == j:
                     continue
-                s, t = _apply(transport[lab, j, k], v.coords)
-                yield j, _pair_key(red, s, t), (s, t)
+                g, gc = transport[lab, j, k]
+                exact = partial(_apply, g, v.coords)
+                if c is None or gc is None:
+                    yield j, None, None, exact
+                    continue
+                form = _transport_form(red.mu, gc, c)
+                t, ms = form[0]
+                yield j, red.key((-ms[0] % red.p, t[0] % red.p)), form, exact
 
     return _orbit_bfs(cfg, seed, carrier, closure,
                       line_parameter(cfg, carrier, seed), step, _same_parameter,
-                      lambda j, st: st, lambda j, v: point_on_line(cfg, j, v))
+                      lambda j, st: st, lambda j, v: point_on_line(cfg, j, v),
+                      lambda p, v: v.coords)
 
 
 def orbit_on_line(cfg: LineConfig, G: GroupClosure,
@@ -422,34 +550,53 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
     Each step spans the plane through the current point and a third line,
     then meets it with the target line: Pluecker-coordinate linear algebra
     in four coordinates, serving as an independent oracle for the matrix
-    path.  closure and carrier are computed here unless supplied, as in
-    orbit_full.
+    path.  The plane's images at every root of Field.reduction() come from
+    those of the point and of the line's Pluecker coordinates, each
+    computed once, and decide a key hit by lam.x = 0; the exact plane is
+    formed only for a new point or a hit they cannot decide.  closure and
+    carrier are computed here unless supplied, as in orbit_full.
     """
     carrier, closure, _ = _prepare(cfg, seed, closure, carrier=carrier)
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
     red = cfg.field.reduction()
-    span_images = {lab: _images(red, a + b) for lab, (a, b) in spans.items()}
+    plucker_images = {lab: _certified(red, pl) for lab, pl in pluckers.items()}
+    span_images = {}  # the images of a + b at the first root
+    for lab, (a, b) in spans.items():
+        c = _certified(red, a + b)
+        span_images[lab] = None if c is None else [x[0] for x in c[0]]
 
-    def step(lab: str, p: ProjPoint, _) -> Iterator[tuple[str, Optional[tuple], tuple]]:
-        planes = {k: _plane(pluckers[k], p.coords) for k in labels if k != lab}
-        images = {k: _images(red, lam) for k, lam in planes.items()}
+    def step(lab: str, p: ProjPoint, _, c) -> Iterator[tuple]:
+        planes = {}  # the exact planes, formed on demand
+
+        def plane(k: str) -> tuple:
+            if k not in planes:
+                planes[k] = _plane(pluckers[k], p.coords)
+            return planes[k]
+
+        forms = {k: None if c is None or plucker_images[k] is None
+                 else _plane_form(red.mu, plucker_images[k], c)
+                 for k in labels if k != lab}
         for j in labels:
             if j == lab:
                 continue
             for k in labels:
                 if k == lab or k == j:
                     continue
-                yield j, _meet_key(red, span_images[j], images[k]), planes[k]
+                form = forms[k]
+                key = None if form is None else _meet_key(
+                    red, span_images[j], [lam[0] for lam in form[0]])
+                yield j, key, form, partial(plane, k)
 
     def build(j: str, v: ProjPoint) -> ProjPoint:
         (s, t), (a, b) = v.coords, spans[j]
-        return ProjPoint(*(s * ai + t * bi for ai, bi in zip(a, b)))
+        return ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
 
     v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
     return _orbit_bfs(cfg, seed, carrier, closure, v0, step, _on_plane,
-                      lambda j, lam: _meet(spans[j], lam), build)
+                      lambda j, lam: _meet(spans[j], lam), build,
+                      lambda p, v: p.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -721,6 +721,38 @@ def test_assembly_multiplies_each_pair_of_classes_once(monkeypatch):
     assert len(inversions) <= 2 * 136
 
 
+def test_assembly_keys_each_class_once(monkeypatch):
+    # dictionaries of classes hash and compare them many times over; each
+    # ProjElem forms its Mat2 key at most once, and not at all when it is
+    # never hashed or compared
+    built, keyed = [], []
+    init, key = ProjElem.__init__, Mat2.key
+
+    def counted_init(self, rep):
+        built.append(1)
+        init(self, rep)
+
+    def counted_key(self):
+        keyed.append(1)
+        return key(self)
+
+    monkeypatch.setattr(ProjElem, "__init__", counted_init)
+    monkeypatch.setattr(Mat2, "key", counted_key)
+    gens = generator_set(standard_construction(16).config)
+    assert len(gens.elements) == 16
+    assert 0 < len(keyed) <= len(built)
+
+
+def test_class_equality_and_hash_follow_the_key():
+    f = cyclotomic_field(5)
+    z = f.gen()
+    g = proj_normalize(Mat2(z, f.one(), f.zero(), z * z))
+    h = proj_normalize(Mat2(z * z, z, f.zero(), z ** 3))  # z g
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert g == g and g != proj_identity(f)
+    assert g.key() is g.key()
+
+
 @pytest.mark.parametrize("fam", [
     a4_example, s4_example, a5_example,
     functools.partial(standard_construction, 8),

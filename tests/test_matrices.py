@@ -141,6 +141,19 @@ def test_hypothesis_dot_matches_add_of_products(operands):
     assert got == ((w * x + y * z).nums, (w * x + y * z).den)
 
 
+@given(_kernel_operands(8), st.integers(3, 4))
+@settings(max_examples=100, deadline=None)
+def test_hypothesis_dot_of_more_products_matches_operators(operands, terms):
+    # the operands past the first four add one product for each pair
+    field, xs = operands
+    xs = xs[:2 * terms]
+    ops = [v for x in xs for v in (x.nums, x.den)]
+    want = field.zero()
+    for a, b in zip(xs[::2], xs[1::2]):
+        want = want + a * b
+    assert field._dot(*ops) == (want.nums, want.den)
+
+
 @given(_kernel_operands(8))
 @settings(max_examples=100, deadline=None)
 def test_hypothesis_proj_product_matches_operator_reference(operands):

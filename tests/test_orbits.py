@@ -1,9 +1,13 @@
 """P^3 points, line membership, orbit enumeration, and the geometric oracle."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewlines import orbits
 from skewlines.configs import InvalidIndex, LineConfig
@@ -17,6 +21,7 @@ from skewlines.families import (
 )
 from skewlines.fields import (
     MixedFields,
+    Reduction,
     cyclotomic_field,
     prime_field,
     rational_field,
@@ -768,7 +773,10 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
     # orbit of a5 through [1 : 1/41] has 60 points a line, P^1(F_41) only
     # 42), so some key hits must be refused by the exact check; images that
     # vanish or are undefined take the exact path, and the seed [1 : 1/p]
-    # has no image of its own.
+    # has no image of its own.  Nor can the images certify a hit whose
+    # height bound H is positive: H is a multiple of mu^2, 16 or more, and
+    # p / 2 is below that.  Those hits fall back to the exact check; only
+    # forms whose every term has a zero factor (H = 0) are decided.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     G = closed(cfg)
@@ -784,10 +792,24 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
     outcomes = {"_same_parameter": [], "_on_plane": []}
     for fn, seen in outcomes.items():
         monkeypatch.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
+    certified = []
+    vanishes = Reduction.vanishes
+
+    def recorded(red, values, height):
+        got = vanishes(red, values, height)
+        certified.append((height, got))
+        return got
+
+    monkeypatch.setattr(Reduction, "vanishes", recorded)
     assert [walk(cfg, seed, closure=G).to_json()
             for seed in seeds for walk in walks] == want
     for seen in outcomes.values():
         assert False in seen and True in seen
+    undecided = [h for h, got in certified if got is None]
+    assert undecided and all(h for h in undecided)
+    assert all(not h for h, got in certified if got is not None)
+    # every hit the images leave open is checked exactly
+    assert sum(map(len, outcomes.values())) >= len(undecided)
 
 
 def test_seed_with_denominator_p_is_looked_up_exactly():
@@ -817,6 +839,230 @@ def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
     oracle = orbit_geometric(cfg, seed, closure=G, carrier=carrier)
     built = full.total_size - 1 + oracle.total_size - 1
     assert 0 < len(calls) <= 2 * built
+
+
+@pytest.mark.parametrize("name", ["a4", "s4", "a5"])
+def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
+    # exact products, by hand, outside the stabilizer count (fixes_point:
+    # five products an element):
+    # - transport walk, per new point: F_ijk v (two fused products), its
+    #   normalization (one), its P^3 point (two): 5;
+    # - oracle, per new point: the plane (four fused coordinates), the meet
+    #   (two), the normalized parameter (one), its P^3 point (four) and that
+    #   point's normalization (three): 14; and two products for each of the
+    #   six Pluecker coordinates of each line, plus the seed's parameter.
+    # Hits cost none: both walks form 12 candidates a point.
+    cfg = _MODULAR_KEY_CONFIGS[name]()
+    f = cfg.field
+    G = closed(cfg)
+    gens = generator_set(cfg)
+    seed = p3_from_string(f, "[0:0:0:1]")
+    carrier = find_carrier(cfg, seed)
+    calls = []
+    for kernel in ("_mul", "_dot"):
+        fn = getattr(type(f), kernel)
+        monkeypatch.setattr(type(f), kernel,
+                            lambda self, *a, _fn=fn: calls.append(1) or _fn(self, *a))
+    full = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
+    full_calls = len(calls)
+    oracle = orbit_geometric(cfg, seed, closure=G, carrier=carrier)
+    oracle_calls = len(calls) - full_calls
+    built = full.total_size - 1
+    assert oracle.total_size - 1 == built
+    assert full_calls <= 5 * built + 5 * G.order
+    assert oracle_calls <= 14 * built + 5 * G.order + 12 * len(cfg.labels()) + 20
+    if name == "a5":
+        # 150 points a walk, formed from 1 800 candidates each
+        assert full_calls + oracle_calls <= 8000
+
+
+def _conjugated(cfg, n: str) -> LineConfig:
+    """cfg moved by the projectivity diag(A, A) of P^3, A = diag(1, n): the
+    lines become the graphs of A M A^-1, the same group up to conjugation,
+    with entries and Pluecker coordinates of height about n."""
+    f = cfg.field
+    a = Mat2.diag(f.one(), f.parse(n))
+    ai = a.inv()
+    return LineConfig(f, [a * cfg.matrix(lab) * ai for lab in cfg.matrix_labels()],
+                      cfg.include_zero, cfg.include_infinity)
+
+
+@pytest.mark.parametrize("name", ["a4", "s4"])
+def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name):
+    # at the field's own prime, heights of about 2^20 push 2H past p for some
+    # hits in each walk; those fall back to the exact check, the rest are
+    # still certified, and the walks match the exactly keyed reference
+    cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), "2^20 + 1")
+    f = cfg.field
+    G = closed(cfg)
+    seed = p3_from_string(f, "[0:0:0:1]")
+    for walk, same in ((orbit_full, "_same_parameter"), (orbit_geometric, "_on_plane")):
+        want = _exact_key_orbit(cfg, seed, G, walk).to_json()
+        with monkeypatch.context() as m:
+            outcomes = {same: [], "_vanishes": []}
+            for fn, seen in outcomes.items():
+                m.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
+            assert walk(cfg, seed, closure=G).to_json() == want
+        certified = outcomes["_vanishes"]
+        assert None in certified and True in certified
+        assert len(outcomes[same]) == certified.count(None)
+
+
+# explicit forms at tiny split primes: Q(i) at 5, Q(zeta_12) at 13 and
+# Q(zeta_20) at 41
+_TINY = [(4, 5), (12, 13), (20, 41)]
+
+
+@pytest.mark.parametrize("n, p", _TINY)
+def test_images_that_agree_mod_p_only_are_not_certified(n, p):
+    # x and x + p agree mod p at every root, but they are not equal: the
+    # images vanish and only 2H < p can tell, so the certificate refuses
+    f = cyclotomic_field(n)
+    red = reduction_at(f, p)
+    x = f.gen() ** 2 - f.gen() * Fraction(1, 2) + 3
+    y = x + p
+    one, zero = f.one(), f.zero()
+    form = orbits._transport_form(
+        red.mu, orbits._certified(red, (one, zero, zero, one)),  # the identity
+        orbits._certified(red, (one, y)))
+    stored = orbits._certified(red, (one, x))
+    assert orbits._vanishes(red, form, stored) is None
+    assert not orbits._same_parameter((one, y), None, ProjPoint(one, x))
+    # y - x, two terms of one factor each: H = h(y) den(x) + h(x) den(y)
+    values = [a - b for a, b in zip(red.images(y.nums, y.den), red.images(x.nums, x.den))]
+    assert not any(v % p for v in values)
+    height = max(map(abs, y.nums)) * x.den + max(map(abs, x.nums)) * y.den
+    assert red.vanishes(values, height) is None
+
+
+@pytest.mark.parametrize("n, p", _TINY)
+def test_a_form_vanishing_at_one_root_is_not_certified(n, p):
+    # zeta - r, with r = the first root taken below p/2 in absolute value,
+    # vanishes at that root alone; H = |r| < p/2, so the images decide
+    f = cyclotomic_field(n)
+    red = reduction_at(f, p)
+    r = red.powers[1]
+    r = r - p if 2 * r > p else r
+    e = f.gen() - r
+    values = red.images(e.nums, e.den)
+    assert values[0] == 0 and any(values[1:])
+    assert red.vanishes(values, abs(r)) is False
+    zero = e - e
+    assert red.vanishes(red.images(zero.nums, zero.den), 0) is True
+
+
+# hypothesis: stored elements with small coefficients over fields with a
+# reduction, at their own prime and at a tiny split prime
+_CERT_FIELDS = [(rational_field(), 7), (cyclotomic_field(4), 5),
+                (cyclotomic_field(5), 11), (cyclotomic_field(12), 13),
+                (cyclotomic_field(20), 41)]
+
+
+@st.composite
+def _cert_case(draw, count):
+    field, tiny = draw(st.sampled_from(_CERT_FIELDS))
+    red = reduction_at(field, tiny) if draw(st.booleans()) else field.reduction()
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    coeffs = st.lists(coeff, min_size=field.degree, max_size=field.degree)
+    return field, red, [field.from_coeffs(draw(coeffs)) for _ in range(count)]
+
+
+def _cleared_max(e, operands) -> int:
+    """The largest |coefficient| of e times the product of the operands'
+    denominators: the cleared numerator the height bound covers."""
+    dens = math.prod(x.den for x in operands)
+    assert dens % e.den == 0
+    return max(abs(c) * (dens // e.den) for c in e.nums)
+
+
+@given(_cert_case(8), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_transport_certificate_never_certifies_a_nonzero_form(case, hit):
+    field, red, (a, b, c, d, x, y, x2, y2) = case
+    s, t = a * x + b * y, c * x + d * y
+    if hit:
+        x2, y2 = s, t  # the stored parameter is the candidate itself
+    exact = t * x2 - s * y2
+    form = orbits._transport_form(red.mu, orbits._certified(red, (a, b, c, d)),
+                                  orbits._certified(red, (x, y)))
+    stored = orbits._certified(red, (x2, y2))
+    got = orbits._vanishes(red, form, stored)
+    if got is not None:
+        assert got == (not exact)
+    if not exact:
+        return
+    # the height bound H covers the cleared numerator of t x' - s y'
+    (_, cw), (_, xw) = form, stored
+    bound = red.mu * sum(u * w for u, w in zip(cw, xw))
+    assert _cleared_max(exact, (a, b, c, d, x, y, x2, y2)) <= bound
+
+
+@given(_cert_case(14), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_plane_certificate_never_certifies_a_nonzero_form(case, hit):
+    field, red, elts = case
+    pl, x, stored_x = elts[:6], elts[6:10], elts[10:]
+    if hit:
+        stored_x = x  # a point lies on every plane through it
+    assume(any(x))
+    lam = orbits._plane(pl, x)
+    exact = orbits._dot(lam, stored_x)
+    form = orbits._plane_form(red.mu, orbits._certified(red, pl),
+                              orbits._certified(red, x))
+    stored = orbits._certified(red, tuple(stored_x))
+    got = orbits._vanishes(red, form, stored)
+    if got is not None:
+        assert got == (not exact)
+    if exact and form is not None and stored is not None:
+        bound = red.mu * sum(u * w for u, w in zip(form[1], stored[1]))
+        assert _cleared_max(exact, (*pl, *x, *stored_x)) <= bound
+
+
+def _plane_by_operators(pl, x):
+    """The plane through x and the line pl as formed before it was fused:
+    twelve FieldElement products and eight additions."""
+    p01, p02, p03, p12, p13, p23 = pl
+    x0, x1, x2, x3 = x
+    return (
+        p23 * x1 - p13 * x2 + p12 * x3,
+        p03 * x2 - p23 * x0 - p02 * x3,
+        p13 * x0 - p03 * x1 + p01 * x3,
+        p02 * x1 - p12 * x0 - p01 * x2,
+    )
+
+
+_PLANE_FIELDS = [cyclotomic_field(5), cyclotomic_field(12),
+                 affine(5).config.field]  # F_25
+
+
+@st.composite
+def _plane_operands(draw):
+    field = draw(st.sampled_from(_PLANE_FIELDS))
+    if field.characteristic:
+        coeff = st.integers(0, field.characteristic - 1)
+    else:
+        coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    coeffs = st.lists(coeff, min_size=field.degree, max_size=field.degree)
+    elts = [field.zero() if draw(st.integers(0, 4)) == 0
+            else field.from_coeffs(draw(coeffs)) for _ in range(10)]
+    return field, tuple(elts[:6]), tuple(elts[6:])
+
+
+@given(_plane_operands())
+@settings(max_examples=150, deadline=None)
+def test_fused_plane_matches_the_operator_formula(operands):
+    field, pl, x = operands
+    lam = orbits._plane(pl, x)
+    assert lam == _plane_by_operators(pl, x)
+    red = field.reduction()
+    if red is None:
+        return
+    # and its images at every root are _plane_at on the operands' images
+    images = [red.images(e.nums, e.den) for e in lam]
+    pls, xs = ([red.images(e.nums, e.den) for e in es] for es in (pl, x))
+    for k in range(len(red.roots)):
+        at = orbits._plane_at([e[k] for e in pls], [e[k] for e in xs])
+        assert [v % red.p for v in at] == [e[k] for e in images]
 
 
 # ---------------------------------------------------------------------------
