@@ -102,8 +102,10 @@ def _orbit_section(cfg, seed, carrier, closure, triples, oracle: bool) -> dict:
     out["group_order"] = closure.order
     if oracle:
         # both walks visit the candidates in one order, and a transport class
-        # is the projection it names, so the point lists agree in order too
-        check = orbit_geometric(cfg, seed, closure=closure, carrier=carrier)
+        # is the projection it names, so the point lists agree in order too;
+        # the seed's stabilizer is the one the first walk counted
+        check = orbit_geometric(cfg, seed, closure=closure, carrier=carrier,
+                                stabilizer=report.stabilizer_order)
         if report.points != check.points:
             raise OracleMismatch(
                 "plane-intersection enumeration disagrees with matrix transport"

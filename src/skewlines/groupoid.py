@@ -7,8 +7,11 @@ product of two classes is formed once (see generator_set).  The closure is
 a breadth-first walk with a hard element budget.  It knows an element by
 where its inverse sends [1:0], [0:1] and [1:1], which PGL2 acting sharply
 3-transitively on P^1 makes exact, so it forms an exact product only for a
-new element (see group_closure).  Every downstream consumer (classifier,
-orbit enumerator, CLI) works from its deterministic element list.
+new element (see group_closure).  Those points have integer ids, found
+from their images mod p with exact confirmation where Field.reduction()
+exists (_PointIds), so a key is a triple of ints.  Every downstream
+consumer (classifier, orbit enumerator, CLI) works from its deterministic
+element list.
 
 The classifier walks Dickson's list of the finite subgroups of PGL2(K)
 and names a group only once its certificate holds (see classify).
@@ -164,14 +167,18 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
     three points [1:0], [0:1] and [1:1] of P^1 under y^-1: PGL2(K) acts
     sharply 3-transitively on P^1(K), so these images name y exactly.  As
     (x * g)^-1 = g^-1 x^-1, the key of x * g is g^-1 applied to the key of
-    x, three point images with no walk and no product.  Each point image
-    under a generator's inverse (its adjugate) is formed once, by one fused
-    Field._dot pair and one scaling, and kept for the rest of the call.  So
-    only a new element costs an exact product: |G| - 1 products and at most
-    k |S| point images, for k generators and the set S of points met, where
-    a product for every x * g would cost |G| k.  Every key lies in the
-    orbits of the three points, so |S| <= 3 |G|, and over F_q also
-    |S| <= q + 1.
+    x, three point images with no walk and no product.  Points are named
+    by integer ids in the order the walk meets them (_PointIds), so a key
+    is a triple of ints, and each generator keeps the id of the image of
+    every point id it has moved.  A point image under a generator's inverse
+    (its adjugate) is formed once, by one fused Field._dot pair, and each
+    point costs at most one inversion to normalize.  Ids name
+    points exactly, so the walk visits the elements in the order of a walk
+    keyed by exact point tuples.  So only a new element costs an exact
+    product: |G| - 1 products and at most k |S| point images, for k
+    generators and the set S of points met, where a product for every
+    x * g would cost |G| k.  Every key lies in the orbits of the three
+    points, so |S| <= 3 |G|, and over F_q also |S| <= q + 1.
 
     The empty set closes to the trivial group: the walk starts from the
     identity and has nothing to multiply it by.
@@ -187,53 +194,110 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
 def _walk(f: Field, mults: list[ProjElem], budget: int) -> tuple[list[ProjElem], bool]:
     """The elements of the closure in walk order, and whether the budget
     stopped it (see group_closure)."""
-    ident = proj_identity(f)
-    one, zero = _entries(ident.rep)[:2]
-    # g^-1 acts as the adjugate of g, whose images are computed once each
+    points = _PointIds(f)
+    one, zero = points.one, points.zero
+    # the key of the identity: the ids of [1:0], [0:1] and [1:1]
+    key = tuple(points.add(q) for q in ((one, zero), (zero, one), (one, one)))
+    # g^-1 acts as the adjugate of g; moves[i][a] is the id of its image of
+    # the point with id a, for the i-th generator g
     adjs = [_entries(g.rep.adjugate()) for g in mults]
-    memos: list[dict] = [{} for _ in mults]
-    elements: list[ProjElem] = [ident]
-    # the key (x^-1 [1:0], x^-1 [0:1], x^-1 [1:1]) of each element x, in order
-    images = [((one, zero), (zero, one), (one, one))]
-    seen = set(images)
+    moves: list[dict[int, int]] = [{} for _ in mults]
+    elements: list[ProjElem] = [proj_identity(f)]
+    keys = [key]  # the key of each element, in order
+    seen = {key}
     idx = 0
     while idx < len(elements):
-        qs = images[idx]
-        for gi, g in enumerate(mults):
-            memo = memos[gi]
+        a, b, c = keys[idx]
+        for g, adj, move in zip(mults, adjs, moves):
             try:
-                key = (memo[qs[0]], memo[qs[1]], memo[qs[2]])
+                key = (move[a], move[b], move[c])
             except KeyError:
-                for q in qs:
-                    if q not in memo:
-                        memo[q] = _point_image(f, adjs[gi], q, one, zero)
-                key = (memo[qs[0]], memo[qs[1]], memo[qs[2]])
+                for q in (a, b, c):
+                    if q not in move:
+                        move[q] = points.image(adj, q)
+                key = (move[a], move[b], move[c])
             if key in seen:
                 continue
             if len(elements) >= budget:
                 return elements, True
             seen.add(key)
             elements.append(elements[idx] * g)
-            images.append(key)
+            keys.append(key)
         idx += 1
     return elements, False
 
 
-def _point_image(f: Field, m: tuple, q: tuple, one: tuple, zero: tuple) -> tuple:
-    """The image of the point q of P^1 under the matrix with raw entries m,
-    row-major.  A point is a pair of raw (nums, den) coordinates whose last
-    nonzero one is exactly 1, so equal points are equal tuples.  The
-    adjugate (d -b / 0 1) of a canonical triangular class (1 b / 0 d) then
-    maps [x : 1] to [d x - b : 1] with no inversion."""
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = m
-    (xn, xd), (yn, yd) = q
-    x = f._dot(an, ad, xn, xd, bn, bd, yn, yd)
-    y = f._dot(cn, cd, xn, xd, dn, dd, yn, yd)
-    if not any(y[0]):
-        return one, zero
-    if y == one or not any(x[0]):
-        return x, one
-    return f._mul(*x, *f._inv(*y)), one
+class _PointIds:
+    """Integer ids for the points of P^1 a closure meets, in order.
+
+    A point is a pair of raw (nums, den) coordinates whose last nonzero one
+    is exactly 1, [x : 1] or [1 : 0], so equal points are equal tuples, and
+    exact maps each such pair to its id.  An image [x : y] that is already
+    such a pair up to a free scaling (y = 0 or 1, or x = 0) is looked up
+    there.  Any other would take an inversion to normalize, so where
+    Field.reduction() exists (Q and Q(zeta_n)) it is first looked up by
+    Reduction.key of its image at the first root: a ring map sends equal
+    points whose images are defined and nonzero to one key.  A point filed
+    under that key in buckets is confirmed exactly with no inverse
+    (_same_point).  Otherwise the image is normalized and looked up in
+    exact, and the point it names is filed under the key.  So a point
+    costs at most one inversion, when an image that needs one first names
+    it, and a collision mod p costs a refused confirmation, never a wrong
+    id.  An undefined or zero key, and a field with no reduction, take the
+    exact lookup alone, and the reduction is built only when an image
+    needs it.
+    """
+
+    __slots__ = ("field", "one", "zero", "points", "exact", "buckets")
+
+    def __init__(self, f: Field):
+        self.field = f
+        self.one = ((1,) + (0,) * (f.degree - 1), 1)
+        self.zero = ((0,) * f.degree, 1)
+        self.points: list[tuple] = []
+        self.exact: dict[tuple, int] = {}
+        self.buckets: dict[tuple, list[int]] = {}
+
+    def add(self, q: tuple) -> int:
+        """The id of the new normalized point q."""
+        i = self.exact[q] = len(self.points)
+        self.points.append(q)
+        return i
+
+    def image(self, m: tuple, i: int) -> int:
+        """The id of the image of the point with id i under the matrix with
+        raw entries m, row-major."""
+        f = self.field
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = m
+        (xn, xd), (yn, yd) = self.points[i]
+        x = f._dot(an, ad, xn, xd, bn, bd, yn, yd)
+        y = f._dot(cn, cd, xn, xd, dn, dd, yn, yd)
+        one, key = self.one, None
+        if not any(y[0]):
+            q = one, self.zero
+        elif y == one or not any(x[0]):
+            q = x, one
+        else:
+            red = f.reduction()
+            if red is not None:
+                key = red.key((red.image(*x), red.image(*y)))
+            for j in self.buckets.get(key, ()):
+                if _same_point(f, x, y, self.points[j]):
+                    return j
+            q = f._mul(*x, *f._inv(*y)), one
+        j = self.exact.get(q)
+        if j is None:
+            j = self.add(q)
+        if key is not None:
+            self.buckets.setdefault(key, []).append(j)
+        return j
+
+
+def _same_point(f: Field, x: tuple, y: tuple, q: tuple) -> bool:
+    """Whether [x : y], raw coordinates, is the normalized point q: x = s y
+    for q = [s : 1], y = 0 for q = [1 : 0]; at most one product."""
+    s, t = q
+    return x == f._mul(*s, *y) if any(t[0]) else not any(y[0])
 
 
 @dataclass

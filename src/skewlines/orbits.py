@@ -380,7 +380,7 @@ class _LinePoints:
 
 def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
                closure: GroupClosure, v0, step, same, pair, build,
-               held) -> OrbitReport:
+               held, stab: Optional[int]) -> OrbitReport:
     """Breadth-first walk from the seed along step.
 
     A point is named by its line and its parameter [s : t] there, since the
@@ -421,10 +421,12 @@ def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
     Every point the walk reaches on a line has parameter g v0 for some g in
     G, v0 the seed's parameter, so no line holds more than |G| / |Stab(v0)|
     of them.  A walk past that bound has left the orbit: an invariant
-    violation, raised at the first such point.
+    violation, raised at the first such point.  stab is |Stab(v0)|, counted
+    here when None.
     """
     red = cfg.field.reduction()
-    stab = _stabilizer_size(closure, v0)
+    if stab is None:
+        stab = _stabilizer_size(closure, v0)
     bound = closure.order // stab
     lines = {lab: _LinePoints() for lab in cfg.labels()}
     c0 = _certified(red, held(seed, v0))
@@ -517,7 +519,7 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint,
     return _orbit_bfs(cfg, seed, carrier, closure,
                       line_parameter(cfg, carrier, seed), step, _same_parameter,
                       lambda j, st: st, lambda j, v: point_on_line(cfg, j, v),
-                      lambda p, v: v.coords)
+                      lambda p, v: v.coords, None)
 
 
 def orbit_on_line(cfg: LineConfig, G: GroupClosure,
@@ -544,7 +546,8 @@ def orbit_on_line(cfg: LineConfig, G: GroupClosure,
 
 def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
                     closure: Optional[GroupClosure] = None,
-                    carrier: Optional[str] = None) -> OrbitReport:
+                    carrier: Optional[str] = None,
+                    stabilizer: Optional[int] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
 
     Each step spans the plane through the current point and a third line,
@@ -554,7 +557,9 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
     those of the point and of the line's Pluecker coordinates, each
     computed once, and decide a key hit by lam.x = 0; the exact plane is
     formed only for a new point or a hit they cannot decide.  closure and
-    carrier are computed here unless supplied, as in orbit_full.
+    carrier are computed here unless supplied, as in orbit_full;
+    stabilizer, when given, must be the number of elements of the closure
+    that fix the seed, and is counted here when absent.
     """
     carrier, closure, _ = _prepare(cfg, seed, closure, carrier=carrier)
     labels = cfg.labels()
@@ -596,7 +601,7 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
     v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
     return _orbit_bfs(cfg, seed, carrier, closure, v0, step, _on_plane,
                       lambda j, lam: _meet(spans[j], lam), build,
-                      lambda p, v: p.coords)
+                      lambda p, v: p.coords, stabilizer)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlines.fields import (
+    TABLE_SIZE,
     DivisionByZero,
     Field,
     FieldSpec,
@@ -45,8 +46,8 @@ _CHAR0_EXTENSIONS += [
     extension_field(Q, [Fraction(1, 3), Fraction(1, 2), 0, 1]),
 ]
 
-# extensions of F_p whose inverse is the same integer solve, read mod p:
-# F_4, F_16, F_25, F_27, F_49, F_121, F_2401 and F_10201
+# extensions of F_p: F_4, F_16, F_25, F_27, F_49 and F_121 invert by log
+# tables, F_2401 and F_10201 by the same integer solve, read mod p
 _FINITE_EXTENSIONS = [
     extension_field(prime_field(p), coeffs) for p, coeffs in (
         (2, [1, 1, 1]),           # z^2 + z + 1
@@ -890,3 +891,110 @@ def test_reduction_certificate_by_hand():
     assert red.vanishes([0, 5], 2) is True       # 2H = 4 < 5
     assert red.vanishes([0, 1], 2) is False
     assert red.vanishes([0, 0], 3) is None       # 2H = 6 >= 5
+
+
+# ---------------------------------------------------------------------------
+# log-table kernels over small F_q against the polynomial kernels
+
+
+def _poly_dot(f, pairs):
+    """sum of a b over the (a, b) pairs of coefficient tuples: the products
+    added unreduced by _conv, then one _fold."""
+    conv = [0] * (2 * f.degree - 1)
+    for a, b in pairs:
+        Field._conv(a, b, conv)
+    return f._fold(conv, 1)
+
+
+def _poly_inv(f, a):
+    return f._inv_bareiss(a, 1)
+
+
+# F_4, F_8, F_9, F_16, F_25, F_27 (twice), F_49 and F_121
+_TABLED_FIELDS = [
+    extension_field(prime_field(p), coeffs) for p, coeffs in (
+        (2, [1, 1, 1]),           # z^2 + z + 1
+        (2, [1, 1, 0, 1]),        # z^3 + z + 1
+        (3, [1, 0, 1]),           # z^2 + 1
+        (2, [1, 1, 0, 0, 1]),     # z^4 + z + 1
+        (5, [3, 0, 1]),           # z^2 - 2
+        (3, [1, 2, 0, 1]),        # z^3 + 2z + 1
+        (3, [2, 2, 0, 1]),        # z^3 - z - 1: no z + c is primitive
+        (7, [4, 0, 1]),           # z^2 - 3
+        (11, [1, 0, 1]),          # z^2 + 1
+    )
+]
+# F_256, the largest field under the bound: z^8 + z^4 + z^3 + z + 1 over
+# F_2, where z has order 51 and z + 1 is primitive
+_LARGEST_TABLED = extension_field(prime_field(2), [1, 1, 0, 1, 1, 0, 0, 0, 1])
+# F_289 = F_17^2, the least extension field above it: z^2 - 3
+_LEAST_UNTABLED = extension_field(prime_field(17), [-3, 0, 1])
+
+
+def _units(f):
+    return [x.nums for x in f.elements() if not x.is_zero()]
+
+
+def _random_dots(f, rng, count):
+    """count random sums of two to four products, every fourth one built to
+    cancel to zero, as pairs of coefficient tuples."""
+    elements = [x.nums for x in f.elements()]
+    out = []
+    for i in range(count):
+        pairs = [(rng.choice(elements), rng.choice(elements))
+                 for _ in range(rng.randint(2, 4))]
+        if i % 4 == 0:
+            # the last product is minus the sum of the others
+            rest = _poly_dot(f, pairs[:-1])[0]
+            pairs[-1] = (f._neg_nums(rest), f.one().nums)
+        out.append(pairs)
+    return out
+
+
+def _dot_args(pairs):
+    return [x for a, b in pairs for x in (a, 1, b, 1)]
+
+
+def test_table_bound_holds_the_listed_fields():
+    for f in _TABLED_FIELDS + [_LARGEST_TABLED]:
+        assert "_mul" in vars(f) and f.size <= TABLE_SIZE
+    assert _LARGEST_TABLED.size == TABLE_SIZE
+    # below and above the bound, and in characteristic 0, the class kernels
+    for f in (_LEAST_UNTABLED, F5, Q, Z20, _FINITE_EXTENSIONS[-1]):
+        assert not {"_mul", "_dot", "_inv"} & set(vars(f))
+
+
+def _field_id(f):
+    return f"F{f.size}-" + "".join(map(str, f.minpoly))
+
+
+@pytest.mark.parametrize("f", _TABLED_FIELDS + [_LARGEST_TABLED], ids=_field_id)
+def test_table_kernels_match_the_polynomial_kernels(f):
+    elements = [x.nums for x in f.elements()]
+    for a, b in itertools.product(elements, repeat=2):
+        assert f._mul(a, 1, b, 1) == _poly_dot(f, [(a, b)])
+    for a in _units(f):
+        assert f._inv(a, 1) == _poly_inv(f, a)
+    with pytest.raises(DivisionByZero):
+        f._inv(f.zero().nums, 1)
+    rng = random.Random(f.size)
+    for pairs in _random_dots(f, rng, 200):
+        assert f._dot(*_dot_args(pairs)) == _poly_dot(f, pairs)
+    # a sum that cancels, alone
+    assert f._dot(*_dot_args(_random_dots(f, rng, 1)[0])) == (f.zero().nums, 1)
+
+
+def test_kernels_above_the_bound_match_the_polynomial_kernels():
+    # every element against a few random ones for _mul, every element for
+    # _inv: the class kernels are the reference here, so this shows the
+    # field works on the polynomial path
+    f = _LEAST_UNTABLED
+    rng = random.Random(f.size)
+    units = _units(f)
+    others = [rng.choice(units) for _ in range(4)] + [f.zero().nums]
+    for a in units:
+        for b in others:
+            assert f._mul(a, 1, b, 1) == _poly_dot(f, [(a, b)])
+        assert f._inv(a, 1) == _poly_inv(f, a)
+    for pairs in _random_dots(f, rng, 200):
+        assert f._dot(*_dot_args(pairs)) == _poly_dot(f, pairs)

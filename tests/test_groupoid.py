@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewlines import matrices
+from skewlines import groupoid, matrices
 from skewlines.analyze import analyze
 from skewlines.configs import InvalidConfiguration, InvalidIndex, LineConfig
 from skewlines.families import (
@@ -26,10 +26,12 @@ from skewlines.families import (
 )
 from skewlines.fields import (
     Field,
+    Reduction,
     cyclotomic_field,
     extension_field,
     prime_field,
     rational_field,
+    reduction_at,
 )
 from skewlines.groupoid import (
     DEFAULT_BUDGET,
@@ -50,6 +52,7 @@ from skewlines.matrices import (
     Mat2,
     ProjElem,
     ProjPoint,
+    _entries,
     eigenvectors,
     fixes_point,
     moebius_apply,
@@ -482,6 +485,172 @@ def test_closure_forms_one_product_per_new_element(monkeypatch):
         products.clear()
         G = group_closure(gens, budget=budget)
         assert len(products) == G.order - 1
+
+
+# ---------------------------------------------------------------------------
+# integer point ids keyed mod p against the walk keyed by exact point tuples
+
+
+def _memo_point_image(f, m, q, one, zero):
+    """The image of the point q of P^1 under the matrix with raw entries m,
+    scaled so that its last nonzero coordinate is exactly 1."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = m
+    (xn, xd), (yn, yd) = q
+    x = f._dot(an, ad, xn, xd, bn, bd, yn, yd)
+    y = f._dot(cn, cd, xn, xd, dn, dd, yn, yd)
+    if not any(y[0]):
+        return one, zero
+    if y == one or not any(x[0]):
+        return x, one
+    return f._mul(*x, *f._inv(*y)), one
+
+
+def _memo_walk_closure(gens, budget=DEFAULT_BUDGET):
+    """The closure keyed by the exact images of [1:0], [0:1] and [1:1]
+    under each element's inverse: every generator memoizes the normalized
+    image of each point it has moved, by the point's coordinate tuple."""
+    f = gens.field
+    ident = proj_identity(f)
+    one, zero = _entries(ident.rep)[:2]
+    mults = [g for g in gens.elements if not g.is_identity()]
+    adjs = [_entries(g.rep.adjugate()) for g in mults]
+    memos = [{} for _ in mults]
+    elements = [ident]
+    images = [((one, zero), (zero, one), (one, one))]
+    seen = set(images)
+    budget_hit = False
+    idx = 0
+    while idx < len(elements) and not budget_hit:
+        qs = images[idx]
+        for g, adj, memo in zip(mults, adjs, memos):
+            for q in qs:
+                if q not in memo:
+                    memo[q] = _memo_point_image(f, adj, q, one, zero)
+            key = tuple(memo[q] for q in qs)
+            if key in seen:
+                continue
+            if len(elements) >= budget:
+                budget_hit = True
+                break
+            seen.add(key)
+            elements.append(elements[idx] * g)
+            images.append(key)
+        idx += 1
+    return GroupClosure(elements=elements, generators=mults,
+                        budget_hit=budget_hit, budget=budget)
+
+
+def _assert_closure_matches_memo_walk(gens, budget=DEFAULT_BUDGET):
+    G = group_closure(gens, budget=budget)
+    R = _memo_walk_closure(gens, budget=budget)
+    assert [g.key() for g in G.elements] == [g.key() for g in R.elements]
+    assert (G.budget_hit, G.budget) == (R.budget_hit, R.budget)
+    return G
+
+
+_POINT_ID_FAMILIES = {
+    "a4": a4_example,
+    "s4": s4_example,
+    "a5": a5_example,
+    **{f"standard{n}": functools.partial(standard_construction, n)
+       for n in range(3, 17)},
+    "affine5": lambda: affine(5),
+    "affine7": lambda: affine(7),
+    "elementary_abelian5": lambda: elementary_abelian(5),
+    "c3_scaled2": lambda: c3_scaled(2),
+    "cyclic_4line33": lambda: cyclic_4line(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_POINT_ID_FAMILIES))
+def test_point_ids_match_the_memo_walk_on_families(name):
+    fam = _POINT_ID_FAMILIES[name]()
+    gens = generator_set(fam.config)
+    # the smaller budgets stop the walk part of the way
+    for budget in (1, 7, fam.expected_order // 2 + 1, DEFAULT_BUDGET):
+        G = _assert_closure_matches_memo_walk(gens, budget)
+    assert G.order == fam.expected_order and not G.budget_hit
+
+
+def _zeta5_config(b="1"):
+    f = cyclotomic_field(5)
+    one = f.one()
+    return LineConfig(f, [Mat2.identity(f), Mat2(f.gen(), f.parse(b), one, one)])
+
+
+@pytest.mark.parametrize("make, p", [
+    pytest.param(lambda: LineConfig(Q, [Mat2.identity(Q), mat(Q, [[2, 1], [1, 1]])]),
+                 3, id="q-3"),
+    pytest.param(lambda: LineConfig(Q, [Mat2.identity(Q), mat(Q, [[2, 1], [1, 1]])]),
+                 7, id="q-7"),
+    pytest.param(_zeta5_config, 11, id="zeta5-11"),
+])
+def test_point_key_collisions_at_a_small_prime_fail_the_exact_check(
+        monkeypatch, make, p):
+    # both groups are infinite, so the walk meets more points than the
+    # p + 1 of P^1(F_p) before its budget: distinct points share keys, and
+    # some key hits must be refused by the exact check
+    cfg = make()
+    f = cfg.field
+    gens = generator_set(cfg)
+    want = _memo_walk_closure(gens, budget=150)
+    red = reduction_at(f, p)
+    monkeypatch.setattr(f, "reduction", lambda: red)
+    outcomes = []
+    same = groupoid._same_point
+    monkeypatch.setattr(groupoid, "_same_point",
+                        lambda *a: outcomes.append(same(*a)) or outcomes[-1])
+    G = group_closure(gens, budget=150)
+    assert [g.key() for g in G.elements] == [g.key() for g in want.elements]
+    assert G.budget_hit and want.budget_hit
+    assert False in outcomes and True in outcomes
+
+
+def test_points_with_undefined_keys_are_looked_up_exactly(monkeypatch):
+    # an entry 1/p, for the prime p at which Q(zeta_5) reduces, puts p in
+    # the denominators of points the walk meets; the group is infinite
+    p = cyclotomic_field(5).reduction().p
+    gens = generator_set(_zeta5_config(f"1/{p}"))
+    images = []
+    image = Reduction.image
+    monkeypatch.setattr(Reduction, "image",
+                        lambda *a: images.append(image(*a)) or images[-1])
+    for budget in (1, 40, 150):
+        assert _assert_closure_matches_memo_walk(gens, budget).budget_hit
+    assert None in images
+
+
+def test_closure_inverts_once_per_point_met_and_new_element(monkeypatch):
+    # a new element costs one inversion in its canonical form, and a new
+    # point one in its normalization; a point met again costs none, where
+    # the memo walk normalized every image a generator formed (475 calls)
+    cfg = a5_example().config
+    f = cfg.field
+    gens = generator_set(cfg)
+    calls = []
+    inv = Field._inv
+    monkeypatch.setattr(Field, "_inv", lambda self, *a: calls.append(1) or inv(self, *a))
+    G = group_closure(gens)
+    inversions = len(calls)
+    monkeypatch.undo()
+    one, zero = f.one(), f.zero()
+    # the walk meets exactly the images of the three base points under
+    # the inverses of the elements
+    met = {moebius_apply(g.inv(), ProjPoint(*q)) for g in G.elements
+           for q in ((one, zero), (zero, one), (one, one))}
+    assert G.order == 60
+    assert 0 < inversions <= len(met) + G.order - 1
+
+
+def test_closure_over_a_tabled_field_calls_no_polynomial_kernel(monkeypatch):
+    gens = generator_set(affine(11).config)
+
+    def refuse(*args):
+        raise AssertionError("polynomial kernel called")
+
+    monkeypatch.setattr(Field, "_conv", staticmethod(refuse))
+    monkeypatch.setattr(Field, "_inv_bareiss", refuse)
+    assert group_closure(gens).order == 2420
 
 
 # ---------------------------------------------------------------------------

@@ -824,6 +824,28 @@ def test_seed_with_denominator_p_is_looked_up_exactly():
     assert orbit_full(cfg, seed, closure=G).total_size == G.order * len(cfg.labels())
 
 
+def test_seeded_analysis_counts_the_stabilizer_once(monkeypatch):
+    # the oracle walk takes the stabilizer the transport walk counted: one
+    # fixes_point test per element, where each walk used to make its own
+    from skewlines.analyze import analyze
+
+    cfg = a5_example().config
+    seed = p3_from_string(cfg.field, "[0:0:0:1]")
+    calls = []
+    fixes = orbits.fixes_point
+    monkeypatch.setattr(orbits, "fixes_point",
+                        lambda g, v: calls.append(1) or fixes(g, v))
+    report = analyze(cfg, seed=seed, oracle=True)
+    assert report.orbit["oracle_agrees"] and report.orbit["stabilizer_order"] == 2
+    assert len(calls) == report.group["order"] == 60
+    # each walk alone counts it
+    G = closed(cfg)
+    for walk in (orbit_full, orbit_geometric):
+        calls.clear()
+        assert walk(cfg, seed, closure=G).stabilizer_order == 2
+        assert len(calls) == G.order
+
+
 @pytest.mark.parametrize("name", ["a4", "s4", "a5"])
 def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
     cfg = _MODULAR_KEY_CONFIGS[name]()
