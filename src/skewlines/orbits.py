@@ -7,22 +7,28 @@ through the point and one line, intersect it with another" — linear
 algebra on the lines' Pluecker coordinates, with no per-line cases.
 Agreement between them is the strongest correctness check the package has.
 
-Both walks share one point index (_orbit_bfs): a candidate is filed by the
-image of its line parameter under Field.reduction(), at the first root of
-the minimal polynomial m mod p.  A key hit is decided from images alone:
-each new point, each transport class and each line's Pluecker coordinates
-keep their images at all d roots of m mod p, computed once, so the test
-t x' - s y' = 0 (transport) or lam.x = 0 (oracle) is integer arithmetic mod
-p at every root.  If the expression E vanishes at all d roots, m divides
-its cleared numerator mod p; that numerator has degree below d, so p
-divides each of its coefficients, and E = 0 once 2H < p for a bound H on
-them built from the operands' heights (Reduction).  Where that bound fails,
-or an image is undefined, or the field has no reduction, the hit is
-confirmed exactly without an inverse.  So only a new point is formed
-exactly, normalized and built.  This is the modular method with a height
-bound (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).
-Points of P^3 and their P^1 parameters are both matrices.ProjPoint, with
-one normalization and one exact key.
+Both walks are breadth-first and name a point by its line and its
+parameter there, since the lines are pairwise skew.  The transport walk
+names parameters by integer ids, one table for every line (_Parameters),
+and images each id by each transport class once (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 4.1).  The oracle
+forms every candidate and files it on its line (_LinePoints).
+
+Both file a parameter by its image under Field.reduction(), at the first
+root of the minimal polynomial m mod p.  A key hit is decided from images
+alone: each parameter or point, each transport class and each line's
+Pluecker coordinates keep their images at all d roots of m mod p, computed
+once, so the test t x' - s y' = 0 (transport) or lam.x = 0 (oracle) is
+integer arithmetic mod p at every root.  If the expression E
+vanishes at all d roots, m divides its cleared numerator mod p; that
+numerator has degree below d, so p divides each of its coefficients, and
+E = 0 once 2H < p for a bound H on them built from the operands' heights
+(Reduction).  Where that bound fails, or an image is undefined, or the
+field has no reduction, the hit is confirmed exactly without an inverse.
+So only a new parameter is formed exactly and normalized.  This is the
+modular method with a height bound (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 5-6).  Points of P^3 and their P^1 parameters are
+both matrices.ProjPoint, with one normalization and one exact key.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, Optional, Sequence
+from functools import cache, partial
+from typing import Optional, Sequence
 
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
 from .fields import Field, FieldElement, MixedFields, Reduction
@@ -150,7 +156,7 @@ def _meet(span: tuple, lam: tuple) -> tuple:
     return lb, -la
 
 
-def _on_plane(lam: tuple, x: ProjPoint, _) -> bool:
+def _on_plane(lam: tuple, x: ProjPoint) -> bool:
     """Whether the point x lies on the plane lam: lam.x = 0, one fused
     Field._dot of four products, and no meet."""
     return not _dot(lam, x.coords)
@@ -341,121 +347,24 @@ def _pair_key(red: Optional[Reduction], s: FieldElement,
     return red.key((red.image(s.nums, s.den), red.image(t.nums, t.den)))
 
 
-class _LinePoints:
-    """The points a walk has placed on one line.  buckets files each point
-    with its parameter, a P^1 ProjPoint, and its _certified held elements
-    under a key, exact holds the ProjPoint key of every parameter, and
-    unkeyed records a point filed under no key."""
-
-    __slots__ = ("points", "buckets", "exact", "unkeyed")
-
-    def __init__(self):
-        self.points: list[ProjPoint] = []
-        self.buckets: dict[tuple, list[tuple]] = {}
-        self.exact: set = set()
-        self.unkeyed = False
-
-    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint,
-            held: Optional[tuple]) -> None:
-        if key is None:
-            self.unkeyed = True
-        else:
-            self.buckets.setdefault(key, []).append((p, v, held))
-        self.exact.add(v.key())
-        self.points.append(p)
-
-    def holds(self, key: tuple, red: Reduction, form: Optional[tuple],
-              exact, same) -> bool:
-        """Whether a point filed under key is the candidate: decided by
-        _vanishes from the candidate's form where it can, else by
-        same(exact(), point, v) on the exact candidate."""
-        for p, v, held in self.buckets.get(key, ()):
-            hit = _vanishes(red, form, held)
-            if hit is None:
-                hit = same(exact(), p, v)
-            if hit:
-                return True
-        return False
+def _hops(labels: list[str], lab: str) -> list[tuple[str, str]]:
+    """The (target line j, third line k) of each step from line lab, in order."""
+    return [(j, k) for j in labels if j != lab for k in labels if k not in (lab, j)]
 
 
-def _orbit_bfs(cfg: LineConfig, seed: ProjPoint, carrier: str,
-               closure: GroupClosure, v0, step, same, pair, build,
-               held, stab: Optional[int]) -> OrbitReport:
-    """Breadth-first walk from the seed along step.
+def _overflow(lab: str, bound: int) -> RuntimeError:
+    """The invariant violation of a walk past bound = |G| / |Stab(v0)|
+    points on line lab: each point has parameter g v0 for some g in G, so
+    a walk past it has left the orbit."""
+    return RuntimeError(f"line {lab} reached more than |G|/|Stab| = {bound} orbit points")
 
-    A point is named by its line and its parameter [s : t] there, since the
-    lines are pairwise skew.  step(lab, p, v, c) yields
-    (line, key, form, exact) for each neighbour of the point p with
-    parameter v, a P^1 ProjPoint (the walk's points are P^3 ProjPoints),
-    and c, the _certified images of the point's held(p, v) elements.  key
-    is the candidate's parameter reduced at the first root of
-    Field.reduction() and scaled to a leading 1 (Reduction.key), or None
-    when that image is undefined or zero, or when the field has no
-    reduction.  form holds the images at every root of a linear form in
-    the held elements of a stored point that vanishes exactly at the
-    candidate, with a bound on its height, or None.  exact() forms the
-    exact candidate.  A ring map sends equal points with defined, nonzero
-    images to one key, so on each line:
 
-    - a key hit is decided from images alone (_vanishes): the form
-      vanishes at every root and 2H < p for the height bound H, so the
-      cleared numerator, of degree below that of the minimal polynomial m
-      and divisible by m mod p, is zero (Reduction);
-    - a hit the images cannot decide (an image undefined, 2H >= p, or no
-      reduction at all) is confirmed exactly by same(exact(), point,
-      parameter), with no inverse;
-    - a key that no point of the line carries means a new point, unless the
-      line holds a point filed under no key;
-    - a candidate with no key, or one that finds no point on such a line,
-      becomes a ProjPoint (at most one inversion) and is looked up by its
-      key().
-
-    pair(line, candidate) is the exact candidate's [s : t], formed only for
-    a new point or a candidate looked up exactly, and build(line, v) the P^3
-    point of a new point's parameter v.  A new point is filed under its
-    candidate's key, or else under the key of its own parameter, with the
-    images of its held elements, computed once.  A collision mod p costs
-    one refused hit and never a wrong point, so the walk visits the points
-    in the order of a walk keyed exactly.
-
-    Every point the walk reaches on a line has parameter g v0 for some g in
-    G, v0 the seed's parameter, so no line holds more than |G| / |Stab(v0)|
-    of them.  A walk past that bound has left the orbit: an invariant
-    violation, raised at the first such point.  stab is |Stab(v0)|, counted
-    here when None.
-    """
-    red = cfg.field.reduction()
-    if stab is None:
-        stab = _stabilizer_size(closure, v0)
-    bound = closure.order // stab
-    lines = {lab: _LinePoints() for lab in cfg.labels()}
-    c0 = _certified(red, held(seed, v0))
-    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, c0)
-    queue = [(carrier, seed, v0, c0)]
-    for lab, p, v, c in queue:  # the queue grows while it is read
-        for nlab, key, form, exact in step(lab, p, v, c):
-            line = lines[nlab]
-            if key is not None and line.holds(key, red, form, exact, same):
-                continue
-            nv = ProjPoint(*pair(nlab, exact()))
-            if (key is None or line.unkeyed) and nv.key() in line.exact:
-                continue
-            if len(line.points) >= bound:
-                raise RuntimeError(
-                    f"line {nlab} reached more than |G|/|Stab| = {bound} orbit points"
-                )
-            np = build(nlab, nv)
-            nc = _certified(red, held(np, nv))
-            line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv, nc)
-            queue.append((nlab, np, nv, nc))
-    return OrbitReport(
-        seed=seed,
-        carrier=carrier,
-        total_size=sum(len(line.points) for line in lines.values()),
-        per_line_sizes={lab: len(line.points) for lab, line in lines.items()},
-        stabilizer_order=stab,
-        points={lab: line.points for lab, line in lines.items()},
-    )
+def _report(seed: ProjPoint, carrier: str, stab: int,
+            points: dict[str, list[ProjPoint]]) -> OrbitReport:
+    return OrbitReport(seed=seed, carrier=carrier,
+                       total_size=sum(map(len, points.values())),
+                       per_line_sizes={lab: len(pts) for lab, pts in points.items()},
+                       stabilizer_order=stab, points=points)
 
 
 def _apply(g: ProjElem, v) -> tuple[FieldElement, FieldElement]:
@@ -463,12 +372,68 @@ def _apply(g: ProjElem, v) -> tuple[FieldElement, FieldElement]:
     return g.rep.apply(v)
 
 
-def _same_parameter(st: tuple, _, v: ProjPoint) -> bool:
-    """Whether [s : t] is the point with parameter v: t = s w for
-    v = [1 : w], s = 0 for v = [0 : 1]; at most one product."""
+def _same_parameter(st: tuple, v: ProjPoint) -> bool:
+    """Whether [s : t] is the parameter v: t = s w for v = [1 : w], s = 0
+    for v = [0 : 1]; at most one product."""
     s, t = st
     x, y = v.coords
     return t == s * y if x else not s
+
+
+class _Parameters:
+    """The P^1 parameters a transport walk has met, one table for every
+    line, each named by an integer id: points[n] is its ProjPoint and
+    held[n] the _certified images of its coordinates.  buckets files the
+    ids under a Reduction.key and exact maps each ProjPoint key to its id."""
+
+    __slots__ = ("red", "points", "held", "buckets", "exact")
+
+    def __init__(self, red: Optional[Reduction]):
+        self.red = red
+        self.points: list[ProjPoint] = []
+        self.held: list[Optional[tuple]] = []
+        self.buckets: dict[tuple, list[int]] = {}
+        self.exact: dict[tuple, int] = {}
+
+    def add(self, v: ProjPoint, key: Optional[tuple]) -> int:
+        """The id of v, a new parameter, filed under key or else under its
+        own key, with its images computed once."""
+        n = len(self.points)
+        key = _pair_key(self.red, *v.coords) if key is None else key
+        if key is not None:
+            self.buckets.setdefault(key, []).append(n)
+        self.exact[v.key()] = n
+        self.points.append(v)
+        self.held.append(_certified(self.red, v.coords))
+        return n
+
+    def image(self, g: ProjElem, gc: Optional[tuple], n: int) -> int:
+        """The id of g.v, for v the parameter n and gc the _certified
+        entries of g.
+
+        The images of g and v key g.v and form t x' - s y', which vanishes
+        at a stored [x' : y'] exactly when it is g.v.  A key hit is decided
+        by _vanishes, else by _same_parameter on the exact g.v.  A miss, or
+        no key, normalizes the exact g.v (at most one inversion) and looks
+        it up by its exact key, which finds a parameter filed under no key;
+        else it is new.  A collision mod p costs a refused hit, never a
+        wrong id."""
+        red, v, c = self.red, self.points[n], self.held[n]
+        st = key = None
+        if c is not None and gc is not None:
+            form = _transport_form(red.mu, gc, c)
+            t, ms = form[0]
+            key = red.key((-ms[0] % red.p, t[0] % red.p))
+            for m in self.buckets.get(key, ()):
+                hit = _vanishes(red, form, self.held[m])
+                if hit is None:
+                    st = st or _apply(g, v.coords)
+                    hit = _same_parameter(st, self.points[m])
+                if hit:
+                    return m
+        nv = ProjPoint(*(st or _apply(g, v.coords)))
+        m = self.exact.get(nv.key())
+        return self.add(nv, key) if m is None else m
 
 
 def orbit_full(cfg: LineConfig, seed: ProjPoint,
@@ -478,16 +443,14 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint,
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
-    F_ijk v on line j.  Its images at every root of Field.reduction() come
-    from those of v and of the class F_ijk, each computed once, and decide
-    a key hit by t x' - s y' = 0; the exact F_ijk v, two fused products, is
-    formed only for a new point or a hit they cannot decide.  The transport
-    classes are read from the provenance
-    of an all_triples generator set, and the closure is needed for the
-    stabilizer count and the orbit bound; either is computed here
-    unless supplied (a built set is the one closed), and an incomplete
-    closure is refused.  carrier, when given, must be find_carrier's
-    label for the seed.
+    F_ijk v on line j.  The walk visits (line, parameter id) pairs from the
+    seed, and each transport class maps each id once (_Parameters.image);
+    each (line, id) becomes one P^3 point.  The transport classes are read
+    from the provenance of an all_triples generator set, and the closure
+    is needed for the stabilizer count and the orbit bound (_overflow);
+    either is computed here unless supplied (a built set is the one
+    closed), and an incomplete closure is refused.  carrier, when given,
+    must be find_carrier's label for the seed.
     """
     if gens is not None and gens.mode != "all_triples":
         raise ValueError("orbit_full reads every F_ijk: it needs an all_triples set")
@@ -495,31 +458,33 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint,
     if gens is None:
         gens = generator_set(cfg)
     red = cfg.field.reduction()
-    classes = {g: _certified(red, g.rep.entries()) for g in gens.provenance}
-    transport = {t: (g, classes[g])
-                 for g, triples in gens.provenance.items() for t in triples}
+    # each transport class, with its images and its moves: parameter id -> image id
+    classes = {g: (g, _certified(red, g.rep.entries()), {}) for g in gens.provenance}
+    transport = {t: classes[g] for g, triples in gens.provenance.items() for t in triples}
     labels = cfg.labels()
-
-    def step(lab: str, _, v, c) -> Iterator[tuple]:
-        for j in labels:
-            if j == lab:
-                continue
-            for k in labels:
-                if k == lab or k == j:
-                    continue
-                g, gc = transport[lab, j, k]
-                exact = partial(_apply, g, v.coords)
-                if c is None or gc is None:
-                    yield j, None, None, exact
-                    continue
-                form = _transport_form(red.mu, gc, c)
-                t, ms = form[0]
-                yield j, red.key((-ms[0] % red.p, t[0] % red.p)), form, exact
-
-    return _orbit_bfs(cfg, seed, carrier, closure,
-                      line_parameter(cfg, carrier, seed), step, _same_parameter,
-                      lambda j, st: st, lambda j, v: point_on_line(cfg, j, v),
-                      lambda p, v: v.coords, None)
+    hops = {lab: [(j, transport[lab, j, k]) for j, k in _hops(labels, lab)]
+            for lab in labels}
+    params = _Parameters(red)
+    v0 = line_parameter(cfg, carrier, seed)
+    params.add(v0, None)
+    stab = _stabilizer_size(closure, v0)
+    bound = closure.order // stab
+    placed = {lab: {} for lab in labels}  # for each line, parameter id -> point
+    placed[carrier][0] = seed
+    queue = [(carrier, 0)]
+    for lab, n in queue:  # the queue grows while it is read
+        for j, (g, gc, move) in hops[lab]:
+            m = move.get(n)
+            if m is None:
+                m = move[n] = params.image(g, gc, n)
+            line = placed[j]
+            if m not in line:
+                if len(line) >= bound:
+                    raise _overflow(j, bound)
+                line[m] = point_on_line(cfg, j, params.points[m])
+                queue.append((j, m))
+    return _report(seed, carrier, stab,
+                   {lab: list(line.values()) for lab, line in placed.items()})
 
 
 def orbit_on_line(cfg: LineConfig, G: GroupClosure,
@@ -544,6 +509,37 @@ def orbit_on_line(cfg: LineConfig, G: GroupClosure,
     return size, stab
 
 
+class _LinePoints:
+    """The oracle's points on one line: buckets files each with its
+    _certified coordinates under a key, None for a point filed under no
+    key, and exact holds its parameter's key."""
+
+    __slots__ = ("points", "buckets", "exact")
+
+    def __init__(self):
+        self.points: list[ProjPoint] = []
+        self.buckets: dict[tuple, list[tuple]] = {}
+        self.exact: set = set()
+
+    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint,
+            held: Optional[tuple]) -> None:
+        self.buckets.setdefault(key, []).append((p, held))
+        self.exact.add(v.key())
+        self.points.append(p)
+
+    def holds(self, key: tuple, red: Reduction, form: Optional[tuple],
+              plane) -> bool:
+        """Whether a point filed under key lies on the candidate's plane:
+        by _vanishes on the plane's form, else by _on_plane(plane())."""
+        for p, held in self.buckets.get(key, ()):
+            hit = _vanishes(red, form, held)
+            if hit is None:
+                hit = _on_plane(plane(), p)
+            if hit:
+                return True
+        return False
+
+
 def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
                     closure: Optional[GroupClosure] = None,
                     carrier: Optional[str] = None,
@@ -555,11 +551,14 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
     in four coordinates, serving as an independent oracle for the matrix
     path.  The plane's images at every root of Field.reduction() come from
     those of the point and of the line's Pluecker coordinates, each
-    computed once, and decide a key hit by lam.x = 0; the exact plane is
-    formed only for a new point or a hit they cannot decide.  closure and
-    carrier are computed here unless supplied, as in orbit_full;
-    stabilizer, when given, must be the number of elements of the closure
-    that fix the seed, and is counted here when absent.
+    computed once, and key the candidate by the meet over F_p (_meet_key).
+    A key hit is decided by lam.x = 0 (_LinePoints.holds), and a key the
+    line has not seen is a new point unless the line holds a point filed
+    under no key; only then, or with no key, is the candidate met exactly
+    and normalized.  closure and carrier are computed here unless supplied,
+    as in orbit_full; stabilizer, when given, must be the number of
+    elements of the closure that fix the seed, and is counted here when
+    absent.
     """
     carrier, closure, _ = _prepare(cfg, seed, closure, carrier=carrier)
     labels = cfg.labels()
@@ -571,37 +570,38 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
     for lab, (a, b) in spans.items():
         c = _certified(red, a + b)
         span_images[lab] = None if c is None else [x[0] for x in c[0]]
-
-    def step(lab: str, p: ProjPoint, _, c) -> Iterator[tuple]:
-        planes = {}  # the exact planes, formed on demand
-
-        def plane(k: str) -> tuple:
-            if k not in planes:
-                planes[k] = _plane(pluckers[k], p.coords)
-            return planes[k]
-
+    v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
+    stab = _stabilizer_size(closure, v0) if stabilizer is None else stabilizer
+    bound = closure.order // stab
+    lines = {lab: _LinePoints() for lab in labels}
+    c0 = _certified(red, seed.coords)
+    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, c0)
+    queue = [(carrier, seed, c0)]
+    for lab, p, c in queue:  # the queue grows while it is read
+        # the exact planes through p, each formed on demand and once
+        plane = cache(lambda k, x=p.coords: _plane(pluckers[k], x))
         forms = {k: None if c is None or plucker_images[k] is None
                  else _plane_form(red.mu, plucker_images[k], c)
                  for k in labels if k != lab}
-        for j in labels:
-            if j == lab:
+        for j, k in _hops(labels, lab):
+            line, form = lines[j], forms[k]
+            key = None if form is None else _meet_key(
+                red, span_images[j], [lam[0] for lam in form[0]])
+            exact = partial(plane, k)
+            if key is not None and line.holds(key, red, form, exact):
                 continue
-            for k in labels:
-                if k == lab or k == j:
-                    continue
-                form = forms[k]
-                key = None if form is None else _meet_key(
-                    red, span_images[j], [lam[0] for lam in form[0]])
-                yield j, key, form, partial(plane, k)
-
-    def build(j: str, v: ProjPoint) -> ProjPoint:
-        (s, t), (a, b) = v.coords, spans[j]
-        return ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
-
-    v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
-    return _orbit_bfs(cfg, seed, carrier, closure, v0, step, _on_plane,
-                      lambda j, lam: _meet(spans[j], lam), build,
-                      lambda p, v: p.coords, stabilizer)
+            nv = ProjPoint(*_meet(spans[j], exact()))
+            if (key is None or None in line.buckets) and nv.key() in line.exact:
+                continue
+            if len(line.points) >= bound:
+                raise _overflow(j, bound)
+            (s, t), (a, b) = nv.coords, spans[j]
+            np = ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
+            nc = _certified(red, np.coords)
+            line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv, nc)
+            queue.append((j, np, nc))
+    return _report(seed, carrier, stab,
+                   {lab: line.points for lab, line in lines.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -759,6 +759,30 @@ def test_modular_keys_match_the_exact_key_walk(name):
         _assert_walks_match_exact_keys(cfg, seed, G)
 
 
+def _without_lines(cfg, zero: bool, infinity: bool) -> LineConfig:
+    return LineConfig(cfg.field, [cfg.matrix(lab) for lab in cfg.matrix_labels()],
+                      include_zero=zero, include_infinity=infinity)
+
+
+@pytest.mark.parametrize("zero, infinity", [(True, False), (False, True),
+                                            (False, False)])
+@pytest.mark.parametrize("name", ["a4", "s4", "a5"])
+def test_walks_match_without_the_zero_or_infinity_line(name, zero, infinity):
+    # with no infinity line there is no F_{i,j,inf} = 1 hop, and a line's
+    # parameters need not be all of G.v0; each walk still matches the
+    # exactly keyed reference, and the two walks agree
+    cfg = _without_lines(_MODULAR_KEY_CONFIGS[name](), zero, infinity)
+    f = cfg.field
+    G = closed(cfg)
+    labels = cfg.labels()
+    for lab, v in ((labels[0], ProjPoint(f.zero(), f.one())),
+                   (labels[-1], generic_seed(cfg, G))):
+        seed = point_on_line(cfg, lab, v)
+        _assert_walks_match_exact_keys(cfg, seed, G)
+        assert orbit_full(cfg, seed, closure=G).to_json() == \
+            orbit_geometric(cfg, seed, closure=G).to_json()
+
+
 def _recording(fn, outcomes):
     def wrapper(*args):
         ok = fn(*args)
@@ -867,8 +891,9 @@ def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
 def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     # exact products, by hand, outside the stabilizer count (fixes_point:
     # five products an element):
-    # - transport walk, per new point: F_ijk v (two fused products), its
-    #   normalization (one), its P^3 point (two): 5;
+    # - transport walk, per new parameter: F_ijk v (two fused products) and
+    #   its normalization (one), |G.v0| - 1 of them; per point of a matrix
+    #   line: its P^3 point (two), |G.v0| points on each such line;
     # - oracle, per new point: the plane (four fused coordinates), the meet
     #   (two), the normalized parameter (one), its P^3 point (four) and that
     #   point's normalization (three): 14; and two products for each of the
@@ -891,11 +916,55 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     oracle_calls = len(calls) - full_calls
     built = full.total_size - 1
     assert oracle.total_size - 1 == built
-    assert full_calls <= 5 * built + 5 * G.order
+    orbit = G.order // full.stabilizer_order
+    assert full_calls <= (3 * (orbit - 1) + 2 * len(cfg.matrix_labels()) * orbit
+                          + 5 * G.order)
     assert oracle_calls <= 14 * built + 5 * G.order + 12 * len(cfg.labels()) + 20
     if name == "a5":
-        # 150 points a walk, formed from 1 800 candidates each
+        # 150 points a walk, formed from 1 800 candidates each; the
+        # transport walk's bound above is 3 * 29 + 2 * 3 * 30 + 5 * 60 = 567
         assert full_calls + oracle_calls <= 8000
+
+
+@pytest.mark.parametrize("name, classes, orbit", [("a4", 10, 4), ("s4", 13, 6),
+                                                  ("a5", 17, 30)])
+def test_transport_walk_moves_each_parameter_once_per_class(monkeypatch, name,
+                                                           classes, orbit):
+    # F_{i,j,inf} = 1, so every line's parameters are the set G.v0 of |G| /
+    # |Stab(v0)| parameters: 12 / 3, 24 / 4 and 60 / 2 from [0:0:0:1].  The
+    # walk builds each one but v0 once, images each parameter by each
+    # transport class at most once, and inverts at most once a new parameter
+    cfg = _MODULAR_KEY_CONFIGS[name]()
+    f = cfg.field
+    G = closed(cfg)
+    gens = generator_set(cfg)
+    assert len(gens.provenance) == classes
+    seed = p3_from_string(f, "[0:0:0:1]")
+    carrier = find_carrier(cfg, seed)
+    params, images, inversions = [], [], []
+
+    class Counted(ProjPoint):
+        __slots__ = ()
+
+        def __init__(self, *coords):
+            if len(coords) == 2:  # a line parameter, not a point of P^3
+                params.append(coords)
+            super().__init__(*coords)
+
+    monkeypatch.setattr(orbits, "ProjPoint", Counted)
+    form = orbits._transport_form
+    monkeypatch.setattr(orbits, "_transport_form",
+                        lambda *a: images.append(1) or form(*a))
+    inv = type(f)._inv
+    monkeypatch.setattr(type(f), "_inv",
+                        lambda self, *a: inversions.append(1) or inv(self, *a))
+    report = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
+    assert G.order // report.stabilizer_order == orbit
+    assert set(report.per_line_sizes.values()) == {orbit}
+    new = len(params) - 1  # line_parameter reads the other off the seed
+    assert new == orbit - 1
+    assert 0 < len(images) <= classes * orbit
+    assert len(inversions) <= new
 
 
 def _conjugated(cfg, n: str) -> LineConfig:
@@ -949,7 +1018,7 @@ def test_images_that_agree_mod_p_only_are_not_certified(n, p):
         orbits._certified(red, (one, y)))
     stored = orbits._certified(red, (one, x))
     assert orbits._vanishes(red, form, stored) is None
-    assert not orbits._same_parameter((one, y), None, ProjPoint(one, x))
+    assert not orbits._same_parameter((one, y), ProjPoint(one, x))
     # y - x, two terms of one factor each: H = h(y) den(x) + h(x) den(y)
     values = [a - b for a, b in zip(red.images(y.nums, y.den), red.images(x.nums, x.den))]
     assert not any(v % p for v in values)
