@@ -79,11 +79,9 @@ from .orbits import (
     OrbitReport,
     SeedNotOnConfiguration,
     find_carrier,
-    generic_seed,
     line_parameter,
     orbit_full,
     orbit_geometric,
-    orbit_on_line,
     p3_from_string,
     point_on_line,
 )

@@ -16,6 +16,7 @@ from .fields import Field, FieldSpec
 from .matrices import (
     Mat2,
     ProjPoint,
+    _commutation,
     _kernel_line,
     commutator,
     eigenvectors,
@@ -224,7 +225,7 @@ class LineConfig:
             elif entry == "identity":
                 matrices.append(Mat2.identity(field))
             else:
-                matrices.append(Mat2.from_json(field, entry))
+                matrices.append(Mat2.from_rows(field, entry))
         return LineConfig(field, matrices,
                           include_zero=include_zero,
                           include_infinity=include_infinity)
@@ -350,13 +351,11 @@ def predict_abelian(cfg: LineConfig) -> AbelianReport:
 def _commutation_case(a: Mat2, b: Mat2) -> str:
     if a.is_scalar() or b.is_scalar():
         return "scalar"
-    ab, ba = a * b, b * a
-    if ab == ba:
+    sign = _commutation(a, b)
+    if sign == 1:
         if not a.discriminant() and not b.discriminant():
             return "shared_eigenspace"
         return "simultaneously_diagonalizable"
-    # [ab] = [ba] means ab = l ba for a scalar l; taking determinants gives
-    # l^2 = 1, and l != 1 because ab != ba, so l = -1
-    if ab == -ba:
+    if sign == -1:
         return "anti_commuting"
     return "non_commuting"

@@ -192,6 +192,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
 def _max_order_with_phi_le(bound: int) -> int:
     """Largest n such that phi(n) <= bound (phi(n) >= sqrt(n/2) caps the scan)."""
     best = 1
@@ -1008,43 +1009,6 @@ class Field:
             for i in reversed(range(d)):
                 rest, nums[i] = divmod(rest, p)
             yield self._make(nums, 1)
-
-    @staticmethod
-    def _rational_sequence() -> Iterator[Fraction]:
-        yield Fraction(0)
-        h = 1
-        while True:
-            for den in range(1, h + 1):
-                if den == h:
-                    nums = [n for n in range(1, h + 1) if math.gcd(n, den) == 1]
-                else:
-                    nums = [h] if math.gcd(h, den) == 1 else []
-                for n in nums:
-                    yield Fraction(n, den)
-                    yield Fraction(-n, den)
-            h += 1
-
-    def element_sequence(self) -> Iterator[FieldElement]:
-        """A deterministic enumeration of the field (exhaustive when finite)."""
-        if self.is_finite:
-            yield from self.elements()
-            return
-        if self.degree == 1:
-            for fr in self._rational_sequence():
-                yield self.from_fraction(fr)
-            return
-        base: list[Fraction] = []
-        seq = self._rational_sequence()
-        shell = 0
-        while True:
-            while len(base) <= shell:
-                base.append(next(seq))
-            for rev in itertools.product(range(shell + 1), repeat=self.degree):
-                idx = tuple(reversed(rev))
-                if max(idx) != shell:
-                    continue
-                yield self.from_coeffs([base[i] for i in idx])
-            shell += 1
 
     # -- roots and orders -------------------------------------------------------
 

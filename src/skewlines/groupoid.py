@@ -30,6 +30,7 @@ from .fields import Field, _factorize
 from .matrices import (
     Mat2,
     ProjElem,
+    _commutation,
     _entries,
     eigenvectors,
     fixes_point,
@@ -155,7 +156,7 @@ class GroupClosure:
 
     def is_abelian(self) -> bool:
         """A group is abelian exactly when its generators commute pairwise."""
-        return all(g * h == h * g
+        return all(_commutation(g.rep, h.rep)
                    for g, h in itertools.combinations(self.generators, 2))
 
 

@@ -191,10 +191,6 @@ class Mat2:
         return [[self.a.to_json(), self.b.to_json()],
                 [self.c.to_json(), self.d.to_json()]]
 
-    @staticmethod
-    def from_json(field: Field, obj) -> "Mat2":
-        return Mat2.from_rows(field, obj)
-
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
@@ -320,6 +316,18 @@ def _product(x: Mat2, y: Mat2) -> tuple:
             dot(a.nums, a.den, B.nums, B.den, b.nums, b.den, D.nums, D.den),
             dot(c.nums, c.den, A.nums, A.den, d.nums, d.den, C.nums, C.den),
             dot(c.nums, c.den, B.nums, B.den, d.nums, d.den, D.nums, D.den))
+
+
+def _commutation(x: Mat2, y: Mat2) -> int:
+    """1 when xy = yx, -1 when xy = -yx, else 0, from the raw entries of
+    both products.  xy and yx have one determinant, so [xy] = [yx] means
+    xy = l yx with l^2 = 1: the classes commute exactly when this is
+    nonzero."""
+    xy, yx = _product(x, y), _product(y, x)
+    if xy == yx:
+        return 1
+    neg = x.field._neg_nums
+    return -1 if xy == tuple((neg(n), d) for n, d in yx) else 0
 
 
 def _canonical(f: Field, ents: tuple) -> ProjElem:

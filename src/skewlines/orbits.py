@@ -42,14 +42,8 @@ from typing import Optional, Sequence
 
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
 from .fields import Field, FieldElement, MixedFields, Reduction
-from .groupoid import (
-    GeneratorSet,
-    GroupClosure,
-    IncompleteClosure,
-    generator_set,
-    group_closure,
-)
-from .matrices import ProjElem, ProjPoint, fixes_point, moebius_apply
+from .groupoid import GeneratorSet, GroupClosure, IncompleteClosure
+from .matrices import ProjElem, ProjPoint, fixes_point
 
 
 class SeedNotOnConfiguration(Exception):
@@ -299,12 +293,10 @@ class OrbitReport:
         }
 
 
-def _prepare(cfg: LineConfig, seed: ProjPoint, closure: Optional[GroupClosure],
-             gens: Optional[GeneratorSet] = None, carrier: Optional[str] = None
-             ) -> tuple[str, GroupClosure, Optional[GeneratorSet]]:
-    """Check the seed and find its carrier unless one is supplied, then
-    close gens (built here if absent) unless a closure is supplied; an
-    incomplete closure is refused."""
+def _prepare(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
+             carrier: Optional[str]) -> str:
+    """Check the seed and return its carrier, found here unless supplied;
+    an incomplete closure is refused."""
     cfg.require_valid()
     if seed.field.spec != cfg.field.spec:
         raise MixedFields("seed lies over a different field")
@@ -312,15 +304,11 @@ def _prepare(cfg: LineConfig, seed: ProjPoint, closure: Optional[GroupClosure],
         carrier = find_carrier(cfg, seed)
     if carrier is None:
         raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
-    if closure is None:
-        if gens is None:
-            gens = generator_set(cfg)
-        closure = group_closure(gens)
     if closure.budget_hit:
         raise IncompleteClosure(
             "orbit sizes and stabilizers need the complete group"
         )
-    return carrier, closure, gens
+    return carrier
 
 
 def _stabilizer_size(closure: GroupClosure, v) -> int:
@@ -436,27 +424,22 @@ class _Parameters:
         return self.add(nv, key) if m is None else m
 
 
-def orbit_full(cfg: LineConfig, seed: ProjPoint,
-               closure: Optional[GroupClosure] = None,
-               gens: Optional[GeneratorSet] = None,
-               carrier: Optional[str] = None) -> OrbitReport:
+def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
+               gens: GeneratorSet, carrier: Optional[str] = None) -> OrbitReport:
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
     F_ijk v on line j.  The walk visits (line, parameter id) pairs from the
     seed, and each transport class maps each id once (_Parameters.image);
     each (line, id) becomes one P^3 point.  The transport classes are read
-    from the provenance of an all_triples generator set, and the closure
-    is needed for the stabilizer count and the orbit bound (_overflow);
-    either is computed here unless supplied (a built set is the one
-    closed), and an incomplete closure is refused.  carrier, when given,
-    must be find_carrier's label for the seed.
+    from the provenance of gens, an all_triples generator set, and the
+    closure gives the stabilizer count and the orbit bound (_overflow); an
+    incomplete closure is refused.  carrier, when given, must be
+    find_carrier's label for the seed.
     """
-    if gens is not None and gens.mode != "all_triples":
+    if gens.mode != "all_triples":
         raise ValueError("orbit_full reads every F_ijk: it needs an all_triples set")
-    carrier, closure, gens = _prepare(cfg, seed, closure, gens, carrier)
-    if gens is None:
-        gens = generator_set(cfg)
+    carrier = _prepare(cfg, seed, closure, carrier)
     red = cfg.field.reduction()
     # each transport class, with its images and its moves: parameter id -> image id
     classes = {g: (g, _certified(red, g.rep.entries()), {}) for g in gens.provenance}
@@ -485,28 +468,6 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint,
                 queue.append((j, m))
     return _report(seed, carrier, stab,
                    {lab: list(line.values()) for lab, line in placed.items()})
-
-
-def orbit_on_line(cfg: LineConfig, G: GroupClosure,
-                  seed: ProjPoint) -> tuple[int, int]:
-    """Orbit size and stabilizer order of a P^1 parameter under G.
-
-    The stabilizer comes from a direct count of fixing elements and is
-    cross-checked against the orbit-stabilizer identity.
-    """
-    cfg.require_valid()
-    if G.budget_hit:
-        raise IncompleteClosure("orbit counting needs the complete group")
-    if seed.field.spec != cfg.field.spec:
-        raise MixedFields("seed lies over a different field")
-    orbit = {moebius_apply(g, seed).key() for g in G.elements}
-    size = len(orbit)
-    stab = _stabilizer_size(G, seed)
-    if size * stab != G.order:
-        raise RuntimeError(
-            f"orbit-stabilizer mismatch: {size} * {stab} != {G.order}"
-        )
-    return size, stab
 
 
 class _LinePoints:
@@ -540,8 +501,7 @@ class _LinePoints:
         return False
 
 
-def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
-                    closure: Optional[GroupClosure] = None,
+def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
                     carrier: Optional[str] = None,
                     stabilizer: Optional[int] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
@@ -555,12 +515,11 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
     A key hit is decided by lam.x = 0 (_LinePoints.holds), and a key the
     line has not seen is a new point unless the line holds a point filed
     under no key; only then, or with no key, is the candidate met exactly
-    and normalized.  closure and carrier are computed here unless supplied,
-    as in orbit_full; stabilizer, when given, must be the number of
-    elements of the closure that fix the seed, and is counted here when
-    absent.
+    and normalized.  closure and carrier are as in orbit_full; stabilizer,
+    when given, must be the number of elements of the closure that fix the
+    seed, and is counted here when absent.
     """
-    carrier, closure, _ = _prepare(cfg, seed, closure, carrier=carrier)
+    carrier = _prepare(cfg, seed, closure, carrier)
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
@@ -602,30 +561,3 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint,
             queue.append((j, np, nc))
     return _report(seed, carrier, stab,
                    {lab: line.points for lab, line in lines.items()})
-
-
-# ---------------------------------------------------------------------------
-# deterministic generic seeds
-
-
-def generic_seed(cfg: LineConfig, closure: GroupClosure) -> ProjPoint:
-    """The first canonical P^1 point with trivial stabilizer.
-
-    Candidates are tried in the fixed order [1:0], [0:1], [1:1], then
-    [1:c] along the field's element enumeration, so the choice is
-    reproducible.  Each candidate is certified by the fixed-point test
-    alone, and dropped at the first non-identity element that fixes it.
-    """
-    if closure.budget_hit:
-        raise IncompleteClosure("seed construction needs the complete group")
-    f = cfg.field
-    movers = [g for g in closure.elements if not g.is_identity()]
-    one, zero = f.one(), f.zero()
-    candidates = itertools.chain(
-        [ProjPoint(one, zero), ProjPoint(zero, one), ProjPoint(one, one)],
-        (ProjPoint(one, c) for c in f.element_sequence()),
-    )
-    for p in candidates:
-        if not any(fixes_point(g, p) for g in movers):
-            return p
-    raise RuntimeError("field exhausted before finding a generic point")

@@ -6,6 +6,7 @@ its check, from the construction's matrices rather than from the program's
 output; a failing check prints the analysis that explains what it means.
 """
 
+import itertools
 import json
 import random
 import time
@@ -33,12 +34,10 @@ from skewlines.groupoid import (
     generator_set,
     group_closure,
 )
-from skewlines.matrices import Mat2, ProjElem, ProjPoint, proj_order
+from skewlines.matrices import Mat2, ProjElem, ProjPoint, fixes_point, proj_order
 from skewlines.orbits import (
-    generic_seed,
     orbit_full,
     orbit_geometric,
-    orbit_on_line,
     p3_from_string,
     point_on_line,
 )
@@ -62,8 +61,35 @@ def _report(num, title, checks, analysis=None):
     assert not bad, f"criterion {num} ({title}): {detail}"
 
 
+def _pipeline(cfg, budget=5000):
+    """The all_triples set and its closure, as analyze() builds them."""
+    gens = generator_set(cfg)
+    return gens, group_closure(gens, budget=budget)
+
+
 def _closure(cfg, budget=5000):
     return group_closure(generator_set(cfg), budget=budget)
+
+
+def _line_orbit(cfg, G, gens, v):
+    """(orbit size, stabilizer order) of the parameter v on the infinity
+    line, from the orbit_full report of its point."""
+    rep = orbit_full(cfg, point_on_line(cfg, "inf", v), G, gens)
+    return rep.per_line_sizes["inf"], rep.stabilizer_order
+
+
+def _generic_parameter(cfg, G):
+    """The first of [1:0], [0:1], [1:1] and [1:c] fixed by no non-identity
+    element of G: c runs over the field's elements over F_q and over the
+    integers from 2 over a number field."""
+    f = cfg.field
+    one, zero = f.one(), f.zero()
+    cs = f.elements() if f.is_finite else map(f.from_int, itertools.count(2))
+    candidates = itertools.chain(
+        [ProjPoint(one, zero), ProjPoint(zero, one), ProjPoint(one, one)],
+        (ProjPoint(one, c) for c in cs))
+    movers = [g for g in G.elements if not g.is_identity()]
+    return next(v for v in candidates if not any(fixes_point(g, v) for g in movers))
 
 
 def _affine_f5_variant():
@@ -151,13 +177,13 @@ def test_criterion_01_icosahedral_group():
     started = time.monotonic()
     cfg = a5_example().config
     f = cfg.field
-    G = _closure(cfg)
+    gens, G = _pipeline(cfg)
     cls = classify(G)
     r = ProjElem(cfg.matrix("2"))
     s = ProjElem(cfg.matrix("3"))
-    special_size, special_stab = orbit_on_line(cfg, G, ProjPoint(f.zero(), f.one()))
-    seed = generic_seed(cfg, G)
-    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", seed), closure=G)
+    special_size, special_stab = _line_orbit(cfg, G, gens, ProjPoint(f.zero(), f.one()))
+    seed = _generic_parameter(cfg, G)
+    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", seed), G, gens)
     elapsed = time.monotonic() - started
     _report(1, "icosahedral example", [
         ("closure order", 60, G.order),
@@ -178,24 +204,24 @@ def test_criterion_02_octahedral_group():
     f = cfg.field
     m2, m3 = cfg.matrix("2"), cfg.matrix("3")
     comm_det = (m2 * m3 - m3 * m2).det()
-    G = _closure(cfg)
+    gens, G = _pipeline(cfg)
     cls = classify(G)
     r = generator(cfg, "2", "0", "1")
     s = r * generator(cfg, "3", "0", "1")
-    special = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), closure=G)
-    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", generic_seed(cfg, G)),
-                         closure=G)
+    special = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
+    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", _generic_parameter(cfg, G)),
+                         G, gens)
 
     # the second listed seed involves sqrt(3) as well as i; the smallest
     # cyclotomic field containing both is the 12th (i = z^3, sqrt3 = z + z^11)
     f12 = cyclotomic_field(12)
     big = s4_example(f12).config
-    G12 = _closure(big)
+    gens12, G12 = _pipeline(big)
     i = f12.parse("z^3")
     sqrt3 = f12.parse("z + z^11")
     w = (f12.one() - i) * (f12.one() + sqrt3) / f12.from_int(2)
     mid = orbit_full(big, ProjPoint(f12.zero(), f12.zero(), -f12.one(), w),
-                     closure=G12)
+                     G12, gens12)
     print("criterion 2 field recorded for the middle seed: "
           "12th cyclotomic field (conductor 12, i = z^3, sqrt(3) = z + z^11)")
     _report(2, "octahedral example", [
@@ -217,15 +243,15 @@ def test_criterion_02_octahedral_group():
 def test_criterion_03_tetrahedral_group():
     cfg = a4_example().config  # a = 1 over the 12th cyclotomic field
     f = cfg.field
-    G = _closure(cfg)
+    gens, G = _pipeline(cfg)
     cls = classify(G)
     A, B = cfg.matrix("2"), cfg.matrix("3")
     r = ProjElem(A)
     s = ProjElem(A * B)
-    special = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), closure=G)
-    mid = orbit_full(cfg, p3_from_string(f, "[0:0:-1:z^3]"), closure=G)
-    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", generic_seed(cfg, G)),
-                         closure=G)
+    special = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
+    mid = orbit_full(cfg, p3_from_string(f, "[0:0:-1:z^3]"), G, gens)
+    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", _generic_parameter(cfg, G)),
+                         G, gens)
 
     # the four special points on the infinity line, written with the line
     # parameter w/z: infinity, 1/(eps*a), 0, -eps/a (here a = 1, eps = z^2)
@@ -276,11 +302,11 @@ def test_criterion_05_affine_example():
     fam = affine(5)
     cfg = fam.config
     f = cfg.field
-    G = _closure(cfg)
+    gens, G = _pipeline(cfg)
     cls = classify(G)
-    t_inf = orbit_on_line(cfg, G, ProjPoint(f.one(), f.zero()))
-    t_zero = orbit_on_line(cfg, G, ProjPoint(f.zero(), f.one()))
-    t_one = orbit_on_line(cfg, G, ProjPoint(f.one(), f.one()))
+    t_inf = _line_orbit(cfg, G, gens, ProjPoint(f.one(), f.zero()))
+    t_zero = _line_orbit(cfg, G, gens, ProjPoint(f.zero(), f.one()))
+    t_one = _line_orbit(cfg, G, gens, ProjPoint(f.one(), f.one()))
 
     # (b) the dilation-in-F_5 lines I, M2, diag(2, 3), built over the same
     # F_25 so that points outside F_5 are available as seeds.
@@ -289,11 +315,11 @@ def test_criterion_05_affine_example():
         Mat2.from_rows(f, [["-1", "1"], ["0", "-1"]]),
         Mat2.diag(f.parse("2"), f.parse("3")),
     ])
-    Gs = _closure(small)
+    gens_s, Gs = _pipeline(small)
     cls_s = classify(Gs)
-    s_inf = orbit_on_line(small, Gs, ProjPoint(f.one(), f.zero()))
-    s_zero = orbit_on_line(small, Gs, ProjPoint(f.zero(), f.one()))
-    s_gen = orbit_on_line(small, Gs, ProjPoint(f.gen(), f.one()))
+    s_inf = _line_orbit(small, Gs, gens_s, ProjPoint(f.one(), f.zero()))
+    s_zero = _line_orbit(small, Gs, gens_s, ProjPoint(f.zero(), f.one()))
+    s_gen = _line_orbit(small, Gs, gens_s, ProjPoint(f.gen(), f.one()))
 
     _report(5, "affine examples over F_25", [
         # (a) D_{M2,0}: t -> t - 1.  D_{M3,0}: t -> a^2 t = 2t.
@@ -438,19 +464,19 @@ def test_criterion_09a_oracle_equivalence():
         (elementary_abelian(3).config, "[0:0:0:1]"),
     ]
     for cfg, text in golden_seeds:
-        G = _closure(cfg)
+        gens, G = _pipeline(cfg)
         seed = p3_from_string(cfg.field, text)
-        fast = orbit_full(cfg, seed, closure=G)
-        slow = orbit_geometric(cfg, seed, closure=G)
+        fast = orbit_full(cfg, seed, G, gens)
+        slow = orbit_geometric(cfg, seed, G)
         total += 1
         if _orbit_point_sets(fast) != _orbit_point_sets(slow):
             mismatches.append(f"golden config over {cfg.field!r}")
 
     for cfg in _random_4line_corpus(seed=99):
-        G = _closure(cfg, budget=100)
-        seed = point_on_line(cfg, "1", generic_seed(cfg, G))
-        fast = orbit_full(cfg, seed, closure=G)
-        slow = orbit_geometric(cfg, seed, closure=G)
+        gens, G = _pipeline(cfg, budget=100)
+        seed = point_on_line(cfg, "1", _generic_parameter(cfg, G))
+        fast = orbit_full(cfg, seed, G, gens)
+        slow = orbit_geometric(cfg, seed, G)
         total += 1
         if _orbit_point_sets(fast) != _orbit_point_sets(slow):
             mismatches.append(f"random config {cfg.to_json()['lines']}")
@@ -469,16 +495,16 @@ def test_criterion_09b_orbit_stabilizer_identity():
     count = 0
     for cfg in _golden_corpus():
         f = cfg.field
-        G = _closure(cfg)
+        gens, G = _pipeline(cfg)
         seeds = [p3_from_string(f, "[0:0:0:1]"),
                  p3_from_string(f, "[1:0:0:0]"),
                  p3_from_string(f, "[1:1:1:1]")]
         if f.characteristic == 0:
             # over a finite field every point of the line can carry a
             # stabilizer, so free seeds only exist in characteristic zero
-            seeds.append(point_on_line(cfg, "inf", generic_seed(cfg, G)))
+            seeds.append(point_on_line(cfg, "inf", _generic_parameter(cfg, G)))
         for seed in seeds:
-            rep = orbit_full(cfg, seed, closure=G)
+            rep = orbit_full(cfg, seed, G, gens)
             count += 1
             if rep.per_line_sizes[rep.carrier] * rep.stabilizer_order != G.order:
                 failures.append(f"{seed!r} over {f!r}: "

@@ -953,8 +953,8 @@ def test_reduction_mod_p_keeps_order_and_census(fam):
 
 
 def _witness_pair(c, field):
-    r = proj_normalize(Mat2.from_json(field, c.witnesses["r"]))
-    s = proj_normalize(Mat2.from_json(field, c.witnesses["s"]))
+    r = proj_normalize(Mat2.from_rows(field, c.witnesses["r"]))
+    s = proj_normalize(Mat2.from_rows(field, c.witnesses["s"]))
     return r, s
 
 
@@ -1466,19 +1466,26 @@ def test_classify_evaluates_element_order_once_per_class_value(monkeypatch):
 
 
 def test_is_abelian_multiplies_only_generator_pairs(monkeypatch):
+    # gh and hg once for each pair of generators, compared raw: the classes
+    # commute exactly when gh = +-hg, so no product is canonicalized
     products = []
-    plain = ProjElem.__mul__
+    plain = matrices._product
 
-    def counted(self, other):
+    def counted(x, y):
         products.append(1)
-        return plain(self, other)
+        return plain(x, y)
 
-    monkeypatch.setattr(ProjElem, "__mul__", counted)
+    def refuse(*args):
+        raise AssertionError("is_abelian canonicalized a product")
+
     for name in ("standard8", "elementary_abelian5", "a5", "affine7"):
         G = _family_closure(name)
         k = len(G.generators)
         products.clear()
-        G.is_abelian()
+        with monkeypatch.context() as m:
+            m.setattr(matrices, "_product", counted)
+            m.setattr(matrices, "_canonical", refuse)
+            G.is_abelian()
         assert len(products) <= k * (k - 1)
 
 

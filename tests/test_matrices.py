@@ -22,6 +22,7 @@ from skewlines.matrices import (
     SingularMatrix,
     ZeroMatrix,
     ZeroVector,
+    _commutation,
     commutator,
     eigenvectors,
     moebius_apply,
@@ -33,6 +34,11 @@ from skewlines.matrices import (
 Q = rational_field()
 F5 = prime_field(5)
 Z6 = cyclotomic_field(6)
+# sample pools over Q: small rationals by height, each with its negative
+_SMALL_Q = [Q.parse(x) for x in (
+    "0", "1", "-1", "2", "-2", "1/2", "-1/2", "3", "-3", "3/2", "-3/2",
+    "1/3", "-1/3", "2/3", "-2/3", "4", "-4", "4/3", "-4/3", "1/4", "-1/4",
+    "3/4", "-3/4", "5", "-5")]
 
 
 def qm(rows):
@@ -77,6 +83,26 @@ def test_commutator():
     assert commutator(a, a).is_zero()
 
 
+@pytest.mark.parametrize("field", [Q, F5, extension_field(prime_field(2), [1, 1, 1])],
+                         ids=repr)
+def test_commutation_sign_matches_operator_products(field):
+    # 1 for xy = yx, -1 for xy = -yx (never in characteristic 2), else 0
+    rng = random.Random(5)
+    pool = list(itertools.islice(field.elements(), 5)) if field.is_finite else _SMALL_Q[:7]
+    mats = [Mat2(*[rng.choice(pool) for _ in range(4)]) for _ in range(40)]
+    mats += [qm([["0", "1"], ["1", "0"]]), qm([["1", "0"], ["0", "-1"]])] if field is Q else []
+    signs = set()
+    for x in mats:
+        for y in mats:
+            xy, yx = x * y, y * x
+            want = 1 if xy == yx else -1 if xy == -yx else 0
+            assert _commutation(x, y) == want, (x, y)
+            signs.add(want)
+    assert signs == ({1, 0} if field.characteristic == 2 else {1, 0, -1})
+    with pytest.raises(MixedFields):
+        _commutation(Mat2.identity(Q), Mat2.identity(F5))
+
+
 def test_from_rows_validation():
     with pytest.raises(ValueError):
         Mat2.from_rows(Q, [["1", "2", "3"], ["4", "5", "6"]])
@@ -86,7 +112,7 @@ def test_from_rows_validation():
 
 def test_json_roundtrip():
     m = Mat2.from_rows(Z6, [[["1", "2"], "0"], ["1/3", ["0", "-1"]]])
-    assert Mat2.from_json(Z6, m.to_json()) == m
+    assert Mat2.from_rows(Z6, m.to_json()) == m
 
 
 # ---------------------------------------------------------------- fused product kernel
@@ -178,7 +204,7 @@ def test_scalar_matrices_normalize_to_identity():
 
 def test_proj_normalize_scale_invariant():
     rng = random.Random(99)
-    pool = list(itertools.islice(Q.element_sequence(), 25))
+    pool = _SMALL_Q[:25]
     count = 0
     while count < 100:
         ents = [rng.choice(pool) for _ in range(4)]
@@ -292,7 +318,7 @@ def test_moebius_action():
 
 def test_moebius_action_is_a_group_action():
     rng = random.Random(17)
-    pool = list(itertools.islice(Q.element_sequence(), 15))
+    pool = _SMALL_Q[:15]
     pts = [ProjPoint(Q.one(), t) for t in pool] + [ProjPoint(Q.zero(), Q.one())]
     mats = []
     while len(mats) < 10:
@@ -446,7 +472,7 @@ def test_eigen_undecided_in_degree8_field():
 
 def test_eigen_random_soundness():
     rng = random.Random(31)
-    pool = list(itertools.islice(Q.element_sequence(), 12))
+    pool = _SMALL_Q[:12]
     for _ in range(60):
         m = Mat2(*[rng.choice(pool) for _ in range(4)])
         if m.is_zero():

@@ -15,6 +15,8 @@ from skewlines.families import (
     a4_example,
     a5_example,
     affine,
+    c3_scaled,
+    cyclic_4line,
     elementary_abelian,
     s4_example,
     standard_construction,
@@ -40,11 +42,9 @@ from skewlines.orbits import (
     OrbitReport,
     SeedNotOnConfiguration,
     find_carrier,
-    generic_seed,
     line_parameter,
     orbit_full,
     orbit_geometric,
-    orbit_on_line,
     p3_from_string,
     point_on_line,
 )
@@ -54,8 +54,39 @@ F3 = prime_field(3)
 F5 = prime_field(5)
 
 
-def closed(cfg, budget=5000):
-    return group_closure(generator_set(cfg), budget=budget)
+def pipeline(cfg, budget=5000):
+    """The all_triples set and its closure, each built once as analyze()
+    builds them."""
+    gens = generator_set(cfg)
+    return gens, group_closure(gens, budget=budget)
+
+
+def run(walk, cfg, seed, G, gens):
+    """Either walk from seed on the pipeline's artifacts; only orbit_full
+    reads the generator set."""
+    return walk(cfg, seed, G, gens) if walk is orbit_full else walk(cfg, seed, G)
+
+
+def line_orbit(cfg, G, gens, v):
+    """The size of the orbit of the parameter v on the infinity line, and
+    its stabilizer order, from the orbit_full report of its point."""
+    report = orbit_full(cfg, point_on_line(cfg, "inf", v), G, gens)
+    return report.per_line_sizes["inf"], report.stabilizer_order
+
+
+def generic_parameter(cfg, G):
+    """The first of [1:0], [0:1], [1:1] and [1:c] fixed by no non-identity
+    element of G, or None: c runs over the field's elements over F_q and
+    over the integers from 2 over a number field."""
+    f = cfg.field
+    one, zero = f.one(), f.zero()
+    cs = f.elements() if f.is_finite else map(f.from_int, itertools.count(2))
+    candidates = itertools.chain(
+        [ProjPoint(one, zero), ProjPoint(zero, one), ProjPoint(one, one)],
+        (ProjPoint(one, c) for c in cs))
+    movers = [g for g in G.elements if not g.is_identity()]
+    return next((v for v in candidates if not any(fixes_point(g, v) for g in movers)),
+                None)
 
 
 def diag_config(field, *entries):
@@ -207,43 +238,21 @@ def test_singular_line_seed_is_found_and_orbited():
     cfg = singular_line_config(Q)
     seed = p3_from_string(Q, "[0:1:0:0]")  # (v, D v) with v = [0:1], D v = 0
     assert find_carrier(cfg, seed) == "2"
-    G = closed(cfg)
-    fast = orbit_full(cfg, seed, closure=G)
-    slow = orbit_geometric(cfg, seed, closure=G)
+    gens, G = pipeline(cfg)
+    fast = orbit_full(cfg, seed, G, gens)
+    slow = orbit_geometric(cfg, seed, G)
     assert fast.to_json() == slow.to_json()
     assert (fast.carrier, fast.total_size, fast.stabilizer_order) == ("2", 3, 2)
-
-
-def test_standalone_orbit_full_builds_and_closes_one_set(monkeypatch):
-    built, closed_sets = [], []
-
-    def counted_set(cfg, mode="all_triples"):
-        built.append(generator_set(cfg, mode=mode))
-        return built[-1]
-
-    def counted_closure(gens, budget=5000):
-        closed_sets.append(gens)
-        return group_closure(gens, budget=budget)
-
-    monkeypatch.setattr(orbits, "generator_set", counted_set)
-    monkeypatch.setattr(orbits, "group_closure", counted_closure)
-    cfg = a4_example().config
-    seed = p3_from_string(cfg.field, "[0:0:0:1]")
-    report = orbit_full(cfg, seed)
-    assert len(built) == 1
-    assert len(closed_sets) == 1 and closed_sets[0] is built[0]
-    given = orbit_full(cfg, seed, closure=closed(cfg), gens=generator_set(cfg))
-    assert report.to_json() == given.to_json()
 
 
 def test_orbit_full_reads_a_supplied_set_and_refuses_differences():
     cfg = a4_example().config
     seed = p3_from_string(cfg.field, "[0:0:0:1]")
-    G = closed(cfg)
-    want = orbit_geometric(cfg, seed, closure=G).to_json()
-    assert orbit_full(cfg, seed, gens=generator_set(cfg)).to_json() == want
+    gens, G = pipeline(cfg)
+    want = orbit_geometric(cfg, seed, G).to_json()
+    assert orbit_full(cfg, seed, G, gens).to_json() == want
     with pytest.raises(ValueError, match="all_triples"):
-        orbit_full(cfg, seed, closure=G, gens=generator_set(cfg, mode="differences"))
+        orbit_full(cfg, seed, G, generator_set(cfg, mode="differences"))
 
 
 def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
@@ -252,21 +261,22 @@ def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
              (singular_line_config(Q), "[0:1:0:0]")]
     expected = []
     for cfg, text in cases:
-        G = closed(cfg)
+        gens, G = pipeline(cfg)
         seed = p3_from_string(cfg.field, text)
-        expected.append((cfg, seed, G, orbit_full(cfg, seed, closure=G).to_json()))
+        expected.append((cfg, seed, G, orbit_full(cfg, seed, G, gens).to_json()))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the plane oracle used the matrix parametrization")
 
     # ProjPoint is the point type both walks share; the transport walk's
-    # matrix step is _apply, that is Mat2.apply
-    for name in ("point_on_line", "line_parameter", "moebius_apply",
-                 "generator_set", "_apply"):
+    # matrix step is _apply, that is Mat2.apply, and orbits binds neither
+    # moebius_apply nor generator_set
+    assert not hasattr(orbits, "moebius_apply") and not hasattr(orbits, "generator_set")
+    for name in ("point_on_line", "line_parameter", "_apply"):
         monkeypatch.setattr(orbits, name, forbidden)
     monkeypatch.setattr(Mat2, "apply", forbidden)
     for cfg, seed, G, want in expected:
-        assert orbit_geometric(cfg, seed, closure=G).to_json() == want
+        assert orbit_geometric(cfg, seed, G).to_json() == want
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +286,16 @@ def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
 def test_icosahedral_orbits():
     cfg = a5_example().config
     f = cfg.field
-    G = closed(cfg)
-    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), closure=G)
+    gens, G = pipeline(cfg)
+    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
     assert rep.carrier == "inf"
     assert rep.total_size == 150
     assert set(rep.per_line_sizes.values()) == {30}
     assert rep.stabilizer_order == 2
     assert rep.per_line_sizes["inf"] * rep.stabilizer_order == G.order
 
-    assert orbit_on_line(cfg, G, ProjPoint(f.zero(), f.one())) == (30, 2)
-
-    seed = generic_seed(cfg, G)
-    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", seed), closure=G)
+    seed = generic_parameter(cfg, G)
+    gen_rep = orbit_full(cfg, point_on_line(cfg, "inf", seed), G, gens)
     assert gen_rep.total_size == 300
     assert gen_rep.stabilizer_order == 1
 
@@ -309,22 +317,22 @@ def test_icosahedral_orbits():
 def test_octahedral_orbits():
     cfg = s4_example(cyclotomic_field(12)).config
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     assert G.order == 24
 
-    seed = generic_seed(cfg, G)
-    assert orbit_full(cfg, point_on_line(cfg, "inf", seed), closure=G).total_size == 120
+    seed = generic_parameter(cfg, G)
+    assert orbit_full(cfg, point_on_line(cfg, "inf", seed), G, gens).total_size == 120
 
     i = f.parse("z^3")
     sqrt3 = f.parse("z + z^11")
     assert sqrt3 * sqrt3 == f.from_int(3)
     w = (f.one() - i) * (f.one() + sqrt3) / f.from_int(2)
     mid = ProjPoint(f.zero(), f.zero(), -f.one(), w)
-    rep = orbit_full(cfg, mid, closure=G)
+    rep = orbit_full(cfg, mid, G, gens)
     assert rep.total_size == 40
     assert rep.stabilizer_order == 3
 
-    special = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), closure=G)
+    special = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
     assert special.total_size == 30
     assert special.stabilizer_order == 4
 
@@ -332,8 +340,8 @@ def test_octahedral_orbits():
 def test_tetrahedral_orbits_and_equianharmonic_points():
     cfg = a4_example().config  # a = 1 over the 12th cyclotomic field
     f = cfg.field
-    G = closed(cfg)
-    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), closure=G)
+    gens, G = pipeline(cfg)
+    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
     assert rep.total_size == 20
     assert set(rep.per_line_sizes.values()) == {4}
     assert rep.stabilizer_order == 3
@@ -357,21 +365,21 @@ def test_tetrahedral_orbits_and_equianharmonic_points():
     }
     assert set(rep.points["inf"]) == relabeled
 
-    mid = orbit_full(cfg, p3_from_string(f, "[0:0:-1:z^3]"), closure=G)
+    mid = orbit_full(cfg, p3_from_string(f, "[0:0:-1:z^3]"), G, gens)
     assert mid.total_size == 30
     assert mid.stabilizer_order == 2
 
-    seed = generic_seed(cfg, G)
-    assert orbit_full(cfg, point_on_line(cfg, "inf", seed), closure=G).total_size == 60
+    seed = generic_parameter(cfg, G)
+    assert orbit_full(cfg, point_on_line(cfg, "inf", seed), G, gens).total_size == 60
 
 
 def test_affine_orbits_inside_prime_field():
     cfg = affine_f5_config()
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     assert G.order == 20
-    assert orbit_on_line(cfg, G, ProjPoint(F5.one(), F5.zero())) == (1, 20)
-    assert orbit_on_line(cfg, G, ProjPoint(F5.zero(), F5.one())) == (5, 4)
-    rep = orbit_full(cfg, p3_from_string(F5, "[0:0:0:1]"), closure=G)
+    assert line_orbit(cfg, G, gens, ProjPoint(F5.one(), F5.zero())) == (1, 20)
+    assert line_orbit(cfg, G, gens, ProjPoint(F5.zero(), F5.one())) == (5, 4)
+    rep = orbit_full(cfg, p3_from_string(F5, "[0:0:0:1]"), G, gens)
     assert rep.total_size == 25
     assert set(rep.per_line_sizes.values()) == {5}
 
@@ -382,7 +390,7 @@ def test_fixes_point_agrees_on_affine_f25_closure():
     # t in F_25 by its stabilizer of order 200 / 25 = 8
     cfg = affine(5).config
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     assert G.order == 200
     points = [ProjPoint(f.zero(), f.one())]
     points += [ProjPoint(f.one(), c) for c in f.elements()]
@@ -393,9 +401,18 @@ def test_fixes_point_agrees_on_affine_f25_closure():
 def test_translation_group_orbits():
     cfg = elementary_abelian(3).config
     f = cfg.field
-    G = closed(cfg)
-    assert orbit_on_line(cfg, G, ProjPoint(f.one(), f.zero())) == (1, 9)
-    assert orbit_on_line(cfg, G, ProjPoint(f.zero(), f.one())) == (9, 1)
+    gens, G = pipeline(cfg)
+    assert line_orbit(cfg, G, gens, ProjPoint(f.one(), f.zero())) == (1, 9)
+    assert line_orbit(cfg, G, gens, ProjPoint(f.zero(), f.one())) == (9, 1)
+
+
+def test_generic_seed_has_trivial_stabilizer():
+    # a parameter fixed by no non-identity element has |G| points a line
+    for fam in (a5_example(), s4_example(), elementary_abelian(3)):
+        cfg = fam.config
+        gens, G = pipeline(cfg)
+        seed = generic_parameter(cfg, G)
+        assert line_orbit(cfg, G, gens, seed) == (G.order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +421,43 @@ def test_translation_group_orbits():
 
 def test_orbit_rejects_foreign_or_stray_seeds():
     cfg = diag_config(F5, (2, 3))
+    gens, G = pipeline(cfg)
     with pytest.raises(SeedNotOnConfiguration):
-        orbit_full(cfg, p3_from_string(F5, "[1:1:1:2]"))
+        orbit_full(cfg, p3_from_string(F5, "[1:1:1:2]"), G, gens)
     with pytest.raises(MixedFields):
-        orbit_full(cfg, p3_from_string(Q, "[0:0:0:1]"))
+        orbit_full(cfg, p3_from_string(Q, "[0:0:0:1]"), G, gens)
+
+
+# every family, the ones with parameters at small ones
+_FAMILIES = (a4_example, s4_example, a5_example, lambda: standard_construction(6),
+             lambda: c3_scaled(4), lambda: cyclic_4line(3, 4),
+             lambda: elementary_abelian(3), lambda: affine(5))
 
 
 def test_orbit_lines_hold_at_most_the_orbit_of_the_seed_parameter():
     # each point of line j has parameter g.v0 for some g in G, so no line
-    # holds more than |G| / |Stab(v0)| points, and both walks reach them all
-    for cfg in (a4_example().config, s4_example().config,
-                elementary_abelian(3).config):
-        G = closed(cfg)
-        for v in (ProjPoint(cfg.field.one(), cfg.field.zero()), generic_seed(cfg, G)):
+    # holds more than |G| / |Stab(v0)| points, and both walks reach them all:
+    # F_{i,j,inf} = 1 puts all of G.v0 on every line, so orbit size times
+    # stabilizer order is |G| on each.  The seeds are [0:0:1:0], [0:0:0:1]
+    # and a point with trivial stabilizer, where one exists: over F_25 every
+    # parameter of affine(5) is fixed by a dilation
+    for family in _FAMILIES:
+        cfg = family().config
+        f = cfg.field
+        gens, G = pipeline(cfg)
+        generic = generic_parameter(cfg, G)
+        assert (generic is None) == (family is _FAMILIES[-1])
+        params = [ProjPoint(f.one(), f.zero()), ProjPoint(f.zero(), f.one())]
+        params += [generic] if generic is not None else []
+        for v in params:
             seed = point_on_line(cfg, "inf", v)
             for walk in (orbit_full, orbit_geometric):
-                rep = walk(cfg, seed, closure=G)
-                bound = G.order // rep.stabilizer_order
-                assert set(rep.per_line_sizes.values()) == {bound}
-                assert rep.total_size == bound * len(cfg.labels())
+                rep = run(walk, cfg, seed, G, gens)
+                assert set(rep.per_line_sizes) == set(cfg.labels())
+                for lab, size in rep.per_line_sizes.items():
+                    assert size * rep.stabilizer_order == G.order, (cfg, v, lab)
+                assert rep.total_size == G.order // rep.stabilizer_order * len(cfg.labels())
+                assert v is not generic or rep.stabilizer_order == 1
 
 
 def _fresh_points(f):
@@ -435,36 +470,35 @@ def _fresh_points(f):
 def test_orbit_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
     cfg = a4_example().config
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
     fresh = _fresh_points(f)
     # every transport candidate [s : t] the walk forms is a new parameter
     monkeypatch.setattr(orbits, "_apply", lambda g, v: tuple(fresh()))
     with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
-        orbit_full(cfg, seed, closure=G)
+        orbit_full(cfg, seed, G, gens)
 
 
 def test_oracle_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
     cfg = a4_example().config
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
     fresh = _fresh_points(f)
     monkeypatch.setattr(orbits, "_meet", lambda span, lam: tuple(fresh()))
     with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
-        orbit_geometric(cfg, seed, closure=G)
+        orbit_geometric(cfg, seed, G)
 
 
 def test_orbit_refuses_incomplete_closure():
     cfg = diag_config(Q, (4, 2))  # infinite group
-    G = closed(cfg, budget=50)
+    gens, G = pipeline(cfg, budget=50)
     assert G.budget_hit
+    seed = p3_from_string(Q, "[0:0:0:1]")
     with pytest.raises(IncompleteClosure):
-        orbit_full(cfg, p3_from_string(Q, "[0:0:0:1]"), closure=G)
+        orbit_full(cfg, seed, G, gens)
     with pytest.raises(IncompleteClosure):
-        orbit_on_line(cfg, G, ProjPoint(Q.one(), Q.zero()))
-    with pytest.raises(IncompleteClosure):
-        generic_seed(cfg, G)
+        orbit_geometric(cfg, seed, G)
 
 
 def test_orbit_points_are_group_stable():
@@ -473,7 +507,8 @@ def test_orbit_points_are_group_stable():
 
     cfg = a4_example().config
     f = cfg.field
-    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"))
+    gens, G = pipeline(cfg)
+    rep = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
     keys = {k for pts in rep.points.values() for p in pts for k in [p.key()]}
     labels = cfg.labels()
     for lab, pts in rep.points.items():
@@ -489,7 +524,8 @@ def test_orbit_points_are_group_stable():
 
 def test_orbit_report_json_shape():
     cfg = diag_config(F5, (2, 3))
-    rep = orbit_full(cfg, p3_from_string(F5, "[0:0:0:1]"))
+    gens, G = pipeline(cfg)
+    rep = orbit_full(cfg, p3_from_string(F5, "[0:0:0:1]"), G, gens)
     blob = rep.to_json()
     assert blob["carrier"] == "inf"
     assert blob["total_size"] == sum(blob["per_line_sizes"].values())
@@ -509,9 +545,9 @@ def test_oracle_matches_matrix_path_on_goldens():
     ]:
         f = cfg.field
         seed = p3_from_string(f, seed_text)
-        G = closed(cfg)
-        fast = orbit_full(cfg, seed, closure=G)
-        slow = orbit_geometric(cfg, seed, closure=G)
+        gens, G = pipeline(cfg)
+        fast = orbit_full(cfg, seed, G, gens)
+        slow = orbit_geometric(cfg, seed, G)
         assert points_by_key(fast) == points_by_key(slow)
         assert fast.total_size == slow.total_size
         assert fast.stabilizer_order == slow.stabilizer_order
@@ -525,17 +561,18 @@ def test_oracle_matches_on_small_finite_configs():
     ]
     for cfg in configs:
         f = cfg.field
-        G = closed(cfg)
-        seed = point_on_line(cfg, "1", generic_seed(cfg, G))
-        fast = orbit_full(cfg, seed, closure=G)
-        slow = orbit_geometric(cfg, seed, closure=G)
+        gens, G = pipeline(cfg)
+        seed = point_on_line(cfg, "1", generic_parameter(cfg, G))
+        fast = orbit_full(cfg, seed, G, gens)
+        slow = orbit_geometric(cfg, seed, G)
         assert points_by_key(fast) == points_by_key(slow)
 
 
 def test_oracle_respects_membership():
     cfg = affine_f5_config()
+    _, G = pipeline(cfg)
     with pytest.raises(SeedNotOnConfiguration):
-        orbit_geometric(cfg, p3_from_string(F5, "[1:1:1:2]"))
+        orbit_geometric(cfg, p3_from_string(F5, "[1:1:1:2]"), G)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +653,11 @@ def test_keyed_walks_match_the_point_keyed_reference(name):
     # visits the same points in the same order as one keyed by its P^3 point
     cfg = _KEYED_WALK_CONFIGS[name]()
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     for lab in cfg.labels():
         seed = point_on_line(cfg, lab, ProjPoint(f.zero(), f.one()))
         for walk in (orbit_full, orbit_geometric):
-            assert walk(cfg, seed, closure=G).to_json() == \
+            assert run(walk, cfg, seed, G, gens).to_json() == \
                 _reference_orbit(cfg, seed, G, walk).to_json(), (lab, walk)
 
 
@@ -639,12 +676,12 @@ def test_keyed_walks_build_one_point_per_orbit_point(monkeypatch, walk):
     monkeypatch.setattr(orbits, "ProjPoint", Counted)
     for cfg in (a4_example().config, affine(5).config, singular_line_config(Q)):
         f = cfg.field
-        G = closed(cfg)
+        gens, G = pipeline(cfg)
         built.clear()
         # one P^3 point for the seed and one for each other orbit point: a
         # candidate already seen is never built
         seed = point_on_line(cfg, "inf", ProjPoint(f.zero(), f.one()))
-        rep = walk(cfg, seed, closure=G)
+        rep = run(walk, cfg, seed, G, gens)
         assert len(built) == rep.total_size > 1
 
 
@@ -738,9 +775,9 @@ _MODULAR_KEY_CONFIGS = {
 }
 
 
-def _assert_walks_match_exact_keys(cfg, seed, G):
+def _assert_walks_match_exact_keys(cfg, seed, G, gens):
     for walk in (orbit_full, orbit_geometric):
-        got = walk(cfg, seed, closure=G)
+        got = run(walk, cfg, seed, G, gens)
         want = _exact_key_orbit(cfg, seed, G, walk)
         assert got.points == want.points  # every point, in walk order
         assert got.total_size == want.total_size
@@ -752,11 +789,11 @@ def _assert_walks_match_exact_keys(cfg, seed, G):
 @pytest.mark.parametrize("name", list(_MODULAR_KEY_CONFIGS))
 def test_modular_keys_match_the_exact_key_walk(name):
     cfg = _MODULAR_KEY_CONFIGS[name]()
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     seeds = [p3_from_string(cfg.field, "[0:0:0:1]")]
     seeds += [_seeded_orbit_point(cfg, n) for n in (1, 2)]
     for seed in seeds:
-        _assert_walks_match_exact_keys(cfg, seed, G)
+        _assert_walks_match_exact_keys(cfg, seed, G, gens)
 
 
 def _without_lines(cfg, zero: bool, infinity: bool) -> LineConfig:
@@ -773,14 +810,14 @@ def test_walks_match_without_the_zero_or_infinity_line(name, zero, infinity):
     # exactly keyed reference, and the two walks agree
     cfg = _without_lines(_MODULAR_KEY_CONFIGS[name](), zero, infinity)
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     labels = cfg.labels()
     for lab, v in ((labels[0], ProjPoint(f.zero(), f.one())),
-                   (labels[-1], generic_seed(cfg, G))):
+                   (labels[-1], generic_parameter(cfg, G))):
         seed = point_on_line(cfg, lab, v)
-        _assert_walks_match_exact_keys(cfg, seed, G)
-        assert orbit_full(cfg, seed, closure=G).to_json() == \
-            orbit_geometric(cfg, seed, closure=G).to_json()
+        _assert_walks_match_exact_keys(cfg, seed, G, gens)
+        assert orbit_full(cfg, seed, G, gens).to_json() == \
+            orbit_geometric(cfg, seed, G).to_json()
 
 
 def _recording(fn, outcomes):
@@ -803,14 +840,14 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
     # forms whose every term has a zero factor (H = 0) are decided.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     one = f.one()
     seeds = [p3_from_string(f, "[0:0:0:1]"),
              point_on_line(cfg, "inf", ProjPoint(one, one / p))]
     walks = (orbit_full, orbit_geometric)
     want = [_exact_key_orbit(cfg, seed, G, walk).to_json()
             for seed in seeds for walk in walks]
-    assert [walk(cfg, seed, closure=G).to_json()
+    assert [run(walk, cfg, seed, G, gens).to_json()
             for seed in seeds for walk in walks] == want
     monkeypatch.setattr(f, "reduction", lambda: reduction_at(f, p))
     outcomes = {"_same_parameter": [], "_on_plane": []}
@@ -825,7 +862,7 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
         return got
 
     monkeypatch.setattr(Reduction, "vanishes", recorded)
-    assert [walk(cfg, seed, closure=G).to_json()
+    assert [run(walk, cfg, seed, G, gens).to_json()
             for seed in seeds for walk in walks] == want
     for seen in outcomes.values():
         assert False in seen and True in seen
@@ -841,11 +878,11 @@ def test_seed_with_denominator_p_is_looked_up_exactly():
     # prime, so its line keeps the exact scan; the walk is unchanged
     cfg = a4_example().config
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     p = f.reduction().p
     seed = point_on_line(cfg, "1", ProjPoint(f.one(), f.one() / p))
-    _assert_walks_match_exact_keys(cfg, seed, G)
-    assert orbit_full(cfg, seed, closure=G).total_size == G.order * len(cfg.labels())
+    _assert_walks_match_exact_keys(cfg, seed, G, gens)
+    assert orbit_full(cfg, seed, G, gens).total_size == G.order * len(cfg.labels())
 
 
 def test_seeded_analysis_counts_the_stabilizer_once(monkeypatch):
@@ -863,10 +900,10 @@ def test_seeded_analysis_counts_the_stabilizer_once(monkeypatch):
     assert report.orbit["oracle_agrees"] and report.orbit["stabilizer_order"] == 2
     assert len(calls) == report.group["order"] == 60
     # each walk alone counts it
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     for walk in (orbit_full, orbit_geometric):
         calls.clear()
-        assert walk(cfg, seed, closure=G).stabilizer_order == 2
+        assert run(walk, cfg, seed, G, gens).stabilizer_order == 2
         assert len(calls) == G.order
 
 
@@ -874,8 +911,7 @@ def test_seeded_analysis_counts_the_stabilizer_once(monkeypatch):
 def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
-    G = closed(cfg)
-    gens = generator_set(cfg)
+    gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
     carrier = find_carrier(cfg, seed)
     calls = []
@@ -901,8 +937,7 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     # Hits cost none: both walks form 12 candidates a point.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
-    G = closed(cfg)
-    gens = generator_set(cfg)
+    gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
     carrier = find_carrier(cfg, seed)
     calls = []
@@ -936,8 +971,7 @@ def test_transport_walk_moves_each_parameter_once_per_class(monkeypatch, name,
     # transport class at most once, and inverts at most once a new parameter
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
-    G = closed(cfg)
-    gens = generator_set(cfg)
+    gens, G = pipeline(cfg)
     assert len(gens.provenance) == classes
     seed = p3_from_string(f, "[0:0:0:1]")
     carrier = find_carrier(cfg, seed)
@@ -985,7 +1019,7 @@ def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name):
     # still certified, and the walks match the exactly keyed reference
     cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), "2^20 + 1")
     f = cfg.field
-    G = closed(cfg)
+    gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
     for walk, same in ((orbit_full, "_same_parameter"), (orbit_geometric, "_on_plane")):
         want = _exact_key_orbit(cfg, seed, G, walk).to_json()
@@ -993,7 +1027,7 @@ def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name):
             outcomes = {same: [], "_vanishes": []}
             for fn, seen in outcomes.items():
                 m.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
-            assert walk(cfg, seed, closure=G).to_json() == want
+            assert run(walk, cfg, seed, G, gens).to_json() == want
         certified = outcomes["_vanishes"]
         assert None in certified and True in certified
         assert len(outcomes[same]) == certified.count(None)
@@ -1154,33 +1188,3 @@ def test_fused_plane_matches_the_operator_formula(operands):
     for k in range(len(red.roots)):
         at = orbits._plane_at([e[k] for e in pls], [e[k] for e in xs])
         assert [v % red.p for v in at] == [e[k] for e in images]
-
-
-# ---------------------------------------------------------------------------
-# generic seeds
-
-
-def test_generic_seed_has_trivial_stabilizer():
-    for fam in (a5_example(), s4_example(), elementary_abelian(3)):
-        cfg = fam.config
-        G = closed(cfg)
-        seed = generic_seed(cfg, G)
-        size, stab = orbit_on_line(cfg, G, seed)
-        assert stab == 1
-        assert size == G.order
-
-
-def test_generic_seed_is_deterministic():
-    cfg = standard_construction(4).config
-    G = closed(cfg)
-    assert generic_seed(cfg, G) == generic_seed(cfg, G)
-    # diagonal group: both coordinate lines are eigenlines, [1:1] is not
-    f = cfg.field
-    assert generic_seed(cfg, G) == ProjPoint(f.one(), f.one())
-
-
-def test_generic_seed_avoids_translation_fixed_point():
-    cfg = elementary_abelian(3).config
-    f = cfg.field
-    G = closed(cfg)
-    assert generic_seed(cfg, G) == ProjPoint(f.zero(), f.one())
