@@ -218,6 +218,8 @@ def cmd_family(args) -> int:
 def _parse_axis(key: str, text: str) -> list:
     lo, colon, hi = text.partition(":")
     if colon and lo.lstrip("-").isdigit() and hi.lstrip("-").isdigit():
+        if int(lo) > int(hi):
+            raise InvalidParameters(f"axis {key}={text} has no values")
         return list(range(int(lo), int(hi) + 1))
     if "," in text:
         return [_parse_param(key, t) for t in text.split(",")]

@@ -9,9 +9,10 @@ where its inverse sends [1:0], [0:1] and [1:1], which PGL2 acting sharply
 3-transitively on P^1 makes exact, so it forms an exact product only for a
 new element (see group_closure).  Those points have integer ids, found
 from their images mod p with exact confirmation where Field.reduction()
-exists (_PointIds), so a key is a triple of ints.  Every downstream
-consumer (classifier, orbit enumerator, CLI) works from its deterministic
-element list.
+exists (_PointIds), so a key is a triple of ints.  The closure keeps that
+table with each generator's moves, and the transport orbit walk continues
+them (orbits.orbit_full).  Every downstream consumer (classifier, orbit
+enumerator, CLI) works from its deterministic element list.
 
 The classifier walks Dickson's list of the finite subgroups of PGL2(K)
 and names a group only once its certificate holds (see classify).
@@ -143,12 +144,14 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
 @dataclass
 class GroupClosure:
     """Elements of the generated subgroup of PGL2 in BFS insertion order,
-    with the non-identity generators the walk multiplied by."""
+    with the non-identity generators the walk multiplied by, and the walk's
+    point ids and moves (_PointIds), which an orbit walk continues."""
 
     elements: list[ProjElem]
     generators: list[ProjElem]
     budget_hit: bool
     budget: int
+    points: Optional[_PointIds] = dc_field(default=None, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -187,23 +190,24 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mults = [g for g in gens.elements if not g.is_identity()]
-    elements, budget_hit = _walk(gens.field, mults, budget)
+    points = _PointIds(gens.field)
+    elements, budget_hit = _walk(points, mults, budget)
     return GroupClosure(elements=elements, generators=mults,
-                        budget_hit=budget_hit, budget=budget)
+                        budget_hit=budget_hit, budget=budget, points=points)
 
 
-def _walk(f: Field, mults: list[ProjElem], budget: int) -> tuple[list[ProjElem], bool]:
+def _walk(points: _PointIds, mults: list[ProjElem],
+          budget: int) -> tuple[list[ProjElem], bool]:
     """The elements of the closure in walk order, and whether the budget
     stopped it (see group_closure)."""
-    points = _PointIds(f)
     one, zero = points.one, points.zero
     # the key of the identity: the ids of [1:0], [0:1] and [1:1]
     key = tuple(points.add(q) for q in ((one, zero), (zero, one), (one, one)))
     # g^-1 acts as the adjugate of g; moves[i][a] is the id of its image of
     # the point with id a, for the i-th generator g
     adjs = [_entries(g.rep.adjugate()) for g in mults]
-    moves: list[dict[int, int]] = [{} for _ in mults]
-    elements: list[ProjElem] = [proj_identity(f)]
+    moves = [points.moves.setdefault(g, {}) for g in mults]
+    elements: list[ProjElem] = [proj_identity(points.field)]
     keys = [key]  # the key of each element, in order
     seen = {key}
     idx = 0
@@ -229,27 +233,32 @@ def _walk(f: Field, mults: list[ProjElem], budget: int) -> tuple[list[ProjElem],
 
 
 class _PointIds:
-    """Integer ids for the points of P^1 a closure meets, in order.
+    """Integer ids for the points of P^1 a closure meets, in order, and the
+    moves of the classes it applies.
 
     A point is a pair of raw (nums, den) coordinates whose last nonzero one
     is exactly 1, [x : 1] or [1 : 0], so equal points are equal tuples, and
-    exact maps each such pair to its id.  An image [x : y] that is already
-    such a pair up to a free scaling (y = 0 or 1, or x = 0) is looked up
+    exact maps each such pair to its id.  A pair [x : y] that is already
+    normalized up to a free scaling (y = 0 or 1, or x = 0) is looked up
     there.  Any other would take an inversion to normalize, so where
     Field.reduction() exists (Q and Q(zeta_n)) it is first looked up by
     Reduction.key of its image at the first root: a ring map sends equal
     points whose images are defined and nonzero to one key.  A point filed
     under that key in buckets is confirmed exactly with no inverse
-    (_same_point).  Otherwise the image is normalized and looked up in
+    (_same_point).  Otherwise the pair is normalized and looked up in
     exact, and the point it names is filed under the key.  So a point
-    costs at most one inversion, when an image that needs one first names
+    costs at most one inversion, when a pair that needs one first names
     it, and a collision mod p costs a refused confirmation, never a wrong
     id.  An undefined or zero key, and a field with no reduction, take the
-    exact lookup alone, and the reduction is built only when an image
-    needs it.
+    exact lookup alone, and the reduction is built only when a pair needs
+    it.
+
+    moves[g] maps the id of each point the adjugate of the class g has
+    moved to the id of its image.  Ids and moves are only ever added, so
+    an orbit walk continues the closure's table on the same ids.
     """
 
-    __slots__ = ("field", "one", "zero", "points", "exact", "buckets")
+    __slots__ = ("field", "one", "zero", "points", "exact", "buckets", "moves")
 
     def __init__(self, f: Field):
         self.field = f
@@ -258,6 +267,7 @@ class _PointIds:
         self.points: list[tuple] = []
         self.exact: dict[tuple, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
+        self.moves: dict[ProjElem, dict[int, int]] = {}
 
     def add(self, q: tuple) -> int:
         """The id of the new normalized point q."""
@@ -271,8 +281,13 @@ class _PointIds:
         f = self.field
         (an, ad), (bn, bd), (cn, cd), (dn, dd) = m
         (xn, xd), (yn, yd) = self.points[i]
-        x = f._dot(an, ad, xn, xd, bn, bd, yn, yd)
-        y = f._dot(cn, cd, xn, xd, dn, dd, yn, yd)
+        return self.intern(f._dot(an, ad, xn, xd, bn, bd, yn, yd),
+                           f._dot(cn, cd, xn, xd, dn, dd, yn, yd))
+
+    def intern(self, x: tuple, y: tuple) -> int:
+        """The id of the point [x : y], raw coordinates not both zero; a
+        new point is added."""
+        f = self.field
         one, key = self.one, None
         if not any(y[0]):
             q = one, self.zero

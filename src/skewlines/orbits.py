@@ -9,26 +9,29 @@ Agreement between them is the strongest correctness check the package has.
 
 Both walks are breadth-first and name a point by its line and its
 parameter there, since the lines are pairwise skew.  The transport walk
-names parameters by integer ids, one table for every line (_Parameters),
-and images each id by each transport class once (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005, section 4.1).  The oracle
-forms every candidate and files it on its line (_LinePoints).
+continues the closure's point table (groupoid._PointIds): it names
+parameters by the closure's integer ids, reads the moves the closure made
+with each class, and images each id by each transport class at most once
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+section 4.1); a key hit there costs one exact product.  The oracle forms
+every candidate and files it on its line (_LinePoints), and reads no
+transport class and no closure point id.
 
-Both file a parameter by its image under Field.reduction(), at the first
-root of the minimal polynomial m mod p.  A key hit is decided from images
-alone: each parameter or point, each transport class and each line's
+The oracle files a point by the image of its parameter under
+Field.reduction(), at the first root of the minimal polynomial m mod p.
+A key hit is decided from images alone: each point and each line's
 Pluecker coordinates keep their images at all d roots of m mod p, computed
-once, so the test t x' - s y' = 0 (transport) or lam.x = 0 (oracle) is
-integer arithmetic mod p at every root.  If the expression E
-vanishes at all d roots, m divides its cleared numerator mod p; that
-numerator has degree below d, so p divides each of its coefficients, and
-E = 0 once 2H < p for a bound H on them built from the operands' heights
-(Reduction).  Where that bound fails, or an image is undefined, or the
-field has no reduction, the hit is confirmed exactly without an inverse.
-So only a new parameter is formed exactly and normalized.  This is the
-modular method with a height bound (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5-6).  Points of P^3 and their P^1 parameters are
-both matrices.ProjPoint, with one normalization and one exact key.
+once, so the test lam.x = 0 is integer arithmetic mod p at every root.  If
+the expression E vanishes at all d roots, m divides its cleared numerator
+mod p; that numerator has degree below d, so p divides each of its
+coefficients, and E = 0 once 2H < p for a bound H on them built from the
+operands' heights (Reduction).  Where that bound fails, or an image is
+undefined, or the field has no reduction, the hit is confirmed exactly
+without an inverse.  So only a new point is met exactly and normalized.
+This is the modular method with a height bound (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 5-6).  Points of P^3 and their P^1
+parameters are both matrices.ProjPoint, with one normalization and one
+exact key.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Optional, Sequence
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
 from .fields import Field, FieldElement, MixedFields, Reduction
 from .groupoid import GeneratorSet, GroupClosure, IncompleteClosure
-from .matrices import ProjElem, ProjPoint, fixes_point
+from .matrices import ProjPoint, _entries, fixes_point
 
 
 class SeedNotOnConfiguration(Exception):
@@ -208,19 +211,6 @@ def _vanishes(red: Reduction, form: Optional[tuple],
     return red.vanishes(values, red.mu * sum(map(operator.mul, cw, xw)))
 
 
-def _transport_form(mu: int, g: tuple, v: tuple) -> tuple:
-    """The form (t, -s) of the candidate [s : t] = g.v, from the _certified
-    entries of g and coordinates of v: t x' - s y' vanishes exactly at the
-    stored parameter [x' : y'] = [s : t]."""
-    (gs, (wa, wb, wc, wd)), (vs, (wx, wy)) = g, v
-    (a, b, c, d), (x, y) = gs, vs
-    mul, add = operator.mul, operator.add
-    t = tuple(map(add, map(mul, c, x), map(mul, d, y)))
-    s = map(add, map(mul, a, x), map(mul, b, y))
-    return ((t, tuple(map(operator.neg, s))),
-            (mu * (wc * wx + wd * wy), mu * (wa * wx + wb * wy)))
-
-
 def _plane_form(mu: int, pl: tuple, x: tuple) -> tuple:
     """The form of the plane through x and the line pl, from their
     _certified Pluecker and point coordinates: it vanishes at a stored
@@ -355,116 +345,68 @@ def _report(seed: ProjPoint, carrier: str, stab: int,
                        stabilizer_order=stab, points=points)
 
 
-def _apply(g: ProjElem, v) -> tuple[FieldElement, FieldElement]:
-    """g.v as a pair [s : t] left unscaled: moebius_apply with no inversion."""
-    return g.rep.apply(v)
-
-
-def _same_parameter(st: tuple, v: ProjPoint) -> bool:
-    """Whether [s : t] is the parameter v: t = s w for v = [1 : w], s = 0
-    for v = [0 : 1]; at most one product."""
-    s, t = st
-    x, y = v.coords
-    return t == s * y if x else not s
-
-
-class _Parameters:
-    """The P^1 parameters a transport walk has met, one table for every
-    line, each named by an integer id: points[n] is its ProjPoint and
-    held[n] the _certified images of its coordinates.  buckets files the
-    ids under a Reduction.key and exact maps each ProjPoint key to its id."""
-
-    __slots__ = ("red", "points", "held", "buckets", "exact")
-
-    def __init__(self, red: Optional[Reduction]):
-        self.red = red
-        self.points: list[ProjPoint] = []
-        self.held: list[Optional[tuple]] = []
-        self.buckets: dict[tuple, list[int]] = {}
-        self.exact: dict[tuple, int] = {}
-
-    def add(self, v: ProjPoint, key: Optional[tuple]) -> int:
-        """The id of v, a new parameter, filed under key or else under its
-        own key, with its images computed once."""
-        n = len(self.points)
-        key = _pair_key(self.red, *v.coords) if key is None else key
-        if key is not None:
-            self.buckets.setdefault(key, []).append(n)
-        self.exact[v.key()] = n
-        self.points.append(v)
-        self.held.append(_certified(self.red, v.coords))
-        return n
-
-    def image(self, g: ProjElem, gc: Optional[tuple], n: int) -> int:
-        """The id of g.v, for v the parameter n and gc the _certified
-        entries of g.
-
-        The images of g and v key g.v and form t x' - s y', which vanishes
-        at a stored [x' : y'] exactly when it is g.v.  A key hit is decided
-        by _vanishes, else by _same_parameter on the exact g.v.  A miss, or
-        no key, normalizes the exact g.v (at most one inversion) and looks
-        it up by its exact key, which finds a parameter filed under no key;
-        else it is new.  A collision mod p costs a refused hit, never a
-        wrong id."""
-        red, v, c = self.red, self.points[n], self.held[n]
-        st = key = None
-        if c is not None and gc is not None:
-            form = _transport_form(red.mu, gc, c)
-            t, ms = form[0]
-            key = red.key((-ms[0] % red.p, t[0] % red.p))
-            for m in self.buckets.get(key, ()):
-                hit = _vanishes(red, form, self.held[m])
-                if hit is None:
-                    st = st or _apply(g, v.coords)
-                    hit = _same_parameter(st, self.points[m])
-                if hit:
-                    return m
-        nv = ProjPoint(*(st or _apply(g, v.coords)))
-        m = self.exact.get(nv.key())
-        return self.add(nv, key) if m is None else m
-
-
 def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
                gens: GeneratorSet, carrier: Optional[str] = None) -> OrbitReport:
     """Orbit of seed under every transport map, via the matrix path.
 
     A point with parameter v on line i goes to the point with parameter
     F_ijk v on line j.  The walk visits (line, parameter id) pairs from the
-    seed, and each transport class maps each id once (_Parameters.image);
-    each (line, id) becomes one P^3 point.  The transport classes are read
-    from the provenance of gens, an all_triples generator set, and the
-    closure gives the stabilizer count and the orbit bound (_overflow); an
-    incomplete closure is refused.  carrier, when given, must be
-    find_carrier's label for the seed.
+    seed on the closure's point table (groupoid._PointIds).  F_jik =
+    F_ijk^-1 is a class of gens whose adjugate is F_ijk up to a scalar, so
+    a hop reads the moves the closure made with F_jik, and forms only an
+    image they lack; that image m of n is also filed as the move of F_ijk
+    that takes m back to n.  So each class maps each id at most once, and
+    an F_{i,j,inf} = 1 hop keeps the id.  Each placed id becomes a
+    ProjPoint once, and each (line, id) one P^3 point.  The transport
+    classes are read from the provenance of gens, an all_triples generator
+    set, and the closure gives the stabilizer count and the orbit bound
+    (_overflow); an incomplete closure is refused.  carrier, when given,
+    must be find_carrier's label for the seed.
     """
     if gens.mode != "all_triples":
         raise ValueError("orbit_full reads every F_ijk: it needs an all_triples set")
     carrier = _prepare(cfg, seed, closure, carrier)
-    red = cfg.field.reduction()
-    # each transport class, with its images and its moves: parameter id -> image id
-    classes = {g: (g, _certified(red, g.rep.entries()), {}) for g in gens.provenance}
-    transport = {t: classes[g] for g, triples in gens.provenance.items() for t in triples}
+    f, ids = cfg.field, closure.points
+    transport = {t: g for g, triples in gens.provenance.items() for t in triples}
+    adjs = {g: _entries(g.rep.adjugate()) for g in gens.provenance}
+
+    def hop(i: str, j: str, k: str) -> Optional[tuple]:
+        """The adjugate of F_jik, its moves and those of its inverse F_ijk;
+        None for F_{i,j,inf} = 1."""
+        g = transport[j, i, k]
+        if g.is_identity():
+            return None
+        return (adjs[g], ids.moves.setdefault(g, {}),
+                ids.moves.setdefault(transport[i, j, k], {}))
+
     labels = cfg.labels()
-    hops = {lab: [(j, transport[lab, j, k]) for j, k in _hops(labels, lab)]
+    hops = {lab: [(j, hop(lab, j, k)) for j, k in _hops(labels, lab)]
             for lab in labels}
-    params = _Parameters(red)
     v0 = line_parameter(cfg, carrier, seed)
-    params.add(v0, None)
+    n0 = ids.intern(*((x.nums, x.den) for x in v0.coords))
     stab = _stabilizer_size(closure, v0)
     bound = closure.order // stab
+    params = {n0: v0}  # each placed id's parameter, built once
     placed = {lab: {} for lab in labels}  # for each line, parameter id -> point
-    placed[carrier][0] = seed
-    queue = [(carrier, 0)]
+    placed[carrier][n0] = seed
+    queue = [(carrier, n0)]
     for lab, n in queue:  # the queue grows while it is read
-        for j, (g, gc, move) in hops[lab]:
-            m = move.get(n)
-            if m is None:
-                m = move[n] = params.image(g, gc, n)
+        for j, move in hops[lab]:
+            m = n
+            if move is not None:
+                adj, images, back = move
+                m = images.get(n)
+                if m is None:
+                    m = images[n] = ids.image(adj, n)
+                    back.setdefault(m, n)
             line = placed[j]
             if m not in line:
                 if len(line) >= bound:
                     raise _overflow(j, bound)
-                line[m] = point_on_line(cfg, j, params.points[m])
+                v = params.get(m)
+                if v is None:
+                    v = params[m] = ProjPoint(*(FieldElement(f, *c) for c in ids.points[m]))
+                line[m] = point_on_line(cfg, j, v)
                 queue.append((j, m))
     return _report(seed, carrier, stab,
                    {lab: list(line.values()) for lab, line in placed.items()})

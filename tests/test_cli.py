@@ -354,11 +354,29 @@ def test_oracle_points_out_of_order_exit_3(a4_path, capsys, monkeypatch):
 
 
 def test_orbit_walk_off_the_orbit_exits_3(a4_path, capsys, monkeypatch):
-    # every transport candidate is a new parameter [1 : n], never one of G.v0
+    # the closure never met [1 : 7], so the transport walk images its ids
+    # afresh, and there every image is a new parameter [1 : n], never one
+    # of G.v0; the closure's own images are left exact
+    import importlib
+
+    from skewlines.groupoid import _PointIds
+
+    analyze_mod = importlib.import_module("skewlines.analyze")
+    plain = analyze_mod.orbit_full
     counter = itertools.count(1)
-    monkeypatch.setattr("skewlines.orbits._apply", lambda g, v: (
-        g.field.one(), g.field.from_int(next(counter))))
-    code, _, err = run(capsys, "orbit", a4_path, "--seed-point", "[0:0:0:1]")
+
+    def fresh(self, m, i):
+        one = self.field.one()
+        n = self.field.from_int(next(counter))
+        return self.intern((one.nums, one.den), (n.nums, n.den))
+
+    def off_orbit(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(_PointIds, "image", fresh)
+            return plain(*args, **kwargs)
+
+    monkeypatch.setattr(analyze_mod, "orbit_full", off_orbit)
+    code, _, err = run(capsys, "orbit", a4_path, "--seed-point", "[0:0:1:7]")
     assert code == 3
     assert "invariant violation" in err and "|G|/|Stab|" in err
 
@@ -453,6 +471,15 @@ def test_search_needs_axes(capsys):
     assert code == 1
     code, _, _ = run(capsys, "search", "nonesuch", "n=2:3")
     assert code == 1
+
+
+def test_search_refuses_an_empty_axis(capsys):
+    # n=5:3 is a range with no values: an input error, not an empty table
+    code, out, err = run(capsys, "search", "standard", "n=5:3", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "n=5:3" in err
+    code, _, _ = run(capsys, "search", "standard", "n=3:3", "--json")
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewlines import orbits
+from skewlines import groupoid, orbits
 from skewlines.configs import InvalidIndex, LineConfig
 from skewlines.families import (
     a4_example,
@@ -255,6 +255,25 @@ def test_orbit_full_reads_a_supplied_set_and_refuses_differences():
         orbit_full(cfg, seed, G, generator_set(cfg, mode="differences"))
 
 
+@pytest.mark.parametrize("name", ["a4", "a5", "affine5"])
+def test_a_closure_of_the_differences_gives_the_all_triples_orbit(name):
+    # that closure applied only the classes [D_ab], so the transport walk
+    # starts the moves of every other F_jik afresh on the closure's table;
+    # the orbit section is still the all_triples one, and the oracle agrees
+    from skewlines.analyze import analyze
+
+    cfg = _MODULAR_KEY_CONFIGS[name]()
+    f = cfg.field
+    differences = generator_set(cfg, mode="differences")
+    fresh = set(generator_set(cfg).provenance) - set(differences.elements)
+    assert any(not g.is_identity() for g in fresh)
+    for text in ("[0:0:0:1]", "[0:0:1:7]"):
+        seed = p3_from_string(f, text)
+        want, got = (analyze(cfg, mode=mode, seed=seed, oracle=True).orbit
+                     for mode in ("all_triples", "differences"))
+        assert got == want and got["oracle_agrees"]
+
+
 def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
     cases = [(a4_example().config, "[0:0:0:1]"),
              (affine_f5_config(), "[0:0:0:1]"),
@@ -269,11 +288,13 @@ def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
         raise AssertionError("the plane oracle used the matrix parametrization")
 
     # ProjPoint is the point type both walks share; the transport walk's
-    # matrix step is _apply, that is Mat2.apply, and orbits binds neither
-    # moebius_apply nor generator_set
+    # matrix step is the closure's point table (_PointIds), which maps and
+    # names its ids, and orbits binds neither moebius_apply nor generator_set
     assert not hasattr(orbits, "moebius_apply") and not hasattr(orbits, "generator_set")
-    for name in ("point_on_line", "line_parameter", "_apply"):
+    for name in ("point_on_line", "line_parameter"):
         monkeypatch.setattr(orbits, name, forbidden)
+    for name in ("image", "intern"):
+        monkeypatch.setattr(groupoid._PointIds, name, forbidden)
     monkeypatch.setattr(Mat2, "apply", forbidden)
     for cfg, seed, G, want in expected:
         assert orbit_geometric(cfg, seed, G).to_json() == want
@@ -471,11 +492,14 @@ def test_orbit_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
     cfg = a4_example().config
     f = cfg.field
     gens, G = pipeline(cfg)
-    seed = p3_from_string(f, "[0:0:0:1]")
+    # the closure never met [1 : 7], so the walk images its ids afresh, and
+    # every image it forms is a new parameter [1 : n]; from [0:0:0:1] it
+    # would form none
+    seed = p3_from_string(f, "[0:0:1:7]")
     fresh = _fresh_points(f)
-    # every transport candidate [s : t] the walk forms is a new parameter
-    monkeypatch.setattr(orbits, "_apply", lambda g, v: tuple(fresh()))
-    with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
+    monkeypatch.setattr(groupoid._PointIds, "image", lambda self, m, i: self.intern(
+        *((x.nums, x.den) for x in fresh())))
+    with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 12"):
         orbit_full(cfg, seed, G, gens)
 
 
@@ -820,6 +844,22 @@ def test_walks_match_without_the_zero_or_infinity_line(name, zero, infinity):
             orbit_geometric(cfg, seed, G).to_json()
 
 
+def test_without_the_infinity_line_lines_hold_less_than_the_orbit():
+    # no F_{i,j,inf} = 1 hop: the parameters on a line need not be all of
+    # G.v0, so per_line_sizes times stabilizer_order need not be |G|.  a5 on
+    # lines 0, 1, 2, 3 from [1 : 7] on line 3 reaches 5 points a line, where
+    # |G| / |Stab(v0)| = 60
+    from skewlines.analyze import analyze
+
+    cfg = _without_lines(a5_example().config, True, False)
+    f = cfg.field
+    seed = point_on_line(cfg, "3", ProjPoint(f.one(), f.from_int(7)))
+    orbit = analyze(cfg, seed=seed, oracle=True).orbit
+    assert (orbit["group_order"], orbit["stabilizer_order"]) == (60, 1)
+    assert orbit["per_line_sizes"] == {lab: 5 for lab in ("0", "1", "2", "3")}
+    assert orbit["oracle_agrees"]
+
+
 def _recording(fn, outcomes):
     def wrapper(*args):
         ok = fn(*args)
@@ -834,10 +874,12 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
     # orbit of a5 through [1 : 1/41] has 60 points a line, P^1(F_41) only
     # 42), so some key hits must be refused by the exact check; images that
     # vanish or are undefined take the exact path, and the seed [1 : 1/p]
-    # has no image of its own.  Nor can the images certify a hit whose
-    # height bound H is positive: H is a multiple of mu^2, 16 or more, and
-    # p / 2 is below that.  Those hits fall back to the exact check; only
-    # forms whose every term has a zero factor (H = 0) are decided.
+    # has no image of its own.  The transport walk confirms every key hit
+    # exactly (groupoid._same_point).  Nor can the oracle's images certify
+    # a hit whose height bound H is positive: H is a multiple of mu^2, 16
+    # or more, and p / 2 is below that.  Those hits fall back to the exact
+    # check; only forms whose every term has a zero factor (H = 0) are
+    # decided.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -849,10 +891,13 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
             for seed in seeds for walk in walks]
     assert [run(walk, cfg, seed, G, gens).to_json()
             for seed in seeds for walk in walks] == want
+    # the transport walk keeps its images in the closure, so the walks at
+    # the small prime start from a closure made at the field's own prime
+    gens, G = pipeline(cfg)
     monkeypatch.setattr(f, "reduction", lambda: reduction_at(f, p))
-    outcomes = {"_same_parameter": [], "_on_plane": []}
-    for fn, seen in outcomes.items():
-        monkeypatch.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
+    outcomes = {"_same_point": [], "_on_plane": []}
+    for module, fn in ((groupoid, "_same_point"), (orbits, "_on_plane")):
+        monkeypatch.setattr(module, fn, _recording(getattr(module, fn), outcomes[fn]))
     certified = []
     vanishes = Reduction.vanishes
 
@@ -927,14 +972,16 @@ def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
 def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     # exact products, by hand, outside the stabilizer count (fixes_point:
     # five products an element):
-    # - transport walk, per new parameter: F_ijk v (two fused products) and
-    #   its normalization (one), |G.v0| - 1 of them; per point of a matrix
-    #   line: its P^3 point (two), |G.v0| points on each such line;
+    # - transport walk, per parameter but the seed's (|G.v0| - 1 of them):
+    #   at most an image F_ijk v (two fused products) and its normalization
+    #   (one); from [0:0:0:1] the closure's moves hold every image, so only
+    #   its ProjPoint costs one; per point of a matrix line: its P^3 point
+    #   (two), |G.v0| points on each such line;
     # - oracle, per new point: the plane (four fused coordinates), the meet
     #   (two), the normalized parameter (one), its P^3 point (four) and that
     #   point's normalization (three): 14; and two products for each of the
     #   six Pluecker coordinates of each line, plus the seed's parameter.
-    # Hits cost none: both walks form 12 candidates a point.
+    # The oracle's hits cost none: it forms 12 candidates a point.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -961,44 +1008,42 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
         assert full_calls + oracle_calls <= 8000
 
 
-@pytest.mark.parametrize("name, classes, orbit", [("a4", 10, 4), ("s4", 13, 6),
-                                                  ("a5", 17, 30)])
+@pytest.mark.parametrize("name, classes, orbit", [
+    ("a4", 10, 4), ("s4", 13, 6), ("a5", 17, 30), ("elementary_abelian5", 7, 25),
+    ("affine5", 20, 25)])
 def test_transport_walk_moves_each_parameter_once_per_class(monkeypatch, name,
                                                            classes, orbit):
-    # F_{i,j,inf} = 1, so every line's parameters are the set G.v0 of |G| /
-    # |Stab(v0)| parameters: 12 / 3, 24 / 4 and 60 / 2 from [0:0:0:1].  The
-    # walk builds each one but v0 once, images each parameter by each
-    # transport class at most once, and inverts at most once a new parameter
+    # the closure's point table holds the orbits of [1:0], [0:1] and [1:1],
+    # and every generator has moved every point in it, so from [0:0:0:1]
+    # (the parameter [0:1] on the infinity line) the transport walk forms
+    # no image.  From [0:0:1:7] it images each parameter id by each
+    # transport class at most once; it inverts once to name a new
+    # parameter and once for the ProjPoint of each parameter it places, so
+    # at most twice a new parameter.  Over F_25 the table already holds all
+    # 26 points of P^1
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
     assert len(gens.provenance) == classes
-    seed = p3_from_string(f, "[0:0:0:1]")
-    carrier = find_carrier(cfg, seed)
-    params, images, inversions = [], [], []
-
-    class Counted(ProjPoint):
-        __slots__ = ()
-
-        def __init__(self, *coords):
-            if len(coords) == 2:  # a line parameter, not a point of P^3
-                params.append(coords)
-            super().__init__(*coords)
-
-    monkeypatch.setattr(orbits, "ProjPoint", Counted)
-    form = orbits._transport_form
-    monkeypatch.setattr(orbits, "_transport_form",
-                        lambda *a: images.append(1) or form(*a))
-    inv = type(f)._inv
-    monkeypatch.setattr(type(f), "_inv",
-                        lambda self, *a: inversions.append(1) or inv(self, *a))
-    report = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
-    assert G.order // report.stabilizer_order == orbit
+    ids = G.points
+    met = len(ids.points)
+    assert all(set(ids.moves[g]) == set(range(met)) for g in G.generators)
+    images, inversions = [], []
+    image = groupoid._PointIds.image
+    monkeypatch.setattr(groupoid._PointIds, "image",
+                        lambda self, *a: images.append(1) or image(self, *a))
+    inv = f._inv
+    monkeypatch.setattr(f, "_inv", lambda *a: inversions.append(1) or inv(*a))
+    report = orbit_full(cfg, p3_from_string(f, "[0:0:0:1]"), G, gens)
     assert set(report.per_line_sizes.values()) == {orbit}
-    new = len(params) - 1  # line_parameter reads the other off the seed
-    assert new == orbit - 1
-    assert 0 < len(images) <= classes * orbit
-    assert len(inversions) <= new
+    assert not images and len(ids.points) == met
+    inversions.clear()
+    report = orbit_full(cfg, p3_from_string(f, "[0:0:1:7]"), G, gens)
+    generic = G.order // report.stabilizer_order
+    assert set(report.per_line_sizes.values()) == {generic}
+    assert len(images) <= classes * generic
+    assert len(inversions) <= generic + len(ids.points) - met
+    assert bool(images) == (not f.is_finite)
 
 
 def _conjugated(cfg, n: str) -> LineConfig:
@@ -1014,23 +1059,23 @@ def _conjugated(cfg, n: str) -> LineConfig:
 
 @pytest.mark.parametrize("name", ["a4", "s4"])
 def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name):
-    # at the field's own prime, heights of about 2^20 push 2H past p for some
-    # hits in each walk; those fall back to the exact check, the rest are
-    # still certified, and the walks match the exactly keyed reference
+    # at the field's own prime, heights of about 2^20 push the oracle's 2H
+    # past p for some hits; those fall back to the exact check, the rest are
+    # still certified, and both walks match the exactly keyed reference
     cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), "2^20 + 1")
     f = cfg.field
     gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
-    for walk, same in ((orbit_full, "_same_parameter"), (orbit_geometric, "_on_plane")):
-        want = _exact_key_orbit(cfg, seed, G, walk).to_json()
-        with monkeypatch.context() as m:
-            outcomes = {same: [], "_vanishes": []}
-            for fn, seen in outcomes.items():
-                m.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
-            assert run(walk, cfg, seed, G, gens).to_json() == want
-        certified = outcomes["_vanishes"]
-        assert None in certified and True in certified
-        assert len(outcomes[same]) == certified.count(None)
+    assert orbit_full(cfg, seed, G, gens).to_json() == \
+        _exact_key_orbit(cfg, seed, G, orbit_full).to_json()
+    want = _exact_key_orbit(cfg, seed, G, orbit_geometric).to_json()
+    outcomes = {"_on_plane": [], "_vanishes": []}
+    for fn, seen in outcomes.items():
+        monkeypatch.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
+    assert orbit_geometric(cfg, seed, G).to_json() == want
+    certified = outcomes["_vanishes"]
+    assert None in certified and True in certified
+    assert len(outcomes["_on_plane"]) == certified.count(None)
 
 
 # explicit forms at tiny split primes: Q(i) at 5, Q(zeta_12) at 13 and
@@ -1041,18 +1086,21 @@ _TINY = [(4, 5), (12, 13), (20, 41)]
 @pytest.mark.parametrize("n, p", _TINY)
 def test_images_that_agree_mod_p_only_are_not_certified(n, p):
     # x and x + p agree mod p at every root, but they are not equal: the
-    # images vanish and only 2H < p can tell, so the certificate refuses
+    # images vanish and only 2H < p can tell, so the certificate refuses.
+    # The plane through [0:0:1:x] and the zero line holds no [0:0:1:x + p]
     f = cyclotomic_field(n)
     red = reduction_at(f, p)
     x = f.gen() ** 2 - f.gen() * Fraction(1, 2) + 3
     y = x + p
     one, zero = f.one(), f.zero()
-    form = orbits._transport_form(
-        red.mu, orbits._certified(red, (one, zero, zero, one)),  # the identity
-        orbits._certified(red, (one, y)))
-    stored = orbits._certified(red, (one, x))
-    assert orbits._vanishes(red, form, stored) is None
-    assert not orbits._same_parameter((one, y), ProjPoint(one, x))
+    zero_line = (one, zero, zero, zero, zero, zero)  # p_01 = 1
+    point, other = (zero, zero, one, x), (zero, zero, one, y)
+    form = orbits._plane_form(red.mu, orbits._certified(red, zero_line),
+                              orbits._certified(red, point))
+    assert orbits._vanishes(red, form, orbits._certified(red, other)) is None
+    lam = orbits._plane(zero_line, point)
+    assert orbits._on_plane(lam, ProjPoint(*point))
+    assert not orbits._on_plane(lam, ProjPoint(*other))
     # y - x, two terms of one factor each: H = h(y) den(x) + h(x) den(y)
     values = [a - b for a, b in zip(red.images(y.nums, y.den), red.images(x.nums, x.den))]
     assert not any(v % p for v in values)
@@ -1098,28 +1146,6 @@ def _cleared_max(e, operands) -> int:
     dens = math.prod(x.den for x in operands)
     assert dens % e.den == 0
     return max(abs(c) * (dens // e.den) for c in e.nums)
-
-
-@given(_cert_case(8), st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_transport_certificate_never_certifies_a_nonzero_form(case, hit):
-    field, red, (a, b, c, d, x, y, x2, y2) = case
-    s, t = a * x + b * y, c * x + d * y
-    if hit:
-        x2, y2 = s, t  # the stored parameter is the candidate itself
-    exact = t * x2 - s * y2
-    form = orbits._transport_form(red.mu, orbits._certified(red, (a, b, c, d)),
-                                  orbits._certified(red, (x, y)))
-    stored = orbits._certified(red, (x2, y2))
-    got = orbits._vanishes(red, form, stored)
-    if got is not None:
-        assert got == (not exact)
-    if not exact:
-        return
-    # the height bound H covers the cleared numerator of t x' - s y'
-    (_, cw), (_, xw) = form, stored
-    bound = red.mu * sum(u * w for u, w in zip(cw, xw))
-    assert _cleared_max(exact, (a, b, c, d, x, y, x2, y2)) <= bound
 
 
 @given(_cert_case(14), st.booleans())
