@@ -61,6 +61,13 @@ def _emit(payload: dict, args, text_lines) -> None:
             print(line)
 
 
+def _refuse_invalid(validation: dict, args) -> int:
+    """Report a configuration that is not pairwise skew: exit code 1."""
+    _emit({"schema_version": SCHEMA_VERSION, "validation": validation},
+          args, ["configuration is not pairwise skew; fix it first"])
+    return 1
+
+
 def _census_text(census) -> str:
     if not census:
         return "-"
@@ -92,11 +99,8 @@ def cmd_validate(args) -> int:
 
 def cmd_transversals(args) -> int:
     cfg = _load_config(args.config)
-    check = cfg.validation
-    if not check.valid:
-        _emit({"schema_version": SCHEMA_VERSION, "validation": check.to_json()},
-              args, ["configuration is not pairwise skew; fix it first"])
-        return 1
+    if not cfg.validation.valid:
+        return _refuse_invalid(cfg.validation.to_json(), args)
     rep = transversal_compute(cfg)
     payload = {"schema_version": SCHEMA_VERSION, **rep.to_json()}
     if rep.exists:
@@ -114,9 +118,7 @@ def cmd_group(args) -> int:
     cfg = _load_config(args.config)
     rep = analyze(cfg, budget=args.budget, mode=args.mode)
     if not rep.valid:
-        _emit({"schema_version": SCHEMA_VERSION, "validation": rep.validation},
-              args, ["configuration is not pairwise skew; fix it first"])
-        return 1
+        return _refuse_invalid(rep.validation, args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         **rep.group,
@@ -142,9 +144,7 @@ def cmd_orbit(args) -> int:
     seed = p3_from_string(cfg.field, args.seed_point)
     rep = analyze(cfg, budget=args.budget, seed=seed, oracle=args.oracle)
     if not rep.valid:
-        _emit({"schema_version": SCHEMA_VERSION, "validation": rep.validation},
-              args, ["configuration is not pairwise skew; fix it first"])
-        return 1
+        return _refuse_invalid(rep.validation, args)
     if rep.group["budget_hit"]:
         _emit({"schema_version": SCHEMA_VERSION, "budget_hit": True,
                "order": rep.group["order"]},

@@ -15,7 +15,9 @@ them (orbits.orbit_full).  Every downstream consumer (classifier, orbit
 enumerator, CLI) works from its deterministic element list.
 
 The classifier walks Dickson's list of the finite subgroups of PGL2(K)
-and names a group only once its certificate holds (see classify).
+and names a group only once its certificate holds (see classify).  It and
+the ratio test read every order from tr^2/det of raw entries (_class_value)
+and one trace recursion (_ratio_order), once per distinct value.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .matrices import (
     ProjElem,
     _commutation,
     _entries,
+    _product,
     eigenvectors,
     fixes_point,
     proj_class,
@@ -344,33 +347,79 @@ class Classification:
         return out
 
 
-def element_order(g: ProjElem, bound: int) -> Optional[int]:
-    """Least n <= bound with g^n = identity in PGL2, or None.
+def _class_value(f: Field, m: tuple) -> tuple:
+    """tr^2/det, as a raw pair, of the nonsingular matrix with raw (nums,
+    den) entries m, row-major: the class function (Beauville, "Finite
+    subgroups of PGL2(K)", 2010) every order here is read from.  It is 4
+    exactly when tr^2 = 4 det: for the identity and the unipotent classes."""
+    a, b, c, d = m
+    tr = f._add(*a, *d)
+    det = f._dot(*a, *d, f._neg_nums(b[0]), b[1], *c)
+    return f._mul(*f._mul(*tr, *tr), *f._inv(*det))
 
-    The order is a class function of tr^2/det (Beauville, "Finite subgroups
-    of PGL2(K)", 2010), so no matrix power is formed.  Besides the identity,
-    tr^2 = 4 det holds only for unipotent classes, of order p in
-    characteristic p and of infinite order in characteristic 0; every other
-    class has the order of its eigenvalue ratio.
+
+def _ratio_order(f: Field, value: tuple, bound: int) -> Optional[int]:
+    """Least n <= bound with rho^n = 1, or None, for the eigenvalue ratio
+    rho of a class with tr^2/det = value, via the trace recursion.
+
+    With s_k = rho^k + rho^(-k): s_0 = 2, s_1 = value - 2, and
+    s_{k+1} = s_1 s_k - s_{k-1}, one fused Field._dot on raw pairs; rho^n = 1
+    exactly when s_n = 2.  Everything stays inside the ground field even
+    when the eigenvalues do not.
     """
-    if g.is_identity():
-        return 1
-    m = g.rep
-    if not m.discriminant():
-        p = m.field.characteristic
-        return p if 0 < p <= bound else None
-    return ratio_order(g, bound)
+    two, minus_one = (f.from_int(2).nums, 1), (f.from_int(-1).nums, 1)
+    s1 = f._add(*value, f.from_int(-2).nums, 1)
+    s_prev, s_cur = two, s1
+    for n in range(1, bound + 1):
+        if s_cur == two:
+            return n
+        s_prev, s_cur = s_cur, f._dot(*s1, *s_cur, *minus_one, *s_prev)
+    return None
 
 
+def _orders(elements: list[ProjElem],
+            bound: int) -> tuple[list[Optional[int]], dict[tuple, Optional[int]]]:
+    """The order of every element (None above bound), and that of the
+    non-identity classes at each value of tr^2/det met, evaluated once per
+    value.  The identity, whose value 4 the unipotent classes share, has
+    order 1; a unipotent class has order p in characteristic p and infinite
+    order in characteristic 0; any other that of its eigenvalue ratio."""
+    by_value: dict[tuple, Optional[int]] = {}
+    orders: list[Optional[int]] = []
+    for g in elements:
+        if g.is_identity():
+            orders.append(1)
+            continue
+        f = g.field
+        value = _class_value(f, _entries(g.rep))
+        if value not in by_value:
+            p, unipotent = f.characteristic, value == (f.from_int(4).nums, 1)
+            by_value[value] = ((p if 0 < p <= bound else None) if unipotent
+                               else _ratio_order(f, value, bound))
+        orders.append(by_value[value])
+    return orders, by_value
+
+
+def element_order(g: ProjElem, bound: int) -> Optional[int]:
+    """Least n <= bound with g^n = identity in PGL2, or None (see _orders)."""
+    return _orders([g], bound)[0][0]
+
+
+def ratio_order(g: ProjElem, bound: int) -> Optional[int]:
+    """Least n <= bound with (lam1/lam2)^n = 1, or None (see _ratio_order)."""
+    return _ratio_order(g.field, _class_value(g.field, _entries(g.rep)), bound)
+
+
+# label, census, and the orders of r, s and r s in a witness pair
 _POLYHEDRAL = {
-    12: ("A4", {1: 1, 2: 3, 3: 8}, (3, 2), lambda r, s: element_order(s * r, 12) == 3),
-    24: ("S4", {1: 1, 2: 9, 3: 8, 4: 6}, (3, 2), lambda r, s: element_order(r * s, 24) == 4),
-    60: ("A5", {1: 1, 2: 15, 3: 20, 5: 24}, (3, 5), lambda r, s: element_order(r * s, 60) == 2),
+    12: ("A4", {1: 1, 2: 3, 3: 8}, (3, 2, 3)),
+    24: ("S4", {1: 1, 2: 9, 3: 8, 4: 6}, (3, 2, 4)),
+    60: ("A5", {1: 1, 2: 15, 3: 20, 5: 24}, (3, 5, 2)),
 }
 
 
-def _try_polyhedral(G: GroupClosure, census: dict[int, int],
-                    orders: list[int]) -> Optional[Classification]:
+def _try_polyhedral(G: GroupClosure, census: dict[int, int], orders: list[int],
+                    by_value: dict[tuple, Optional[int]]) -> Optional[Classification]:
     """A4, S4 or A5 from the census and a witness pair (r, s).
 
     r, s and their product have the exact orders (3, 2, 3), (3, 2, 4) or
@@ -378,19 +427,22 @@ def _try_polyhedral(G: GroupClosure, census: dict[int, int],
     which is A4, S4 or A5 (Coxeter and Moser, Generators and Relations for
     Discrete Groups).  No proper quotient of these keeps all three orders,
     so <r, s> has order |G|, and being inside G it is G: the first pair that
-    passes the relation generates, and no closure needs to check it.
+    passes the relation generates, and no closure needs to check it.  r s
+    lies in G and is not the identity, as ord r != ord s, so its order is
+    by_value's at the tr^2/det of the raw product: no class is formed.
     """
     blueprint = _POLYHEDRAL.get(G.order)
     if blueprint is None:
         return None
-    label, want_census, (ord_r, ord_s), relation = blueprint
+    label, want_census, (ord_r, ord_s, ord_rs) = blueprint
     if census != want_census:
         return None
+    f = G.elements[0].field
     rs_cands = [g for g, o in zip(G.elements, orders) if o == ord_r]
     ss_cands = [g for g, o in zip(G.elements, orders) if o == ord_s]
     for r in rs_cands:
         for s in ss_cands:
-            if relation(r, s):
+            if by_value.get(_class_value(f, _product(r.rep, s.rep))) == ord_rs:
                 wit = {
                     "r": r.to_json(),
                     "s": s.to_json(),
@@ -429,53 +481,17 @@ def _try_affine(G: GroupClosure, census: dict[int, int]) -> Optional[Classificat
     )
 
 
-def _try_dihedral(G: GroupClosure, census: dict[int, int],
-                  orders: list[int]) -> Optional[Classification]:
-    n = G.order
-    if n < 6 or n % 2:
+def _try_dihedral(G: GroupClosure, census: dict[int, int]) -> Optional[Classification]:
+    """dihedral(h), flagged, for |G| = 2h with h >= 3 and an element of
+    order h.  That element spans a cyclic subgroup C of index 2, which holds
+    one involution when h is even and none when h is odd.  So every element
+    outside C is an involution, and G is dihedral, exactly when the census
+    counts h + (h even) involutions, whichever element of order h spans C."""
+    h, odd = divmod(G.order, 2)
+    if odd or h < 3 or not census.get(h) or census.get(2) != h + (h % 2 == 0):
         return None
-    half = n // 2
-    rotation = next(
-        (g for g, o in zip(G.elements, orders) if o == half), None
-    )
-    if rotation is None:
-        return None
-    cyc = set()
-    x = proj_identity(rotation.field)
-    for _ in range(half):
-        cyc.add(x.key())
-        x = x * rotation
-    outside = [o for g, o in zip(G.elements, orders) if g.key() not in cyc]
-    if len(outside) != half:
-        return None
-    if all(o == 2 for o in outside):
-        return Classification(
-            label=f"dihedral({half})", order=n, census=census,
-            abelian=False, theorem_violation=True,
-        )
-    return None
-
-
-def _orders(elements: list[ProjElem], bound: int) -> list[Optional[int]]:
-    """element_order of every element, evaluated once per value of the class
-    function tr^2/det, which is formed on the raw entries; the identity,
-    which shares tr^2/det = 4 with the unipotent classes, has order 1 and is
-    taken first."""
-    by_value: dict[tuple, Optional[int]] = {}
-    orders = []
-    for g in elements:
-        if g.is_identity():
-            orders.append(1)
-            continue
-        f = g.field
-        a, b, c, d = _entries(g.rep)
-        tr = f._add(*a, *d)
-        det = f._dot(*a, *d, f._neg_nums(b[0]), b[1], *c)
-        value = f._mul(*f._mul(*tr, *tr), *f._inv(*det))
-        if value not in by_value:
-            by_value[value] = element_order(g, bound)
-        orders.append(by_value[value])
-    return orders
+    return Classification(label=f"dihedral({h})", order=G.order, census=census,
+                          abelian=False, theorem_violation=True)
 
 
 def classify(G: GroupClosure) -> Classification:
@@ -495,7 +511,7 @@ def classify(G: GroupClosure) -> Classification:
             "complete element list"
         )
     n = G.order
-    orders = _orders(G.elements, n)
+    orders, by_value = _orders(G.elements, n)
     census = dict(Counter(orders))
     if n == 1:
         return Classification(label="trivial", order=1, census=census, abelian=True)
@@ -513,16 +529,9 @@ def classify(G: GroupClosure) -> Classification:
             label=f"elementary_abelian({p},{e})", order=n, census=census,
             abelian=True, invariant_factors=[p] * e,
         )
-    hit = _try_affine(G, census)
-    if hit is not None:
-        return hit
-    hit = _try_polyhedral(G, census, orders)
-    if hit is not None:
-        return hit
-    hit = _try_dihedral(G, census, orders)
-    if hit is not None:
-        return hit
-    return Classification(label="unknown", order=n, census=census, abelian=False)
+    return (_try_affine(G, census) or _try_polyhedral(G, census, orders, by_value)
+            or _try_dihedral(G, census)
+            or Classification(label="unknown", order=n, census=census, abelian=False))
 
 
 @dataclass
@@ -552,38 +561,24 @@ class RatioReport:
         }
 
 
-def ratio_order(g: ProjElem, bound: int) -> Optional[int]:
-    """Least n <= bound with (lam1/lam2)^n = 1, via the trace recursion.
-
-    With s_k = rho^k + rho^(-k): s_0 = 2, s_1 = tr^2/det - 2, and
-    s_{k+1} = s_1 s_k - s_{k-1}; rho^n = 1 exactly when s_n = 2.  Everything
-    stays inside the ground field even when the eigenvalues do not.
-    """
-    m = g.rep
-    f = m.field
-    tr, det = m.trace(), m.det()
-    two = f.from_int(2)
-    tau = tr * tr * det.inv() - two
-    s_prev, s_cur = two, tau
-    for n in range(1, bound + 1):
-        if s_cur == two:
-            return n
-        s_prev, s_cur = s_cur, tau * s_cur - s_prev
-    return None
-
-
 def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioReport:
-    """Ratio analysis of every element of a generator set.
+    """Ratio analysis of every element of a generator set, scanned once per
+    value of tr^2/det; a unipotent class (value 4, not the identity) is not
+    semisimple.
 
     A bound below the field's cap stops the scan early, and a ratio it
     misses is then undetermined rather than proved of infinite order.
     """
-    cap = gens.field.root_of_unity_bound()
+    f = gens.field
+    cap = f.root_of_unity_bound()
     effective = cap if bound is None else min(bound, cap)
     report = RatioReport(cap=cap)
+    ratios: dict[tuple, Optional[int]] = {}
     for g in gens.elements:
-        semisimple = bool(g.rep.discriminant()) or g.is_identity()
-        n = ratio_order(g, effective)
+        value = _class_value(f, _entries(g.rep))
+        if value not in ratios:
+            ratios[value] = _ratio_order(f, value, effective)
+        n = ratios[value]
         if n is not None:
             status = "root_of_unity"
         elif effective == cap:
@@ -595,6 +590,6 @@ def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioRepo
             "triples": [list(t) for t in gens.provenance[g]],
             "ratio_order": n,
             "status": status,
-            "semisimple": semisimple,
+            "semisimple": g.is_identity() or value != (f.from_int(4).nums, 1),
         })
     return report

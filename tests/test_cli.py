@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlines.analyze import SCHEMA_VERSION
 from skewlines.cli import main
 from skewlines.configs import LineConfig
 from skewlines.families import FAMILY_BUILDERS, a4_example, build_family
@@ -180,6 +181,21 @@ def test_group_translation_without_a_witness_stops_at_the_budget(tmp_path, capsy
 def test_group_invalid_config(broken_path, capsys):
     code, _, _ = run(capsys, "group", broken_path)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("transversals",), ("group",), ("orbit", "--seed-point", "[1:0:1:0]"),
+])
+def test_invalid_config_is_refused_alike_by_every_analysis_command(
+        broken_path, capsys, argv):
+    cmd, *rest = argv
+    code, out, _ = run(capsys, cmd, broken_path, *rest)
+    assert (code, out) == (1, "configuration is not pairwise skew; fix it first\n")
+    code, out, _ = run(capsys, cmd, broken_path, *rest, "--json")
+    validation = LineConfig(Q, [Mat2.identity(Q), Mat2.identity(Q)]).validation
+    assert code == 1
+    assert json.loads(out) == {"schema_version": SCHEMA_VERSION,
+                               "validation": validation.to_json()}
 
 
 def test_group_two_lines_is_trivial(tmp_path, infinite_path, capsys):

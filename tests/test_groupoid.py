@@ -26,6 +26,7 @@ from skewlines.families import (
 )
 from skewlines.fields import (
     Field,
+    FieldElement,
     Reduction,
     cyclotomic_field,
     extension_field,
@@ -1107,9 +1108,7 @@ def test_pgl2_f7_is_unclassified():
     assert not c.abelian
 
 
-def test_dihedral_closure_raises_flag():
-    # no line configuration should produce this, so a hand-built generator
-    # set earns the violation marker
+def _d4_closure():
     r = proj_normalize(Mat2.diag(F5.parse("2"), F5.one()))
     s = proj_normalize(mat(F5, [["0", "1"], ["1", "0"]]))
     gens = GeneratorSet(
@@ -1118,7 +1117,13 @@ def test_dihedral_closure_raises_flag():
         mode="differences",
         field=F5,
     )
-    G = group_closure(gens)
+    return group_closure(gens)
+
+
+def test_dihedral_closure_raises_flag():
+    # no line configuration should produce this, so a hand-built generator
+    # set earns the violation marker
+    G = _d4_closure()
     assert G.order == 8
     c = classify(G)
     assert c.label == "dihedral(4)"
@@ -1126,16 +1131,96 @@ def test_dihedral_closure_raises_flag():
     assert c.census == {1: 1, 2: 5, 4: 2}
 
 
+def _hand_built_closure(field, gens, budget=DEFAULT_BUDGET):
+    return group_closure(GeneratorSet(
+        elements=gens, provenance={g: [] for g in gens}, mode="all_triples",
+        field=field), budget=budget)
+
+
+def _dihedral_by_walk(G, orders):
+    """Reference: dihedral(h) when |G| = 2h, h >= 3, and every element
+    outside the cyclic subgroup of the first element of order h is an
+    involution, found by walking that subgroup's products."""
+    h, odd = divmod(G.order, 2)
+    rotation = next((g for g, o in zip(G.elements, orders) if o == h), None)
+    if odd or h < 3 or rotation is None:
+        return None
+    cyc, x = set(), proj_identity(rotation.field)
+    for _ in range(h):
+        cyc.add(x)
+        x = x * rotation
+    outside = [o for g, o in zip(G.elements, orders) if g not in cyc]
+    return f"dihedral({h})" if all(o == 2 for o in outside) else None
+
+
+_SMALL_FIELDS = [
+    prime_field(2), prime_field(3),
+    extension_field(prime_field(2), [1, 1, 1]),  # F_4
+    F5, F7,
+    extension_field(prime_field(3), [1, 0, 1]),  # F_9
+]
+
+
+def test_dihedral_census_rule_matches_the_product_walk():
+    rng = random.Random(2010)
+    closures = [_d4_closure()]
+    for f in _SMALL_FIELDS:
+        elements = list(f.elements())
+        for _ in range(40):
+            gens = [proj_normalize(m) for m in (
+                Mat2(*rng.choices(elements, k=4)) for _ in range(rng.randint(1, 3)))
+                if m.det()]
+            if gens:
+                closures.append(_hand_built_closure(f, list(dict.fromkeys(gens)), 400))
+    hits = misses = 0
+    for G in closures:
+        if G.budget_hit:
+            continue
+        orders = [proj_order(g, G.order) for g in G.elements]
+        census = dict(Counter(orders))
+        hit = groupoid._try_dihedral(G, census)
+        want = _dihedral_by_walk(G, orders)
+        assert (hit and hit.label) == want
+        assert hit is None or (hit.theorem_violation and hit.census == census)
+        hits += want is not None
+        # an element of order |G|/2 >= 3 that spans no dihedral group
+        misses += (want is None and G.order >= 6 and G.order % 2 == 0
+                   and G.order // 2 in census)
+    assert hits >= 3 and misses >= 3
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called a refused routine")
+
+
+@pytest.mark.parametrize("name", ["a4", "s4", "a5", "affine5", "standard6", "d4"])
+def test_classify_forms_no_class(name, monkeypatch):
+    # the polyhedral relations read the tr^2/det of the raw product and the
+    # dihedral test reads the census, so no product is canonicalized
+    G = _d4_closure() if name == "d4" else _family_closure(name)
+    want = classify(G)
+    monkeypatch.setattr(matrices, "_canonical", _refuse)
+    assert classify(G) == want
+
+
+@pytest.mark.parametrize("name", ["a4", "a5", "affine5", "standard6"])
+def test_orders_need_no_element_arithmetic(name, monkeypatch):
+    # tr^2/det is formed once on raw entries, and every order read from it
+    G = _family_closure(name)
+    gens = generator_set(_CLOSURE_FAMILIES[name]().config)
+    want = ([element_order(g, G.order) for g in G.elements],
+            eigratio_check(gens).to_json())
+    for attr in ("trace", "det", "discriminant"):
+        monkeypatch.setattr(Mat2, attr, _refuse)
+    monkeypatch.setattr(FieldElement, "inv", _refuse)
+    assert ([element_order(g, G.order) for g in G.elements],
+            eigratio_check(gens).to_json()) == want
+
+
 def test_classify_refuses_truncated_closure():
     G = closure_of(diag_config(Q, (4, 2)), budget=50)
     with pytest.raises(IncompleteClosure):
         classify(G)
-
-
-def _hand_built_closure(field, gens):
-    return group_closure(GeneratorSet(
-        elements=gens, provenance={g: [] for g in gens}, mode="all_triples",
-        field=field))
 
 
 def test_klein_four_group_is_elementary_abelian():
@@ -1432,37 +1517,54 @@ def test_hypothesis_element_order_matches_proj_order(case):
     expected = {"identity": 1, "unipotent": p or None, "involution": 2}
     if kind in expected:
         assert want == expected[kind]
+    # the ratio order and the semisimple flag against FieldElement arithmetic
+    m, f = g.rep, g.field
+    tr, det, two = m.trace(), m.det(), f.from_int(2)
+    s1 = tr * tr / det - two
+    s_prev, s_cur, ratio = two, s1, None
+    for n in range(1, bound + 1):
+        if s_cur == two:
+            ratio = n
+            break
+        s_prev, s_cur = s_cur, s1 * s_cur - s_prev
+    assert ratio_order(g, bound) == ratio
+    entry, = eigratio_check(GeneratorSet(
+        elements=[g], provenance={g: []}, mode="all_triples", field=f), bound).entries
+    assert entry["semisimple"] == (bool(m.discriminant()) or g.is_identity())
+    assert entry["ratio_order"] == ratio_order(g, min(bound, f.root_of_unity_bound()))
 
 
 def _class_value(g):
     m = g.rep
-    return (m.trace() * m.trace() / m.det()).sort_key()
+    x = m.trace() * m.trace() / m.det()
+    return x.nums, x.den
 
 
 def test_classify_evaluates_element_order_once_per_class_value(monkeypatch):
-    groupoid = importlib.import_module("skewlines.groupoid")
+    # the trace recursion runs once per value of tr^2/det: in classify for
+    # every value but 4 (the identity's, and a unipotent class's, of order
+    # p), and in eigratio_check for every value among the generators; the
+    # polyhedral relations read the orders classify already has
     seen = []
+    plain = groupoid._ratio_order
 
-    def counted(g, bound):
-        seen.append(g)
-        return element_order(g, bound)
+    def counted(f, value, bound):
+        seen.append(value)
+        return plain(f, value, bound)
 
+    monkeypatch.setattr(groupoid, "_ratio_order", counted)
     for name in ("a5", "affine5", "standard5"):
         G = _family_closure(name)
-        reference = [element_order(g, G.order) for g in G.elements]
-        values = {_class_value(g) for g in G.elements if not g.is_identity()}
-        with monkeypatch.context() as m:
-            m.setattr(groupoid, "element_order", counted)
-            seen.clear()
-            census = classify(G).census
-            # the polyhedral relation checks also ask for orders of fresh
-            # products; closure elements are asked at most once per value
-            asked = [g for g in seen if any(g is h for h in G.elements)]
-            assert len(asked) <= len(values)
-            assert not any(g.is_identity() for g in asked)
-            assert len({_class_value(g) for g in asked}) == len(asked)
-            assert groupoid._orders(G.elements, G.order) == reference
-        assert census == dict(Counter(reference))
+        four = _class_value(G.elements[0])
+        seen.clear()
+        census = classify(G).census
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {_class_value(g) for g in G.elements} - {four}
+        assert census == dict(Counter(proj_order(g, G.order) for g in G.elements))
+        gens = generator_set(_CLOSURE_FAMILIES[name]().config)
+        seen.clear()
+        eigratio_check(gens)
+        assert len(seen) == len(set(seen)) == len({_class_value(g) for g in gens.elements})
 
 
 def test_is_abelian_multiplies_only_generator_pairs(monkeypatch):
