@@ -335,10 +335,11 @@ def predict_abelian(cfg: LineConfig) -> AbelianReport:
                 "(configurations without line 0 may contain such matrices)"
             )
     report = AbelianReport(abelian=True)
+    # whether each matrix has a repeated eigenvalue, tested once
+    repeated = [not m.discriminant() for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            a, b = mats[i], mats[j]
-            case = _commutation_case(a, b)
+            case = _commutation_case(mats[i], mats[j], repeated[i] and repeated[j])
             report.cases.append((labels[i], labels[j], case))
             if case == "non_commuting":
                 report.abelian = False
@@ -348,12 +349,13 @@ def predict_abelian(cfg: LineConfig) -> AbelianReport:
     return report
 
 
-def _commutation_case(a: Mat2, b: Mat2) -> str:
+def _commutation_case(a: Mat2, b: Mat2, both_repeated: bool) -> str:
+    """The case of a pair, given whether both have a repeated eigenvalue."""
     if a.is_scalar() or b.is_scalar():
         return "scalar"
     sign = _commutation(a, b)
     if sign == 1:
-        if not a.discriminant() and not b.discriminant():
+        if both_repeated:
             return "shared_eigenspace"
         return "simultaneously_diagonalizable"
     if sign == -1:

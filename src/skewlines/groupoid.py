@@ -2,12 +2,15 @@
 finite groups that arise, and the eigenvalue-ratio finiteness test.
 
 The generator set evaluates every F_ijk as a word in the difference
-classes [D_ab]: each class is canonicalized and inverted once, and each
-product of two classes is formed once (see generator_set).  The closure is
-a breadth-first walk with a hard element budget.  It knows an element by
-where its inverse sends [1:0], [0:1] and [1:1], which PGL2 acting sharply
-3-transitively on P^1 makes exact, so it forms an exact product only for a
-new element (see group_closure).  Those points have integer ids, found
+classes [D_ab] on integer class ids (_ClassIds): each [D_ab] is named once
+per pair, each distinct class inverted once, and each product of two
+classes formed once (see generator_set).  A class is found from its image
+mod p with exact confirmation, as a point is below, so only a class met
+for the first time is canonicalized.  The closure is a breadth-first walk
+with a hard element budget.  It knows an element by where its inverse
+sends [1:0], [0:1] and [1:1], which PGL2 acting sharply 3-transitively on
+P^1 makes exact, so it forms an exact product only for a new element (see
+group_closure).  Those points have integer ids, found
 from their images mod p with exact confirmation where Field.reduction()
 exists (_PointIds), so a key is a triple of ints.  The closure keeps that
 table with each generator's moves, and the transport orbit walk continues
@@ -33,6 +36,7 @@ from .fields import Field, _factorize
 from .matrices import (
     Mat2,
     ProjElem,
+    _canonical,
     _commutation,
     _entries,
     _product,
@@ -107,41 +111,101 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     refused.
 
     The words are evaluated on classes, since the class of a product is the
-    product of the classes.  Each [D_ab] is canonicalized and inverted once
-    per unordered pair, as D_ba = -D_ab lies in the same class, and each
-    product [D_jk]^-1 [D_ik] is formed once per distinct pair of factor
-    classes.  Many triples share their factors' classes, so the exact
-    products number far fewer than the triples.
+    product of the classes, and on the integer ids of a class table
+    (_ClassIds).  Each [D_ab] is named once per unordered pair, as D_ba =
+    -D_ab lies in the same class, the inverse of each distinct class once,
+    and each product [D_jk]^-1 [D_ik] once per pair of factor ids.  Only a
+    class the table meets for the first time is canonicalized, so the
+    inversions number at most the distinct classes met, and the exact
+    products far fewer than the triples.  Provenance is collected by id
+    and keyed by the canonical classes in the order the triples first
+    meet them.
     """
     cfg.require_valid()
     if mode not in ("all_triples", "differences"):
         raise ValueError(f"unknown generator mode {mode!r}")
     if mode == "differences" and not cfg.include_infinity:
         raise ValueError("differences mode needs the infinity line")
+    ids = _ClassIds(cfg.field)
+    classes = ids.classes
     finite = [lab for lab in cfg.labels() if lab != INF_LABEL]
-    classes, inverses = {}, {}
+    diffs = {}
     for a, b in itertools.combinations(finite, 2):
-        g = proj_class(cfg.difference(a, b))
-        classes[a, b] = classes[b, a] = g
-        inverses[a, b] = inverses[b, a] = g.inv()
-    products: dict[tuple[ProjElem, ProjElem], ProjElem] = {}
+        diffs[a, b] = diffs[b, a] = ids.intern(_entries(cfg.difference(a, b)))
+    # the adjugate is det * inverse, the same class with no division
+    inverses = {i: ids.intern(_entries(classes[i].rep.adjugate()))
+                for i in dict.fromkeys(diffs.values())}
+    products: dict[tuple[int, int], int] = {}
 
-    def mul(x: ProjElem, y: ProjElem) -> ProjElem:
+    def mul(x: int, y: int) -> int:
         xy = products.get((x, y))
         if xy is None:
-            xy = products[x, y] = x * y
+            xy = products[x, y] = ids.intern(_product(classes[x].rep, classes[y].rep))
         return xy
 
-    classes_of = (proj_identity(cfg.field), lambda a, b: classes[a, b],
-                  lambda a, b: inverses[a, b], mul)
-    provenance: dict[ProjElem, list[tuple[str, str, str]]] = {}
+    ids_of = (ids.intern(_entries(Mat2.identity(cfg.field))),
+              lambda a, b: diffs[a, b], lambda a, b: inverses[diffs[a, b]], mul)
+    by_id: dict[int, list[tuple[str, str, str]]] = {}
     for t in itertools.permutations(cfg.labels(), 3):
         if mode == "differences" and t[1] != INF_LABEL:
             continue
-        provenance.setdefault(_transport(*t, *classes_of), []).append(t)
+        by_id.setdefault(_transport(*t, *ids_of), []).append(t)
+    provenance = {classes[i]: ts for i, ts in by_id.items()}
     elements = sorted(provenance, key=lambda g: g.key())
     return GeneratorSet(elements=elements, provenance=provenance, mode=mode,
                         field=cfg.field)
+
+
+class _ClassIds:
+    """Integer ids for the classes of PGL2 a generator assembly meets, in
+    order, found as _PointIds finds points.
+
+    classes[i] is the class with id i, and exact maps its key(), the raw
+    entries with the first nonzero one exactly 1, to i; a raw matrix whose
+    first nonzero entry is exactly 1 is looked up there.  Any other is
+    first looked up in buckets by Reduction.key of its entries' images,
+    where Field.reduction() exists, and a hit is confirmed exactly with no
+    inverse (_same_point: a class is a point of P^3).  Only on a miss is it
+    canonicalized, looked up in exact and filed under the key.  So a class
+    costs at most one inversion, and a collision mod p costs a refused
+    confirmation, never a wrong id.
+    """
+
+    __slots__ = ("field", "one", "classes", "leads", "exact", "buckets")
+
+    def __init__(self, f: Field):
+        self.field = f
+        self.one = ((1,) + (0,) * (f.degree - 1), 1)
+        self.classes: list[ProjElem] = []
+        self.leads: list[int] = []  # the index of each class's leading 1
+        self.exact: dict[tuple, int] = {}
+        self.buckets: dict[tuple, list[int]] = {}
+
+    def intern(self, ents: tuple) -> int:
+        """The id of the class of the nonsingular matrix with raw (nums,
+        den) entries ents, row-major; a new class is added."""
+        f = self.field
+        lead = 0
+        while not any(ents[lead][0]):
+            lead += 1
+        key = g = None
+        if ents[lead] != self.one:
+            red = f.reduction()
+            if red is not None:
+                key = red.key([red.image(*e) for e in ents])
+            for j in self.buckets.get(key, ()):
+                if _same_point(f, ents, self.classes[j].key(), self.leads[j]):
+                    return j
+            g = _canonical(f, ents)
+            ents = g.key()
+        j = self.exact.get(ents)
+        if j is None:
+            j = self.exact[ents] = len(self.classes)
+            self.classes.append(_canonical(f, ents) if g is None else g)
+            self.leads.append(lead)
+        if key is not None:
+            self.buckets.setdefault(key, []).append(j)
+        return j
 
 
 @dataclass
@@ -247,14 +311,14 @@ class _PointIds:
     Field.reduction() exists (Q and Q(zeta_n)) it is first looked up by
     Reduction.key of its image at the first root: a ring map sends equal
     points whose images are defined and nonzero to one key.  A point filed
-    under that key in buckets is confirmed exactly with no inverse
-    (_same_point).  Otherwise the pair is normalized and looked up in
-    exact, and the point it names is filed under the key.  So a point
-    costs at most one inversion, when a pair that needs one first names
-    it, and a collision mod p costs a refused confirmation, never a wrong
-    id.  An undefined or zero key, and a field with no reduction, take the
-    exact lookup alone, and the reduction is built only when a pair needs
-    it.
+    under that key in buckets, always one [s : 1], is confirmed exactly
+    with no inverse (_same_point).  Otherwise the pair is normalized and
+    looked up in exact, and the point it names is filed under the key.  So
+    a point costs at most one inversion, when a pair that needs one first
+    names it, and a collision mod p costs a refused confirmation, never a
+    wrong id.  An undefined or zero key, and a field with no reduction,
+    take the exact lookup alone, and the reduction is built only when a
+    pair needs it.
 
     moves[g] maps the id of each point the adjugate of the class g has
     moved to the id of its image.  Ids and moves are only ever added, so
@@ -301,7 +365,7 @@ class _PointIds:
             if red is not None:
                 key = red.key((red.image(*x), red.image(*y)))
             for j in self.buckets.get(key, ()):
-                if _same_point(f, x, y, self.points[j]):
+                if _same_point(f, (x, y), self.points[j], 1):
                     return j
             q = f._mul(*x, *f._inv(*y)), one
         j = self.exact.get(q)
@@ -312,11 +376,16 @@ class _PointIds:
         return j
 
 
-def _same_point(f: Field, x: tuple, y: tuple, q: tuple) -> bool:
-    """Whether [x : y], raw coordinates, is the normalized point q: x = s y
-    for q = [s : 1], y = 0 for q = [1 : 0]; at most one product."""
-    s, t = q
-    return x == f._mul(*s, *y) if any(t[0]) else not any(y[0])
+def _same_point(f: Field, xs: tuple, q: tuple, lead: int) -> bool:
+    """Whether xs, raw coordinates, name the projective point q, whose
+    coordinate at lead is exactly 1: whether xs = s q for s = xs[lead],
+    coordinate by coordinate, with a product only where q is nonzero.  It
+    confirms a point [x : y] of P^1 and a class of PGL2, a point of P^3."""
+    s = xs[lead]
+    for e, (x, r) in enumerate(zip(xs, q)):
+        if e != lead and (x != f._mul(*s, *r) if any(r[0]) else any(x[0])):
+            return False
+    return True
 
 
 @dataclass

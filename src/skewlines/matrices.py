@@ -107,8 +107,7 @@ class Mat2:
         return (not self.b) and (not self.c) and self.a == self.d
 
     def is_identity(self) -> bool:
-        one = self.field.one()
-        return self.a == one and self.d == one and not self.b and not self.c
+        return self.a.is_one() and self.d.is_one() and not self.b and not self.c
 
     # -- algebra
 

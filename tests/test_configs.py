@@ -394,6 +394,30 @@ def test_jordan_family_shares_eigenspace():
     assert cases[("2", "3")] == "shared_eigenspace"
 
 
+def test_predict_abelian_tests_each_discriminant_once(monkeypatch):
+    # standard n=16 has 14 non-scalar rotations, pairwise commuting: one
+    # discriminant per matrix, where one per commuting pair formed 91.  The
+    # Jordan family's pair shares its eigenspace, and the s4 matrices
+    # include non-commuting pairs
+    f = extension_field(prime_field(3), [1, 0, 1])
+    z = f.gen()
+    jordan = LineConfig(f, [Mat2.identity(f),
+                            Mat2.from_rows(f, [[z, f.one()], [f.zero(), z]]),
+                            Mat2.from_rows(f, [[z + 1, f.one()], [f.zero(), z + 1]])])
+    disc, calls = Mat2.discriminant, []
+    monkeypatch.setattr(Mat2, "discriminant", lambda m: calls.append(1) or disc(m))
+    for cfg in (build_family("standard", n=16).config, jordan, s4_config()):
+        calls.clear()
+        rep = predict_abelian(cfg)
+        assert len(calls) <= len(cfg.matrices)
+        mats = dict(zip(cfg.matrix_labels(), cfg.matrices))
+        for i, j, case in rep.cases:
+            if case in ("shared_eigenspace", "simultaneously_diagonalizable"):
+                repeated = not disc(mats[i]) and not disc(mats[j])
+                assert (case == "shared_eigenspace") == repeated
+    assert ("2", "3", "shared_eigenspace") in predict_abelian(jordan).cases
+
+
 def test_s4_and_a5_predicted_non_abelian():
     for cfg in (s4_config(), a5_config()):
         rep = predict_abelian(cfg)
@@ -445,9 +469,10 @@ def test_anti_commuting_test_agrees_with_projective_comparison(field):
         if a.is_scalar() or b.is_scalar():
             continue
         projective = a * b != b * a and proj_normalize(a * b) == proj_normalize(b * a)
-        assert (_commutation_case(a, b) == "anti_commuting") == projective
+        repeated = not a.discriminant() and not b.discriminant()
+        assert (_commutation_case(a, b, repeated) == "anti_commuting") == projective
         hits += projective
-    assert _commutation_case(swap, flip) == "anti_commuting"
+    assert _commutation_case(swap, flip, False) == "anti_commuting"
     assert hits > 40
 
 

@@ -867,13 +867,15 @@ def test_entry_with_the_reduction_prime_in_its_denominator_matches():
 def test_assembly_multiplies_each_pair_of_classes_once(monkeypatch):
     # standard n=16 has 17 finite lines (0 and M_1..M_16), so 136 unordered
     # pairs {a, b}.  Every [D_ab] is diag(1, zeta_16^m), 0 <= m < 16, so at
-    # most 16 classes, closed under inversion, enter the products: at most
-    # 16^2 = 256 products of two classes.  Field._inv runs at most once to
-    # canonicalize each [D_ab] and once to invert it: 2 * 136 = 272.  A
-    # product per all-finite triple would be 17 * 16 * 15 = 4080.
+    # most 16 classes, closed under inversion and products, are ever met:
+    # at most 16^2 = 256 products of two classes, and Field._inv runs once
+    # for each class met, to canonicalize the first matrix that names it.
+    # A product per all-finite triple would be 17 * 16 * 15 = 4080, and an
+    # inversion per pair, inverse and product 262.  The product is counted
+    # under the name the assembly calls.
     cfg = standard_construction(16).config
     products, inversions = [], []
-    product, inv = matrices._product, Field._inv
+    product, inv = groupoid._product, Field._inv
 
     def counted_product(x, y):
         products.append(1)
@@ -883,12 +885,33 @@ def test_assembly_multiplies_each_pair_of_classes_once(monkeypatch):
         inversions.append(1)
         return inv(self, nums, den)
 
-    monkeypatch.setattr(matrices, "_product", counted_product)
+    monkeypatch.setattr(groupoid, "_product", counted_product)
     monkeypatch.setattr(Field, "_inv", counted_inv)
     gens = generator_set(cfg)
     assert len(gens.elements) == 16
-    assert len(products) <= 16 ** 2
-    assert len(inversions) <= 2 * 136
+    assert 0 < len(products) <= 16 ** 2
+    assert len(inversions) <= 16
+
+
+@pytest.mark.parametrize("field, seed, p", [
+    pytest.param(Q, 8, 3, id="q-3"),
+    pytest.param(Q, 8, 7, id="q-7"),
+    pytest.param(cyclotomic_field(5), 5, 11, id="zeta5-11"),
+])
+def test_class_key_collisions_at_a_small_prime_fail_the_exact_check(
+        monkeypatch, field, seed, p):
+    # P^3(F_p) has only p^3 + p^2 + p + 1 points, so at a split prime this
+    # small the classes of four lines share keys, and some key hits must be
+    # refused by the exact check (_same_point) before the class is
+    # canonicalized; the set stays the one of every triple canonicalized
+    cfg = _random_integer_config(field, random.Random(seed), 4)
+    monkeypatch.setattr(field, "reduction", lambda: reduction_at(field, p))
+    outcomes = []
+    same = groupoid._same_point
+    monkeypatch.setattr(groupoid, "_same_point",
+                        lambda *a: outcomes.append(same(*a)) or outcomes[-1])
+    _assert_matches_reference(cfg)
+    assert False in outcomes
 
 
 def test_assembly_keys_each_class_once(monkeypatch):

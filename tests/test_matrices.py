@@ -103,6 +103,24 @@ def test_commutation_sign_matches_operator_products(field):
         _commutation(Mat2.identity(Q), Mat2.identity(F5))
 
 
+@pytest.mark.parametrize("field", [F5, extension_field(F5, [3, 0, 1]),
+                                   cyclotomic_field(8)],
+                         ids=["F5", "F25-tabled", "Q(zeta8)"])
+def test_is_identity_agrees_with_equality_to_the_identity(field):
+    # entries 0, 1, 2, 6 (1 again in characteristic 5), -1 and a generator,
+    # so 2I, 6I and every near miss of I are among the 6^4 matrices
+    ident = Mat2.identity(field)
+    z = field.gen() if field.degree > 1 else field.from_int(3)
+    pool = [field.from_int(k) for k in (0, 1, 2, 6, -1)] + [z]
+    hits = 0
+    for ents in itertools.product(pool, repeat=4):
+        m = Mat2(*ents)
+        assert m.is_identity() == (m == ident), m
+        hits += m.is_identity()
+    assert not ident.scale(2).is_identity()
+    assert hits == (4 if field.characteristic == 5 else 1)
+
+
 def test_from_rows_validation():
     with pytest.raises(ValueError):
         Mat2.from_rows(Q, [["1", "2", "3"], ["4", "5", "6"]])
