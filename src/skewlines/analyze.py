@@ -1,16 +1,22 @@
 """One-pass analysis pipeline over a line configuration.
 
-Runs validation, transversal search, the commutativity predictor, generator
-assembly, the eigenvalue-ratio finiteness check, group closure,
-classification, and (on request) an orbit enumeration — and folds the
-results into a single JSON-ready report.  A ratio that is provably not a
-root of unity settles the group as infinite, and the closure and orbit are
-then skipped.  Every stage is exact; reports built from the same input are
-identical.
+Runs validation, generator assembly, the eigenvalue-ratio finiteness
+check, group closure, classification, and (on request) an orbit
+enumeration, and folds the results into a single JSON-ready report.  A
+ratio that is provably not a root of unity settles the group as infinite,
+and the closure and orbit are then skipped.  Every stage is exact; reports
+built from the same input are identical.
+
+The pipeline runs at call time, so every refusal raises from analyze()
+itself.  Three report sections are formed only when first read, and then
+kept: the transversal search, the commutativity predictor, and the JSON
+of the ratio entries.  A command that prints only the group, such as
+family or search, never forms them; to_json() reads them all.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional
 
 from .configs import (
     InvalidConfiguration,
@@ -37,14 +43,36 @@ class OracleMismatch(RuntimeError):
 
 @dataclass
 class AnalysisReport:
+    """The sections of an analysis.  analyze() fills config, validation,
+    generators, group and orbit.  For transversal, abelian_prediction and
+    eigenvalue_ratios it files a function under the section's name in
+    _pending, which the first read calls and whose value is kept; a value
+    assigned to one of them is kept as it is.  A section the pipeline did
+    not reach reads None."""
+
     config: dict
     validation: dict
-    transversal: Optional[dict] = None
-    abelian_prediction: Optional[dict] = None
     generators: Optional[dict] = None
     group: Optional[dict] = None
-    eigenvalue_ratios: Optional[dict] = None
     orbit: Optional[dict] = None
+    _pending: dict[str, Callable[[], dict]] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def _form(self, name: str) -> Optional[dict]:
+        form = self._pending.get(name)
+        return None if form is None else form()
+
+    @cached_property
+    def transversal(self) -> Optional[dict]:
+        return self._form("transversal")
+
+    @cached_property
+    def abelian_prediction(self) -> Optional[dict]:
+        return self._form("abelian_prediction")
+
+    @cached_property
+    def eigenvalue_ratios(self) -> Optional[dict]:
+        return self._form("eigenvalue_ratios")
 
     @property
     def valid(self) -> bool:
@@ -96,6 +124,14 @@ def _group_section(order: int, budget_hit: bool, classification=None) -> dict:
     return out
 
 
+def _abelian_section(cfg) -> dict:
+    try:
+        return predict_abelian(cfg).to_json()
+    except InvalidConfiguration as exc:
+        # a singular M_i (allowed without line 0) has no class [M_i] to compare
+        return {"available": False, "reason": str(exc)}
+
+
 def _orbit_section(cfg, seed, carrier, closure, triples, oracle: bool) -> dict:
     report = orbit_full(cfg, seed, closure=closure, gens=triples, carrier=carrier)
     out = report.to_json()
@@ -133,12 +169,8 @@ def analyze(
     if seed is not None and carrier is None:
         raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
 
-    report.transversal = transversal_compute(cfg).to_json()
-    try:
-        report.abelian_prediction = predict_abelian(cfg).to_json()
-    except InvalidConfiguration as exc:
-        # a singular M_i (allowed without line 0) has no class [M_i] to compare
-        report.abelian_prediction = {"available": False, "reason": str(exc)}
+    report._pending.update(transversal=lambda: transversal_compute(cfg).to_json(),
+                           abelian_prediction=lambda: _abelian_section(cfg))
 
     # the ratio test and the orbit walk read the all_triples set; build it once
     triples = generator_set(cfg)
@@ -153,7 +185,7 @@ def analyze(
     # field's small cap is what certifies an infinite group, so it is kept
     bound = budget if cfg.field.is_finite else None
     ratios = eigratio_check(triples, bound=bound)
-    report.eigenvalue_ratios = ratios.to_json()
+    report._pending["eigenvalue_ratios"] = ratios.to_json
     if ratios.infinite_witness:
         # G is infinite, so its closure would stop at exactly budget elements
         report.group = _group_section(budget, True)

@@ -15,6 +15,7 @@ input, 2 budget exceeded, 3 internal invariant violation.
 """
 
 import argparse
+import functools
 import json
 import sys
 from itertools import product
@@ -339,8 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except IncompleteClosure as exc:

@@ -3,18 +3,19 @@ finite groups that arise, and the eigenvalue-ratio finiteness test.
 
 The generator set evaluates every F_ijk as a word in the difference
 classes [D_ab] on integer class ids (_ClassIds): each [D_ab] is named once
-per pair, each distinct class inverted once, and each product of two
-classes formed once (see generator_set).  A class is found from its image
-mod p with exact confirmation, as a point is below, so only a class met
-for the first time is canonicalized.  The closure is a breadth-first walk
+per pair, each distinct class inverted once when a word first reads it,
+and each product of two classes formed once (see generator_set).  A class
+is found from its image mod p with exact confirmation, as a point is
+below, so only a class met for the first time is canonicalized.  The closure is a breadth-first walk
 with a hard element budget.  It knows an element by where its inverse
 sends [1:0], [0:1] and [1:1], which PGL2 acting sharply 3-transitively on
 P^1 makes exact, so it forms an exact product only for a new element (see
 group_closure).  Those points have integer ids, found
 from their images mod p with exact confirmation where Field.reduction()
 exists (_PointIds), so a key is a triple of ints.  The closure keeps that
-table with each generator's moves, and the transport orbit walk continues
-them (orbits.orbit_full).  Every downstream consumer (classifier, orbit
+table with each generator's moves: the commutation test reads them (see
+GroupClosure.is_abelian), and the transport orbit walk continues them
+(orbits.orbit_full).  Every downstream consumer (classifier, orbit
 enumerator, CLI) works from its deterministic element list.
 
 The classifier walks Dickson's list of the finite subgroups of PGL2(K)
@@ -37,7 +38,6 @@ from .matrices import (
     Mat2,
     ProjElem,
     _canonical,
-    _commutation,
     _entries,
     _product,
     eigenvectors,
@@ -114,7 +114,8 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     product of the classes, and on the integer ids of a class table
     (_ClassIds).  Each [D_ab] is named once per unordered pair, as D_ba =
     -D_ab lies in the same class, the inverse of each distinct class once,
-    and each product [D_jk]^-1 [D_ik] once per pair of factor ids.  Only a
+    when a word first reads it (differences mode reads none), and each
+    product [D_jk]^-1 [D_ik] once per pair of factor ids.  Only a
     class the table meets for the first time is canonicalized, so the
     inversions number at most the distinct classes met, and the exact
     products far fewer than the triples.  Provenance is collected by id
@@ -132,10 +133,16 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
     diffs = {}
     for a, b in itertools.combinations(finite, 2):
         diffs[a, b] = diffs[b, a] = ids.intern(_entries(cfg.difference(a, b)))
-    # the adjugate is det * inverse, the same class with no division
-    inverses = {i: ids.intern(_entries(classes[i].rep.adjugate()))
-                for i in dict.fromkeys(diffs.values())}
+    inverses: dict[int, int] = {}
     products: dict[tuple[int, int], int] = {}
+
+    def inverse(a: str, b: str) -> int:
+        i = diffs[a, b]
+        j = inverses.get(i)
+        if j is None:
+            # the adjugate is det * inverse, the same class with no division
+            j = inverses[i] = ids.intern(_entries(classes[i].rep.adjugate()))
+        return j
 
     def mul(x: int, y: int) -> int:
         xy = products.get((x, y))
@@ -144,7 +151,7 @@ def generator_set(cfg: LineConfig, mode: str = "all_triples") -> GeneratorSet:
         return xy
 
     ids_of = (ids.intern(_entries(Mat2.identity(cfg.field))),
-              lambda a, b: diffs[a, b], lambda a, b: inverses[diffs[a, b]], mul)
+              lambda a, b: diffs[a, b], inverse, mul)
     by_id: dict[int, list[tuple[str, str, str]]] = {}
     for t in itertools.permutations(cfg.labels(), 3):
         if mode == "differences" and t[1] != INF_LABEL:
@@ -225,9 +232,38 @@ class GroupClosure:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
-        """A group is abelian exactly when its generators commute pairwise."""
-        return all(_commutation(g.rep, h.rep)
-                   for g, h in itertools.combinations(self.generators, 2))
+        """Whether the generators commute pairwise, read from point moves.
+
+        The walk keys an element x by the ids of x^-1 [1:0], x^-1 [0:1]
+        and x^-1 [1:1], and PGL2 acts sharply 3-transitively on P^1, so g
+        and h commute exactly when gh and hg have one key.  The key of gh
+        is h^-1 applied to the key of g: moves[h] of moves[g] (see
+        _PointIds).  The walk of a complete closure has made every one of
+        these moves, as it applies every generator to the key of every
+        element, so the test does no field arithmetic.  Any other move, on
+        a closure the budget stopped or one built by hand, is formed here,
+        on a point table made for it when the closure has none.
+        """
+        gens = self.generators
+        if len(gens) < 2:
+            return True
+        if self.points is None:
+            self.points = _PointIds(gens[0].field)
+        points = self.points
+        moves = [points.moves.setdefault(g, {}) for g in gens]
+
+        def apply(i: int, key: tuple) -> tuple:
+            # the ids of the images of the points key under gens[i]^-1
+            images = moves[i]
+            for q in key:
+                if q not in images:
+                    images[q] = points.image(_entries(gens[i].rep.adjugate()), q)
+            a, b, c = key
+            return images[a], images[b], images[c]
+
+        keys = [apply(i, _base_ids(points)) for i in range(len(gens))]
+        return all(apply(j, keys[i]) == apply(i, keys[j])
+                   for i, j in itertools.combinations(range(len(gens)), 2))
 
 
 def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClosure:
@@ -267,9 +303,7 @@ def _walk(points: _PointIds, mults: list[ProjElem],
           budget: int) -> tuple[list[ProjElem], bool]:
     """The elements of the closure in walk order, and whether the budget
     stopped it (see group_closure)."""
-    one, zero = points.one, points.zero
-    # the key of the identity: the ids of [1:0], [0:1] and [1:1]
-    key = tuple(points.add(q) for q in ((one, zero), (zero, one), (one, one)))
+    key = _base_ids(points)  # the key of the identity
     # g^-1 acts as the adjugate of g; moves[i][a] is the id of its image of
     # the point with id a, for the i-th generator g
     adjs = [_entries(g.rep.adjugate()) for g in mults]
@@ -297,6 +331,12 @@ def _walk(points: _PointIds, mults: list[ProjElem],
             keys.append(key)
         idx += 1
     return elements, False
+
+
+def _base_ids(points: _PointIds) -> tuple[int, int, int]:
+    """The ids of [1:0], [0:1] and [1:1], which no arithmetic normalizes."""
+    one, zero = points.one, points.zero
+    return points.intern(one, zero), points.intern(zero, one), points.intern(one, one)
 
 
 class _PointIds:
@@ -336,12 +376,6 @@ class _PointIds:
         self.buckets: dict[tuple, list[int]] = {}
         self.moves: dict[ProjElem, dict[int, int]] = {}
 
-    def add(self, q: tuple) -> int:
-        """The id of the new normalized point q."""
-        i = self.exact[q] = len(self.points)
-        self.points.append(q)
-        return i
-
     def image(self, m: tuple, i: int) -> int:
         """The id of the image of the point with id i under the matrix with
         raw entries m, row-major."""
@@ -370,7 +404,8 @@ class _PointIds:
             q = f._mul(*x, *f._inv(*y)), one
         j = self.exact.get(q)
         if j is None:
-            j = self.add(q)
+            j = self.exact[q] = len(self.points)
+            self.points.append(q)
         if key is not None:
             self.buckets.setdefault(key, []).append(j)
         return j
@@ -604,6 +639,26 @@ def classify(G: GroupClosure) -> Classification:
 
 
 @dataclass
+class _RatioEntry:
+    """One generator's ratio analysis; its JSON is formed only when read."""
+
+    element: ProjElem
+    triples: list[tuple[str, str, str]]
+    ratio_order: Optional[int]
+    status: str
+    semisimple: bool
+
+    def to_json(self) -> dict:
+        return {
+            "element": self.element.to_json(),
+            "triples": [list(t) for t in self.triples],
+            "ratio_order": self.ratio_order,
+            "status": self.status,
+            "semisimple": self.semisimple,
+        }
+
+
+@dataclass
 class RatioReport:
     """Eigenvalue-ratio orders of the generators.
 
@@ -612,15 +667,20 @@ class RatioReport:
     extension can only hold roots of unity up to a provable cap, so a miss
     below the cap is a proof, not a timeout.  Unipotent generators report
     ratio order 1 with semisimple=False (their own order is p or infinite,
-    which the ratio cannot see).
+    which the ratio cannot see).  The verdicts are kept per generator, and
+    entries forms their JSON on each read.
     """
 
-    entries: list[dict] = dc_field(default_factory=list)
+    _rows: list[_RatioEntry] = dc_field(default_factory=list)
     cap: int = 0
 
     @property
     def infinite_witness(self) -> bool:
-        return any(e["status"] == "not_root_of_unity" for e in self.entries)
+        return any(r.status == "not_root_of_unity" for r in self._rows)
+
+    @property
+    def entries(self) -> list[dict]:
+        return [r.to_json() for r in self._rows]
 
     def to_json(self) -> dict:
         return {
@@ -654,11 +714,7 @@ def eigratio_check(gens: GeneratorSet, bound: Optional[int] = None) -> RatioRepo
             status = "not_root_of_unity"
         else:
             status = "undetermined"
-        report.entries.append({
-            "element": g.to_json(),
-            "triples": [list(t) for t in gens.provenance[g]],
-            "ratio_order": n,
-            "status": status,
-            "semisimple": g.is_identity() or value != (f.from_int(4).nums, 1),
-        })
+        report._rows.append(_RatioEntry(
+            element=g, triples=gens.provenance[g], ratio_order=n, status=status,
+            semisimple=g.is_identity() or value != (f.from_int(4).nums, 1)))
     return report

@@ -499,6 +499,86 @@ def test_search_refuses_an_empty_axis(capsys):
 
 
 # ---------------------------------------------------------------------------
+# report sections formed on read, and one parser per process
+
+
+def test_group_only_commands_never_form_the_transversal_or_the_prediction(
+        tmp_path, capsys, monkeypatch):
+    import importlib
+
+    from skewlines.analyze import analyze
+    from skewlines.configs import predict_abelian, transversal_compute
+    from skewlines.families import elementary_abelian
+
+    analyze_mod = importlib.import_module("skewlines.analyze")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a section the command does not print was formed")
+
+    f25 = write_config(tmp_path, "f25.json", elementary_abelian(5).config)
+    commands = [
+        ["family", "a4"],
+        ["family", "elementary_abelian", "p=7"],
+        ["search", "c3_scaled", "s_order=2:4"],
+        ["search", "cyclic_4line", "u1_order=2:3", "u2_order=3"],
+        ["orbit", f25, "--seed-point", "[0:0:0:1]", "--oracle"],
+    ]
+    with monkeypatch.context() as m:
+        for name in ("transversal_compute", "predict_abelian"):
+            m.setattr(analyze_mod, name, refuse)
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out)["schema_version"] == SCHEMA_VERSION
+
+    # group and a full report read both, once each, and keep what they read
+    calls = []
+
+    def counted(fn):
+        return lambda cfg: calls.append(fn.__name__) or fn(cfg)
+
+    for name, fn in (("transversal_compute", transversal_compute),
+                     ("predict_abelian", predict_abelian)):
+        monkeypatch.setattr(analyze_mod, name, counted(fn))
+    cfg = a4_example().config
+    code, out, _ = run(capsys, "group", write_config(tmp_path, "a4.json", cfg), "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert sorted(calls) == ["predict_abelian", "transversal_compute"]
+    assert payload["transversal"] == transversal_compute(cfg).to_json()
+    assert payload["abelian_prediction"] == predict_abelian(cfg).to_json()
+    calls.clear()
+    report = analyze(cfg)
+    assert calls == []
+    first = json.dumps(report.to_json(), sort_keys=True)
+    assert sorted(calls) == ["predict_abelian", "transversal_compute"]
+    assert json.dumps(report.to_json(), sort_keys=True) == first
+    assert len(calls) == 2
+
+
+def test_the_reused_parser_leaks_no_state(tmp_path, capsys):
+    # a5 closes to 60 elements: under --budget 50 the closure stops (exit
+    # 2), and a budget left behind on the parser would stop the next call
+    from skewlines import cli
+    from skewlines.families import a5_example
+
+    a5 = write_config(tmp_path, "a5.json", a5_example().config)
+    calls = [["family", "a4", "--json"], ["family", "a4"],
+             ["group", a5, "--budget", "50"], ["group", a5]]
+
+    def fresh(argv):
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    want = [fresh(argv) for argv in calls]
+    assert [code for code, _, _ in want] == [0, 0, 2, 0]
+    assert want[0][1].startswith("{") and not want[1][1].startswith("{")
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == want
+    assert cli._parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
 # process-level entry
 
 

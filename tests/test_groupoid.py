@@ -53,6 +53,7 @@ from skewlines.matrices import (
     Mat2,
     ProjElem,
     ProjPoint,
+    _commutation,
     _entries,
     eigenvectors,
     fixes_point,
@@ -893,6 +894,25 @@ def test_assembly_multiplies_each_pair_of_classes_once(monkeypatch):
     assert len(inversions) <= 16
 
 
+@pytest.mark.parametrize("mode, most", [("differences", 6), ("all_triples", 17)])
+def test_generator_set_inverts_an_adjugate_class_only_when_a_word_reads_it(
+        monkeypatch, mode, most):
+    # on a5 the differences words read no adjugate and name 6 classes, so
+    # at most 6 inversions, where interning every adjugate class up front
+    # took 9; all_triples reads them all and names 17 classes with 17
+    cfg = a5_example().config
+    inversions = []
+    inv = Field._inv
+    with monkeypatch.context() as m:
+        m.setattr(Field, "_inv", lambda self, *a: inversions.append(1) or inv(self, *a))
+        gens = generator_set(cfg, mode=mode)
+    assert len(gens.elements) == most
+    assert len(inversions) <= most
+    elements, provenance = _reference_generator_set(cfg, mode)
+    assert gens.elements == elements
+    assert list(gens.provenance.items()) == list(provenance.items())
+
+
 @pytest.mark.parametrize("field, seed, p", [
     pytest.param(Q, 8, 3, id="q-3"),
     pytest.param(Q, 8, 7, id="q-7"),
@@ -1487,6 +1507,81 @@ def test_is_abelian_matches_pairwise_check(name):
     assert G.is_abelian() == brute
 
 
+_ABELIAN_FAMILIES = {
+    **_CLOSURE_FAMILIES,
+    "c3_scaled5": lambda: c3_scaled(5),
+    "cyclic_4line_6_4": lambda: cyclic_4line(6, 4),
+}
+
+
+def _commuting_generators(G) -> bool:
+    """The reference verdict: gh = +-hg for every pair of generators."""
+    return all(_commutation(g.rep, h.rep)
+               for g, h in itertools.combinations(G.generators, 2))
+
+
+def _count_kernels(monkeypatch, f, calls):
+    """Record every _mul, _dot and _inv over f: the class kernels, and the
+    kernels a tabled F_q binds on the instance."""
+    for name in ("_mul", "_dot", "_inv"):
+        plain = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda self, *a, _fn=plain, _name=name:
+                            calls.append(_name) or _fn(self, *a))
+        if name in vars(f):
+            bound = vars(f)[name]
+            monkeypatch.setattr(f, name, lambda *a, _fn=bound, _name=name:
+                                calls.append(_name) or _fn(*a))
+
+
+def _assert_abelian_reads_only_moves(monkeypatch, G):
+    want = _commuting_generators(G)
+    calls = []
+    with monkeypatch.context() as m:
+        _count_kernels(m, G.elements[0].field, calls)
+        assert G.is_abelian() == want
+    assert calls == []
+    # the same verdict on the same elements with no point table, and on a
+    # closure the budget stopped
+    bare = GroupClosure(elements=G.elements, generators=G.generators,
+                        budget_hit=False, budget=G.budget)
+    assert bare.is_abelian() == want
+    if G.order > 2:
+        cut = group_closure(GeneratorSet(
+            elements=G.generators, provenance={g: [] for g in G.generators},
+            mode="all_triples", field=G.elements[0].field), budget=2)
+        assert cut.budget_hit and cut.is_abelian() == _commuting_generators(cut)
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(_ABELIAN_FAMILIES))
+def test_is_abelian_reads_the_closure_moves_on_every_family(monkeypatch, name):
+    G = closure_of(_ABELIAN_FAMILIES[name]().config)
+    assert not G.budget_hit
+    _assert_abelian_reads_only_moves(monkeypatch, G)
+
+
+@st.composite
+def _small_field_configs(draw):
+    """Lines 0, inf, I and one or two matrices over F_5 or F_7."""
+    f = draw(st.sampled_from([F5, F7]))
+    entry = st.integers(0, f.characteristic - 1).map(str)
+    mats = [Mat2.identity(f)]
+    for _ in range(draw(st.integers(1, 2))):
+        mats.append(mat(f, [[draw(entry), draw(entry)], [draw(entry), draw(entry)]]))
+    cfg = LineConfig(f, mats)
+    assume(cfg.validation.valid)
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_field_configs())
+def test_hypothesis_is_abelian_matches_pairwise_commutation(cfg):
+    G = closure_of(cfg)
+    assert not G.budget_hit
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_abelian_reads_only_moves(monkeypatch, G)
+
+
 _ORDER_FIELDS = [
     prime_field(2), F5, F7,
     extension_field(prime_field(2), [1, 1, 1]),  # F_4
@@ -1591,8 +1686,8 @@ def test_classify_evaluates_element_order_once_per_class_value(monkeypatch):
 
 
 def test_is_abelian_multiplies_only_generator_pairs(monkeypatch):
-    # gh and hg once for each pair of generators, compared raw: the classes
-    # commute exactly when gh = +-hg, so no product is canonicalized
+    # a complete closure's point moves decide commutation, so no product is
+    # formed, let alone canonicalized
     products = []
     plain = matrices._product
 
@@ -1611,7 +1706,7 @@ def test_is_abelian_multiplies_only_generator_pairs(monkeypatch):
             m.setattr(matrices, "_product", counted)
             m.setattr(matrices, "_canonical", refuse)
             G.is_abelian()
-        assert len(products) <= k * (k - 1)
+        assert k > 1 and products == []
 
 
 def test_pipeline_labels_every_family_without_proj_order(monkeypatch):
