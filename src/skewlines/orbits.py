@@ -13,9 +13,17 @@ continues the closure's point table (groupoid._PointIds): it names
 parameters by the closure's integer ids, reads the moves the closure made
 with each class, and images each id by each transport class at most once
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 4.1); a key hit there costs one exact product.  The oracle forms
-every candidate and files it on its line (_LinePoints), and reads no
-transport class and no closure point id.
+section 4.1); a key hit there costs one exact product.  The oracle files
+each point on its line (_LinePoints), and reads no transport class and no
+closure point id.  It meets each plane once: the plane through a point
+and a line k meets every other line j, which is skew to k and so not in
+the plane, in one point, and that point spans the same plane with k
+(Pottmann and Wallner, Computational Line Geometry, 2001).  So each point
+keeps, for each line k, the member map of its plane through k, one record
+shared by the plane's points; the point that makes the record meets the
+plane with every other line in its own turn, and a later member skips each
+hop through it.  A hit that already lies on another plane through k breaks
+this, and the walk raises RuntimeError.
 
 The oracle files a point by the image of its parameter under
 Field.reduction(), at the first root of the minimal polynomial m mod p.
@@ -414,33 +422,34 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
 
 class _LinePoints:
     """The oracle's points on one line: buckets files each with its
-    _certified coordinates under a key, None for a point filed under no
-    key, and exact holds its parameter's key."""
+    _certified coordinates and its id under a key, None for a point filed
+    under no key, and exact maps its parameter's key to its id."""
 
     __slots__ = ("points", "buckets", "exact")
 
     def __init__(self):
         self.points: list[ProjPoint] = []
         self.buckets: dict[tuple, list[tuple]] = {}
-        self.exact: set = set()
+        self.exact: dict = {}
 
     def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint,
-            held: Optional[tuple]) -> None:
-        self.buckets.setdefault(key, []).append((p, held))
-        self.exact.add(v.key())
+            held: Optional[tuple], n: int) -> None:
+        self.buckets.setdefault(key, []).append((p, held, n))
+        self.exact[v.key()] = n
         self.points.append(p)
 
     def holds(self, key: tuple, red: Reduction, form: Optional[tuple],
-              plane) -> bool:
-        """Whether a point filed under key lies on the candidate's plane:
-        by _vanishes on the plane's form, else by _on_plane(plane())."""
-        for p, held in self.buckets.get(key, ()):
+              plane) -> Optional[int]:
+        """The id of a point filed under key that lies on the candidate's
+        plane, or None: by _vanishes on the plane's form, else by
+        _on_plane(plane())."""
+        for p, held, n in self.buckets.get(key, ()):
             hit = _vanishes(red, form, held)
             if hit is None:
                 hit = _on_plane(plane(), p)
             if hit:
-                return True
-        return False
+                return n
+        return None
 
 
 def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
@@ -448,18 +457,23 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
                     stabilizer: Optional[int] = None) -> OrbitReport:
     """The same orbit as orbit_full, but computed without transport classes.
 
-    Each step spans the plane through the current point and a third line,
-    then meets it with the target line: Pluecker-coordinate linear algebra
-    in four coordinates, serving as an independent oracle for the matrix
-    path.  The plane's images at every root of Field.reduction() come from
-    those of the point and of the line's Pluecker coordinates, each
-    computed once, and key the candidate by the meet over F_p (_meet_key).
-    A key hit is decided by lam.x = 0 (_LinePoints.holds), and a key the
-    line has not seen is a new point unless the line holds a point filed
-    under no key; only then, or with no key, is the candidate met exactly
-    and normalized.  closure and carrier are as in orbit_full; stabilizer,
-    when given, must be the number of elements of the closure that fix the
-    seed, and is counted here when absent.
+    Each step spans the plane through the current point and a third line
+    k, then meets it with the target line j: Pluecker-coordinate linear
+    algebra in four coordinates, serving as an independent oracle for the
+    matrix path.  A point spans a plane with k only when no earlier point
+    put it on one, and a step is skipped when the point's plane through k
+    already names its member on line j; each point met is filed as the
+    plane's member there.  The plane's images at every root of
+    Field.reduction() come from those of the point and of the line's
+    Pluecker coordinates, each computed once, and key the candidate by the
+    meet over F_p (_meet_key).  A key hit is decided by lam.x = 0
+    (_LinePoints.holds), and a key the line has not seen is a new point
+    unless the line holds a point filed under no key; only then, or with
+    no key, is the candidate met exactly and normalized.  A point met that
+    already lies on another plane through k raises RuntimeError.  closure
+    and carrier are as in orbit_full; stabilizer, when given, must be the
+    number of elements of the closure that fix the seed, and is counted
+    here when absent.
     """
     carrier = _prepare(cfg, seed, closure, carrier)
     labels = cfg.labels()
@@ -476,30 +490,49 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
     bound = closure.order // stab
     lines = {lab: _LinePoints() for lab in labels}
     c0 = _certified(red, seed.coords)
-    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, c0)
-    queue = [(carrier, seed, c0)]
-    for lab, p, c in queue:  # the queue grows while it is read
-        # the exact planes through p, each formed on demand and once
+    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, c0, 0)
+    queue = [(carrier, seed, c0)]  # a point's id is its place here
+    planes = [{}]  # for each id, line k -> the members of its plane through k
+    for n, (lab, p, c) in enumerate(queue):  # the queue grows while it is read
+        # p makes its plane through each line k no earlier point put it on,
+        # and meets every other line with it in this turn; a plane an
+        # earlier point made names a member on every line but k already
+        mine, forms = planes[n], {}
+        for k in labels:
+            if k != lab and k not in mine:
+                mine[k] = {lab: n}
+                forms[k] = None if c is None or plucker_images[k] is None \
+                    else _plane_form(red.mu, plucker_images[k], c)
+        # the exact planes p makes, each formed on demand and once
         plane = cache(lambda k, x=p.coords: _plane(pluckers[k], x))
-        forms = {k: None if c is None or plucker_images[k] is None
-                 else _plane_form(red.mu, plucker_images[k], c)
-                 for k in labels if k != lab}
         for j, k in _hops(labels, lab):
+            members = mine[k]
+            if j in members:  # the plane meets line j at that member alone
+                continue
             line, form = lines[j], forms[k]
             key = None if form is None else _meet_key(
                 red, span_images[j], [lam[0] for lam in form[0]])
             exact = partial(plane, k)
-            if key is not None and line.holds(key, red, form, exact):
-                continue
-            nv = ProjPoint(*_meet(spans[j], exact()))
-            if (key is None or None in line.buckets) and nv.key() in line.exact:
-                continue
-            if len(line.points) >= bound:
-                raise _overflow(j, bound)
-            (s, t), (a, b) = nv.coords, spans[j]
-            np = ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
-            nc = _certified(red, np.coords)
-            line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv, nc)
-            queue.append((j, np, nc))
+            hit = None if key is None else line.holds(key, red, form, exact)
+            if hit is None:
+                nv = ProjPoint(*_meet(spans[j], exact()))
+                if key is None or None in line.buckets:
+                    hit = line.exact.get(nv.key())
+            if hit is None:
+                if len(line.points) >= bound:
+                    raise _overflow(j, bound)
+                (s, t), (a, b) = nv.coords, spans[j]
+                np = ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
+                nc = _certified(red, np.coords)
+                hit = len(queue)
+                line.add(_pair_key(red, *nv.coords) if key is None else key,
+                         np, nv, nc, hit)
+                queue.append((j, np, nc))
+                planes.append({})
+            elif k in planes[hit]:
+                raise RuntimeError(
+                    f"a point of line {j} lies on two planes through line {k}")
+            members[j] = hit
+            planes[hit][k] = members
     return _report(seed, carrier, stab,
                    {lab: line.points for lab, line in lines.items()})

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,7 @@ from skewlines.orbits import (
 Q = rational_field()
 F3 = prime_field(3)
 F5 = prime_field(5)
+F7 = prime_field(7)
 
 
 def pipeline(cfg, budget=5000):
@@ -514,6 +516,32 @@ def test_oracle_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
         orbit_geometric(cfg, seed, G)
 
 
+@pytest.mark.parametrize("family", [a4_example, a5_example])
+def test_a_forged_certificate_is_caught_by_the_transport_walk(monkeypatch, family):
+    # every candidate keyed alike and every key hit certified: each line
+    # keeps the first point met on it, and the transport walk disagrees
+    from skewlines.analyze import OracleMismatch, analyze
+
+    cfg = family().config
+    seed = p3_from_string(cfg.field, "[0:0:0:1]")
+    monkeypatch.setattr(orbits, "_meet_key", lambda red, ab, lam: (0,))
+    monkeypatch.setattr(orbits, "_vanishes", lambda red, form, held: True)
+    with pytest.raises(OracleMismatch):
+        analyze(cfg, seed=seed, oracle=True)
+
+
+def test_a_point_on_two_planes_through_one_line_is_an_invariant_violation(monkeypatch):
+    # the seed makes its plane through every line but its own, and the first
+    # point a plane meets on a line makes no other plane through that line
+    # hold it; a lookup that names the seed again breaks that
+    cfg = a5_example().config
+    gens, G = pipeline(cfg)
+    seed = p3_from_string(cfg.field, "[0:0:0:1]")
+    monkeypatch.setattr(orbits._LinePoints, "holds", lambda self, *a: 0)
+    with pytest.raises(RuntimeError, match="lies on two planes through line"):
+        orbit_geometric(cfg, seed, G)
+
+
 def test_orbit_refuses_incomplete_closure():
     cfg = diag_config(Q, (4, 2))  # infinite group
     gens, G = pipeline(cfg, budget=50)
@@ -844,6 +872,71 @@ def test_walks_match_without_the_zero_or_infinity_line(name, zero, infinity):
             orbit_geometric(cfg, seed, G).to_json()
 
 
+def _small_elements(f):
+    """Over F_p every element; over Q(zeta_n) a + b zeta with |a|, |b| <= 2."""
+    if f.is_finite:
+        return list(f.elements())
+    z = f.gen()
+    return [f.from_int(a) + f.from_int(b) * z
+            for a in range(-2, 3) for b in range(-2, 3)]
+
+
+# the fields of the random configurations, each number field with the
+# finite configuration a draw conjugates; over F_q every group is finite
+_RANDOM_CHARTS = [(F5, None), (F7, None),
+                  (cyclotomic_field(4), lambda f, a: s4_example(f)),
+                  (cyclotomic_field(3), lambda f, a: a4_example(a, f))]
+
+
+@st.composite
+def _finite_group_configs(draw):
+    """{0, inf, I, M_1[, M_2]}, at will without the zero or the infinity line
+    (but with three lines at least), whose closure is finite: over F_5 and
+    F_7 any matrices that keep the lines skew; over Q(i) the s4 lines and
+    over Q(zeta_3) the a4 lines with a drawn parameter, each conjugated by a
+    drawn A, which keeps the lines 0, inf and I, and with a matrix line
+    dropped at will."""
+    field, example = draw(st.sampled_from(_RANDOM_CHARTS))
+    element = st.sampled_from(_small_elements(field))
+    zero, infinity = draw(st.sampled_from([(True, True), (True, False),
+                                           (False, True), (False, False)]))
+    count = 2 if not (zero or infinity) else draw(st.integers(1, 2))
+    if example is None:
+        mats = [Mat2(*(draw(element) for _ in range(4))) for _ in range(count)]
+    else:
+        base = example(field, draw(st.sampled_from(["1", "2", "-1", "1/3"]))).config
+        a = Mat2(*(draw(element) for _ in range(4)))
+        assume(a.det())
+        ai = a.inv()
+        mats = [a * base.matrix(lab) * ai for lab in base.matrix_labels()[1:]]
+        mats = draw(st.permutations(mats))[:count]
+    mats = [Mat2.identity(field), *mats]
+    # pairwise skew: each M_i - M_j invertible, and each M_i beside line 0
+    dets = [(m - n).det() for m, n in itertools.combinations(mats, 2)]
+    if zero:
+        dets += [m.det() for m in mats]
+    assume(all(dets))
+    return LineConfig(field, mats, include_zero=zero, include_infinity=infinity)
+
+
+@given(_finite_group_configs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_walks_agree_on_random_configurations(cfg, data):
+    # the oracle meets each plane from the point that made it, which rests
+    # on skewness alone, so the walks agree on every chart, point for point
+    # and in order
+    f = cfg.field
+    gens, G = pipeline(cfg)
+    lab = data.draw(st.sampled_from(cfg.labels()))
+    v = data.draw(st.sampled_from([ProjPoint(f.zero(), f.one())] +
+                                  [ProjPoint(f.one(), x) for x in _small_elements(f)]))
+    seed = point_on_line(cfg, lab, v)
+    full = orbit_full(cfg, seed, G, gens)
+    check = orbit_geometric(cfg, seed, G)
+    assert check.points == full.points
+    assert check.to_json() == full.to_json()
+
+
 def test_without_the_infinity_line_lines_hold_less_than_the_orbit():
     # no F_{i,j,inf} = 1 hop: the parameters on a line need not be all of
     # G.v0, so per_line_sizes times stabilizer_order need not be |G|.  a5 on
@@ -1008,6 +1101,46 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
         assert full_calls + oracle_calls <= 8000
 
 
+def _counted(monkeypatch, owner, names, calls):
+    """Count the calls of owner's functions names in the Counter calls."""
+    for name in names:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name:
+                            calls.update([_name]) or _fn(*a))
+
+
+@pytest.mark.parametrize("family, text, most", [
+    (a5_example, "[0:0:0:1]", {"_meet_key": 450, "_plane_form": 150,
+                               "_vanishes": 301, "products": 1804}),
+    (a5_example, "[0:0:1:7]", {"_plane": 297, "_on_plane": 525, "products": 4194}),
+    (lambda: elementary_abelian(5), "[0:0:0:1]", {"_plane": 102}),
+], ids=["a5", "a5_generic", "elementary_abelian5"])
+def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family,
+                                                             text, most):
+    # the plane through a point and line k meets every other line j in one
+    # point, which spans the same plane with k, so the oracle files the
+    # plane's members once and meets it from the point that made it alone.
+    # On a5 from [0:0:0:1] the 120 points off each line lie on 30 planes
+    # through it: 150 planes, each met with three lines, so 450 keys, 149
+    # new points and 301 certified hits; a point met its every plane in four
+    # times as many keys.  Over F_25, which has no reduction, every
+    # candidate is met exactly.  Class kernels count the products:
+    # Q(zeta_20) binds none on the instance
+    cfg = family().config
+    f = cfg.field
+    gens, G = pipeline(cfg)
+    seed = p3_from_string(f, text)
+    want = orbit_full(cfg, seed, G, gens).to_json()
+    calls = Counter()
+    _counted(monkeypatch, orbits, ["_meet_key", "_plane_form", "_vanishes", "_plane",
+                                   "_on_plane"], calls)
+    _counted(monkeypatch, type(f), ["_mul", "_dot"], calls)
+    assert orbit_geometric(cfg, seed, G).to_json() == want
+    calls["products"] = calls["_mul"] + calls["_dot"]
+    over = {name: calls[name] for name, bound in most.items() if calls[name] > bound}
+    assert not over, over
+
+
 @pytest.mark.parametrize("name, classes, orbit", [
     ("a4", 10, 4), ("s4", 13, 6), ("a5", 17, 30), ("elementary_abelian5", 7, 25),
     ("affine5", 20, 25)])
@@ -1057,12 +1190,16 @@ def _conjugated(cfg, n: str) -> LineConfig:
                       cfg.include_zero, cfg.include_infinity)
 
 
-@pytest.mark.parametrize("name", ["a4", "s4"])
-def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name):
+@pytest.mark.parametrize("name, height", [("a4", "2^21 + 1"), ("s4", "2^20 + 1")],
+                         ids=["a4", "s4"])
+def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name, height):
     # at the field's own prime, heights of about 2^20 push the oracle's 2H
     # past p for some hits; those fall back to the exact check, the rest are
-    # still certified, and both walks match the exactly keyed reference
-    cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), "2^20 + 1")
+    # still certified, and both walks match the exactly keyed reference.
+    # Each plane is met from the point that made it alone, so a4 needs the
+    # larger height: at 2^20 + 1 all 41 of its hits are certified, at
+    # 2^21 + 1 32 are and 9 fall back (s4 at 2^20 + 1: 50 and 11)
+    cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), height)
     f = cfg.field
     gens, G = pipeline(cfg)
     seed = p3_from_string(f, "[0:0:0:1]")
