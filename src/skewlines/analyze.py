@@ -8,13 +8,13 @@ and the closure and orbit are then skipped.  Every stage is exact; reports
 built from the same input are identical.
 
 The pipeline runs at call time, so every refusal raises from analyze()
-itself.  Three report sections are formed only when first read, and then
-kept: the transversal search, the commutativity predictor, and the JSON
-of the ratio entries.  A command that prints only the group, such as
-family or search, never forms them; to_json() reads them all.
+itself.  Five report sections are formed only when first read, and then
+kept: the configuration and validation JSON, the transversal search, the
+commutativity predictor, and the JSON of the ratio entries.  A command
+that prints only the group, such as family or search, never forms them;
+to_json() reads them all.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -41,26 +41,30 @@ class OracleMismatch(RuntimeError):
     """The transport orbit and the plane-intersection orbit disagreed."""
 
 
-@dataclass
 class AnalysisReport:
-    """The sections of an analysis.  analyze() fills config, validation,
-    generators, group and orbit.  For transversal, abelian_prediction and
+    """The sections of an analysis.  analyze() fills generators, group and
+    orbit.  For config, validation, transversal, abelian_prediction and
     eigenvalue_ratios it files a function under the section's name in
     _pending, which the first read calls and whose value is kept; a value
-    assigned to one of them is kept as it is.  A section the pipeline did
-    not reach reads None."""
+    given to the constructor or assigned to one of them is kept as it is.
+    A section the pipeline did not reach reads None."""
 
-    config: dict
-    validation: dict
-    generators: Optional[dict] = None
-    group: Optional[dict] = None
-    orbit: Optional[dict] = None
-    _pending: dict[str, Callable[[], dict]] = field(
-        default_factory=dict, repr=False, compare=False)
+    def __init__(self, **sections: dict):
+        self.generators = self.group = self.orbit = None
+        self._pending: dict[str, Callable[[], dict]] = {}
+        self.__dict__.update(sections)  # kept as a first read would keep them
 
     def _form(self, name: str) -> Optional[dict]:
         form = self._pending.get(name)
         return None if form is None else form()
+
+    @cached_property
+    def config(self) -> Optional[dict]:
+        return self._form("config")
+
+    @cached_property
+    def validation(self) -> Optional[dict]:
+        return self._form("validation")
 
     @cached_property
     def transversal(self) -> Optional[dict]:
@@ -160,7 +164,8 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline; later stages are skipped if validation fails."""
     validation = cfg.validation
-    report = AnalysisReport(config=cfg.to_json(), validation=validation.to_json())
+    report = AnalysisReport()
+    report._pending.update(config=cfg.to_json, validation=validation.to_json)
     if not validation.valid:
         return report
     # a seed on no line is an input error, refused before any closure work;

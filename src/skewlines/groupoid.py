@@ -12,9 +12,11 @@ sends [1:0], [0:1] and [1:1], which PGL2 acting sharply 3-transitively on
 P^1 makes exact, so it forms an exact product only for a new element (see
 group_closure).  Those points have integer ids, found
 from their images mod p with exact confirmation where Field.reduction()
-exists (_PointIds), so a key is a triple of ints.  The closure keeps that
-table with each generator's moves: the commutation test reads them (see
-GroupClosure.is_abelian), and the transport orbit walk continues them
+exists (_PointIds), so a key is a triple of ints.  A generator the kept
+ones before it already generate moves a point by composing their moves
+(Dimino's rule), so only the kept ones image points.  The closure keeps
+that table with each generator's moves: the commutation test reads them
+(see GroupClosure.is_abelian), and the transport orbit walk continues them
 (orbits.orbit_full).  Every downstream consumer (classifier, orbit
 enumerator, CLI) works from its deterministic element list.
 
@@ -237,33 +239,29 @@ class GroupClosure:
         The walk keys an element x by the ids of x^-1 [1:0], x^-1 [0:1]
         and x^-1 [1:1], and PGL2 acts sharply 3-transitively on P^1, so g
         and h commute exactly when gh and hg have one key.  The key of gh
-        is h^-1 applied to the key of g: moves[h] of moves[g] (see
-        _PointIds).  The walk of a complete closure has made every one of
-        these moves, as it applies every generator to the key of every
-        element, so the test does no field arithmetic.  Any other move, on
-        a closure the budget stopped or one built by hand, is formed here,
-        on a point table made for it when the closure has none.
+        is h^-1 applied to the key of g: the moves of h (_Moves) of those
+        of g.  A generator the closure's sift derived is a word in the kept
+        generators before it, so they generate G, and commute pairwise
+        exactly when all generators do; only they are tested.  The walk of
+        a complete closure has moved every point of its keys by every kept
+        generator, so the test does no field arithmetic.  Any other move,
+        on a closure the budget stopped or one built by hand, is formed
+        here, on a point table made for it when the closure has none.
         """
-        gens = self.generators
-        if len(gens) < 2:
+        if len(self.generators) < 2:
             return True
         if self.points is None:
-            self.points = _PointIds(gens[0].field)
+            self.points = _PointIds(self.generators[0].field)
         points = self.points
-        moves = [points.moves.setdefault(g, {}) for g in gens]
+        moves = [m for m in map(points.moves, self.generators) if m.word is None]
 
-        def apply(i: int, key: tuple) -> tuple:
-            # the ids of the images of the points key under gens[i]^-1
-            images = moves[i]
-            for q in key:
-                if q not in images:
-                    images[q] = points.image(_entries(gens[i].rep.adjugate()), q)
+        def apply(move: _Moves, key: tuple) -> tuple:
             a, b, c = key
-            return images[a], images[b], images[c]
+            return move[a], move[b], move[c]
 
-        keys = [apply(i, _base_ids(points)) for i in range(len(gens))]
-        return all(apply(j, keys[i]) == apply(i, keys[j])
-                   for i, j in itertools.combinations(range(len(gens)), 2))
+        keys = [apply(move, _base_ids(points)) for move in moves]
+        return all(apply(moves[j], keys[i]) == apply(moves[i], keys[j])
+                   for i, j in itertools.combinations(range(len(moves)), 2))
 
 
 def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClosure:
@@ -274,18 +272,24 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
     three points [1:0], [0:1] and [1:1] of P^1 under y^-1: PGL2(K) acts
     sharply 3-transitively on P^1(K), so these images name y exactly.  As
     (x * g)^-1 = g^-1 x^-1, the key of x * g is g^-1 applied to the key of
-    x, three point images with no walk and no product.  Points are named
+    x, three point moves with no walk and no product.  Points are named
     by integer ids in the order the walk meets them (_PointIds), so a key
-    is a triple of ints, and each generator keeps the id of the image of
-    every point id it has moved.  A point image under a generator's inverse
-    (its adjugate) is formed once, by one fused Field._dot pair, and each
-    point costs at most one inversion to normalize.  Ids name
-    points exactly, so the walk visits the elements in the order of a walk
-    keyed by exact point tuples.  So only a new element costs an exact
-    product: |G| - 1 products and at most k |S| point images, for k
-    generators and the set S of points met, where a product for every
-    x * g would cost |G| k.  Every key lies in the orbits of the three
-    points, so |S| <= 3 |G|, and over F_q also |S| <= q + 1.
+    is a triple of ints.  Ids name points exactly, so the walk visits the
+    elements in the order of a walk keyed by exact point tuples, and only
+    a new element costs an exact product: |G| - 1 products, where one for
+    every x * g would cost |G| k, for k generators.
+
+    The generators are sifted first (Dimino's rule; Butler, Fundamental
+    Algorithms for Permutation Groups, 1991): one whose key the group H of
+    the kept ones before it holds is a word in them, and composes their
+    moves (_Moves); any other is kept, and H is walked again with it, on
+    keys alone.  A kept generator images a point by its adjugate, one
+    fused Field._dot pair, and a point costs at most one inversion.  So
+    the closure forms at most kept |S| images plus 3 per derived
+    generator, for the set S of points met: |S| <= 3 |G|, and over F_q
+    also |S| <= q + 1.  Sifted, H is G, and the walk stops at |H|
+    elements: every pair left would meet a known key.  H may hold at most
+    budget // k elements; the generators past that image exactly.
 
     The empty set closes to the trivial group: the walk starts from the
     identity and has nothing to multiply it by.
@@ -294,43 +298,79 @@ def group_closure(gens: GeneratorSet, budget: int = DEFAULT_BUDGET) -> GroupClos
         raise ValueError("budget must be at least 1")
     mults = [g for g in gens.elements if not g.is_identity()]
     points = _PointIds(gens.field)
-    elements, budget_hit = _walk(points, mults, budget)
+    order = _sift(points, mults, budget // max(len(mults), 1))
+    elements, budget_hit = _walk(points, mults, budget, order)
     return GroupClosure(elements=elements, generators=mults,
                         budget_hit=budget_hit, budget=budget, points=points)
 
 
-def _walk(points: _PointIds, mults: list[ProjElem],
-          budget: int) -> tuple[list[ProjElem], bool]:
-    """The elements of the closure in walk order, and whether the budget
-    stopped it (see group_closure)."""
-    key = _base_ids(points)  # the key of the identity
-    # g^-1 acts as the adjugate of g; moves[i][a] is the id of its image of
-    # the point with id a, for the i-th generator g
-    adjs = [_entries(g.rep.adjugate()) for g in mults]
-    moves = [points.moves.setdefault(g, {}) for g in mults]
-    elements: list[ProjElem] = [proj_identity(points.field)]
-    keys = [key]  # the key of each element, in order
-    seen = {key}
+def _grow(points: _PointIds, gens: list[ProjElem], keys: list[tuple],
+          seen: dict[tuple, int], via: list, limit: int,
+          order: Optional[int] = None) -> bool:
+    """Continue the breadth-first walk by the classes gens, from the first
+    of keys, the keys met so far in order, which seen maps to their
+    indices: file each new key of x * g, with (the index of x, the index
+    of g) in via.  Return whether a new key was met once keys held limit,
+    which stops the walk, as does reaching order keys."""
+    moves = [points.moves(g) for g in gens]
+    made = [m.made for m in moves]
     idx = 0
-    while idx < len(elements):
+    while idx < len(keys):
         a, b, c = keys[idx]
-        for g, adj, move in zip(mults, adjs, moves):
+        for i, move in enumerate(made):
             try:
                 key = (move[a], move[b], move[c])
             except KeyError:
-                for q in (a, b, c):
-                    if q not in move:
-                        move[q] = points.image(adj, q)
+                move = moves[i]
                 key = (move[a], move[b], move[c])
-            if key in seen:
-                continue
-            if len(elements) >= budget:
-                return elements, True
-            seen.add(key)
-            elements.append(elements[idx] * g)
-            keys.append(key)
+            if key not in seen:
+                if len(keys) >= limit:
+                    return True
+                seen[key] = len(keys)
+                keys.append(key)
+                via.append((idx, i))
+                if len(keys) == order:
+                    return False
         idx += 1
-    return elements, False
+    return False
+
+
+def _sift(points: _PointIds, mults: list[ProjElem], cap: int) -> Optional[int]:
+    """Sift mults in order, giving each derived one its word (see
+    group_closure); return |G|, or None when the group of the kept ones
+    outgrew cap elements before every generator was sifted.  A key's word
+    is read up its parent chain in via."""
+    base = _base_ids(points)
+    keys, via, kept = [base], [None], []
+    seen = {base: 0}
+    for g in mults:
+        moves = points.moves(g)
+        at = seen.get(tuple(moves[q] for q in base))
+        if at is not None:
+            word = []
+            while via[at] is not None:
+                at, i = via[at]
+                word.append(points.moves(kept[i]))
+            moves.word = word[::-1]
+            continue
+        kept.append(g)
+        if _grow(points, kept, keys, seen, via, cap):
+            return None
+    return len(keys)
+
+
+def _walk(points: _PointIds, mults: list[ProjElem], budget: int,
+          order: Optional[int]) -> tuple[list[ProjElem], bool]:
+    """The elements of the closure in walk order, and whether the budget
+    stopped it; order, when known, is |G| (see group_closure).  The walk
+    is on keys alone, and the products follow it."""
+    base = _base_ids(points)
+    via: list[tuple[int, int]] = []
+    budget_hit = _grow(points, mults, [base], {base: 0}, via, budget, order)
+    elements = [proj_identity(points.field)]
+    for idx, i in via:
+        elements.append(elements[idx] * mults[i])
+    return elements, budget_hit
 
 
 def _base_ids(points: _PointIds) -> tuple[int, int, int]:
@@ -360,12 +400,15 @@ class _PointIds:
     take the exact lookup alone, and the reduction is built only when a
     pair needs it.
 
-    moves[g] maps the id of each point the adjugate of the class g has
-    moved to the id of its image.  Ids and moves are only ever added, so
-    an orbit walk continues the closure's table on the same ids.
+    moves(g) maps the id of each point the adjugate of the class g moves
+    to the id of its image, formed on first read (_Moves): composed for a
+    class the closure's sift derived, else imaged, so a closure forms at
+    most kept |S| images plus 3 per derived class (see group_closure).
+    Ids and moves are only ever added, so an orbit walk continues the
+    closure's table on the same ids.
     """
 
-    __slots__ = ("field", "one", "zero", "points", "exact", "buckets", "moves")
+    __slots__ = ("field", "one", "zero", "points", "exact", "buckets", "by_class")
 
     def __init__(self, f: Field):
         self.field = f
@@ -374,7 +417,14 @@ class _PointIds:
         self.points: list[tuple] = []
         self.exact: dict[tuple, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
-        self.moves: dict[ProjElem, dict[int, int]] = {}
+        self.by_class: dict[ProjElem, _Moves] = {}
+
+    def moves(self, g: ProjElem) -> _Moves:
+        """The moves of the class g, made empty on first request."""
+        moves = self.by_class.get(g)
+        if moves is None:
+            moves = self.by_class[g] = _Moves(self, g)
+        return moves
 
     def image(self, m: tuple, i: int) -> int:
         """The id of the image of the point with id i under the matrix with
@@ -409,6 +459,36 @@ class _PointIds:
         if key is not None:
             self.buckets.setdefault(key, []).append(j)
         return j
+
+
+class _Moves:
+    """The moves of one class g on a point table: made maps the id of each
+    point the adjugate of g (g^-1) has moved to the id of its image.
+    Reading a point by [], the one place a move is made, files the image
+    made lacks: composed from word, the moves of the kept classes a
+    derived g is the product of, in the order they act, or else imaged
+    exactly.  Hot loops read made, a plain dict, and fall back to [] on a
+    miss."""
+
+    __slots__ = ("made", "points", "adj", "word")
+
+    def __init__(self, points: _PointIds, g: ProjElem):
+        self.made: dict[int, int] = {}
+        self.points, self.adj = points, _entries(g.rep.adjugate())
+        self.word: Optional[list[_Moves]] = None
+
+    def __getitem__(self, q: int) -> int:
+        r = self.made.get(q)
+        if r is None:
+            if self.word is None:
+                r = self.points.image(self.adj, q)
+            else:
+                r = q
+                for letter in self.word:
+                    made = letter.made
+                    r = made[r] if r in made else letter[r]
+            self.made[q] = r
+        return r
 
 
 def _same_point(f: Field, xs: tuple, q: tuple, lead: int) -> bool:

@@ -11,18 +11,19 @@ Both walks are breadth-first and name a point by its line and its
 parameter there, since the lines are pairwise skew.  The transport walk
 continues the closure's point table (groupoid._PointIds): it names
 parameters by the closure's integer ids, reads the moves the closure made
-with each class, and images each id by each transport class at most once
+with each class, and moves each id by each transport class at most once
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 4.1); a key hit there costs one exact product.  The oracle files
-each point on its line (_LinePoints), and reads no transport class and no
-closure point id.  It meets each plane once: the plane through a point
-and a line k meets every other line j, which is skew to k and so not in
-the plane, in one point, and that point spans the same plane with k
-(Pottmann and Wallner, Computational Line Geometry, 2001).  So each point
-keeps, for each line k, the member map of its plane through k, one record
-shared by the plane's points; the point that makes the record meets the
-plane with every other line in its own turn, and a later member skips each
-hop through it.  A hit that already lies on another plane through k breaks
+section 4.1), imaging it only by the classes the closure's sift kept; a
+key hit there costs one exact product.  The oracle files each point on
+its line (_LinePoints), and reads no transport class and no closure point
+id.  It meets each plane once: the plane through a point and a line k
+meets every other line j, which is skew to k and so not in the plane, in
+one point, and that point spans the same plane with k (Pottmann and
+Wallner, Computational Line Geometry, 2001).  So each point keeps, for
+each line k, the member map of its plane through k, one record shared by
+the plane's points; the point that makes the record meets the plane with
+every other line in its own turn, and a later member skips each hop
+through it.  A hit that already lies on another plane through k breaks
 this, and the walk raises RuntimeError.
 
 The oracle files a point by the image of its parameter under
@@ -54,7 +55,7 @@ from typing import Optional, Sequence
 from .configs import INF_LABEL, ZERO_LABEL, LineConfig
 from .fields import Field, FieldElement, MixedFields, Reduction
 from .groupoid import GeneratorSet, GroupClosure, IncompleteClosure
-from .matrices import ProjPoint, _entries, fixes_point
+from .matrices import ProjPoint, fixes_point
 
 
 class SeedNotOnConfiguration(Exception):
@@ -361,10 +362,11 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
     F_ijk v on line j.  The walk visits (line, parameter id) pairs from the
     seed on the closure's point table (groupoid._PointIds).  F_jik =
     F_ijk^-1 is a class of gens whose adjugate is F_ijk up to a scalar, so
-    a hop reads the moves the closure made with F_jik, and forms only an
-    image they lack; that image m of n is also filed as the move of F_ijk
-    that takes m back to n.  So each class maps each id at most once, and
-    an F_{i,j,inf} = 1 hop keeps the id.  Each placed id becomes a
+    a hop reads the moves the closure made with F_jik, and forms only a
+    move they lack (groupoid._Moves: composed for a class the closure's
+    sift derived, else imaged); that move m of n is also filed as the move
+    of F_ijk that takes m back to n.  So each class maps each id at most
+    once, and an F_{i,j,inf} = 1 hop keeps the id.  Each placed id becomes a
     ProjPoint once, and each (line, id) one P^3 point.  The transport
     classes are read from the provenance of gens, an all_triples generator
     set, and the closure gives the stabilizer count and the orbit bound
@@ -376,16 +378,14 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
     carrier = _prepare(cfg, seed, closure, carrier)
     f, ids = cfg.field, closure.points
     transport = {t: g for g, triples in gens.provenance.items() for t in triples}
-    adjs = {g: _entries(g.rep.adjugate()) for g in gens.provenance}
 
     def hop(i: str, j: str, k: str) -> Optional[tuple]:
-        """The adjugate of F_jik, its moves and those of its inverse F_ijk;
-        None for F_{i,j,inf} = 1."""
+        """The moves of F_jik and of its inverse F_ijk; None for
+        F_{i,j,inf} = 1."""
         g = transport[j, i, k]
         if g.is_identity():
             return None
-        return (adjs[g], ids.moves.setdefault(g, {}),
-                ids.moves.setdefault(transport[i, j, k], {}))
+        return ids.moves(g), ids.moves(transport[i, j, k]).made
 
     labels = cfg.labels()
     hops = {lab: [(j, hop(lab, j, k)) for j, k in _hops(labels, lab)]
@@ -402,10 +402,10 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
         for j, move in hops[lab]:
             m = n
             if move is not None:
-                adj, images, back = move
-                m = images.get(n)
+                moves, back = move
+                m = moves.made.get(n)
                 if m is None:
-                    m = images[n] = ids.image(adj, n)
+                    m = moves[n]
                     back.setdefault(m, n)
             line = placed[j]
             if m not in line:

@@ -556,6 +556,43 @@ def test_group_only_commands_never_form_the_transversal_or_the_prediction(
     assert len(calls) == 2
 
 
+def test_family_and_search_never_form_the_config_or_validation_sections(
+        capsys, monkeypatch):
+    from skewlines.analyze import analyze
+    from skewlines.configs import LineConfig, ValidationReport
+
+    calls = []
+    for owner in (LineConfig, ValidationReport):
+        plain = owner.to_json
+        monkeypatch.setattr(owner, "to_json", lambda self, _fn=plain, _name=owner.__name__:
+                            calls.append(_name) or _fn(self))
+    # family prints the family's own config once, and no report section
+    commands = [
+        (["family", "a4"], ["LineConfig"]),
+        (["search", "c3_scaled", "s_order=2:4"], []),
+        (["search", "cyclic_4line", "u1_order=2:3", "u2_order=3"], []),
+    ]
+    for argv, formed in commands:
+        calls.clear()
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["schema_version"] == SCHEMA_VERSION
+        assert calls == formed, argv
+
+    # a full report forms each once, on its first read, and keeps it
+    cfg = a4_example().config
+    want = cfg.to_json(), cfg.validation.to_json()
+    calls.clear()
+    report = analyze(cfg)
+    assert calls == []
+    first = report.to_json()
+    assert sorted(calls) == ["LineConfig", "ValidationReport"]
+    assert (first["config"], first["validation"]) == want
+    calls.clear()
+    assert report.to_json() == first and report.valid
+    assert calls == []
+
+
 def test_the_reused_parser_leaks_no_state(tmp_path, capsys):
     # a5 closes to 60 elements: under --budget 50 the closure stops (exit
     # 2), and a budget left behind on the parser would stop the next call

@@ -574,6 +574,104 @@ def test_point_ids_match_the_memo_walk_on_families(name):
     assert G.order == fam.expected_order and not G.budget_hit
 
 
+# ---------------------------------------------------------------------------
+# the sift: a generator the kept ones before it generate composes their moves
+
+
+@pytest.mark.parametrize("name, most", [
+    ("a4", {"image": 57}), ("s4", {"image": 63}),
+    ("a5", {"image": 138, "_dot": 512, "_mul": 239}),
+])
+def test_closure_images_points_by_the_kept_generators_alone(monkeypatch, name, most):
+    # a derived generator's key costs three images, and every other move
+    # it makes is composed from the kept ones' moves, so the closure forms
+    # at most kept |S| + 3 derived images; every generator imaged every
+    # point before the sift: 72, 72 and 480 images, and 1 196 _dot and 555
+    # _mul on a5
+    fam = _POINT_ID_FAMILIES[name]()
+    gens = generator_set(fam.config)
+    calls = Counter()
+    image = groupoid._PointIds.image
+    monkeypatch.setattr(groupoid._PointIds, "image",
+                        lambda self, *a: calls.update(["image"]) or image(self, *a))
+    for kernel in ("_mul", "_dot"):
+        fn = getattr(Field, kernel)
+        monkeypatch.setattr(Field, kernel, lambda self, *a, _fn=fn, _name=kernel:
+                            calls.update([_name]) or _fn(self, *a))
+    G = group_closure(gens)
+    monkeypatch.undo()
+    assert G.order == fam.expected_order
+    moves = [G.points.moves(g) for g in G.generators]
+    kept = sum(m.word is None for m in moves)
+    assert calls["image"] <= kept * len(G.points.points) + 3 * (len(moves) - kept)
+    over = {k: calls[k] for k, bound in most.items() if calls[k] > bound}
+    assert not over, over
+
+
+def test_translation_closure_at_the_budget_matches_the_memo_walk():
+    # lines 0, inf, I and [[2, 2], [0, 2]] over Q: G = {t -> t + m} is
+    # infinite, and so is the group of the first generator alone, which an
+    # uncapped sift would walk without end.  Capped at budget // k
+    # elements, it meets no point here that the walk does not, so the
+    # table holds the 5 003 points it held before the sift
+    cfg = LineConfig(Q, [Mat2.identity(Q), mat(Q, [["2", "2"], ["0", "2"]])])
+    gens = generator_set(cfg)
+    mults = [g for g in gens.elements if not g.is_identity()]
+    cap = DEFAULT_BUDGET // len(mults)
+    assert groupoid._sift(groupoid._PointIds(Q), mults, cap) is None
+    G = _assert_closure_matches_memo_walk(gens)
+    assert G.budget_hit and G.order == DEFAULT_BUDGET
+    assert len(G.points.points) <= 5003
+
+
+def test_closure_past_the_sift_cap_matches_the_memo_walk():
+    # affine p=11 has 19 generators and 2 420 elements, so at the default
+    # budget the sift stops at 5 000 // 19 = 263 elements, and the
+    # generators it has not reached image exactly
+    fam = affine(11)
+    gens = generator_set(fam.config)
+    mults = [g for g in gens.elements if not g.is_identity()]
+    cap = DEFAULT_BUDGET // len(mults)
+    assert groupoid._sift(groupoid._PointIds(gens.field), mults, cap) is None
+    for budget in (1, 7, fam.expected_order // 2 + 1, DEFAULT_BUDGET):
+        G = _assert_closure_matches_memo_walk(gens, budget)
+    assert G.order == fam.expected_order and not G.budget_hit
+
+
+QI = cyclotomic_field(4)
+
+
+@st.composite
+def _sift_configs(draw):
+    """Lines 0, inf, I and one or two matrices over F_5, F_7 or Q(i), whose
+    entries there are a + b i with |a|, |b| <= 2."""
+    f = draw(st.sampled_from([F5, F7, QI]))
+    if f is QI:
+        small = st.integers(-2, 2)
+        entry = st.tuples(small, small).map(lambda ab: QI.from_coeffs(list(ab)))
+    else:
+        entry = st.integers(0, f.characteristic - 1).map(f.from_int)
+    mats = [Mat2.identity(f)]
+    for _ in range(draw(st.integers(1, 2))):
+        mats.append(Mat2(*(draw(entry) for _ in range(4))))
+    cfg = LineConfig(f, mats)
+    assume(cfg.validation.valid)
+    return cfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sift_configs())
+def test_hypothesis_sifted_closure_matches_the_memo_walk(cfg):
+    # budgets 1, 7, |G|/2 + 1 and the default; an infinite group over Q(i)
+    # takes about a second a walk at the default budget, so a group the
+    # probe budget of 120 stops is walked to 120 instead
+    gens = generator_set(cfg)
+    probe = group_closure(gens, budget=120)
+    top = 120 if probe.budget_hit else DEFAULT_BUDGET
+    for budget in (1, 7, probe.order // 2 + 1, top):
+        _assert_closure_matches_memo_walk(gens, budget)
+
+
 def _zeta5_config(b="1"):
     f = cyclotomic_field(5)
     one = f.one()

@@ -1074,7 +1074,9 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     #   (two), the normalized parameter (one), its P^3 point (four) and that
     #   point's normalization (three): 14; and two products for each of the
     #   six Pluecker coordinates of each line, plus the seed's parameter.
-    # The oracle's hits cost none: it forms 12 candidates a point.
+    # The oracle's hits cost none, and it meets each plane through a line
+    # once, from the point that made it, with every other line: on a5,
+    # 150 planes and 450 candidates.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -1096,7 +1098,7 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
                           + 5 * G.order)
     assert oracle_calls <= 14 * built + 5 * G.order + 12 * len(cfg.labels()) + 20
     if name == "a5":
-        # 150 points a walk, formed from 1 800 candidates each; the
+        # 150 points a walk, the oracle's formed from 450 candidates; the
         # transport walk's bound above is 3 * 29 + 2 * 3 * 30 + 5 * 60 = 567
         assert full_calls + oracle_calls <= 8000
 
@@ -1147,20 +1149,30 @@ def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family
 def test_transport_walk_moves_each_parameter_once_per_class(monkeypatch, name,
                                                            classes, orbit):
     # the closure's point table holds the orbits of [1:0], [0:1] and [1:1],
-    # and every generator has moved every point in it, so from [0:0:0:1]
-    # (the parameter [0:1] on the infinity line) the transport walk forms
-    # no image.  From [0:0:1:7] it images each parameter id by each
-    # transport class at most once; it inverts once to name a new
-    # parameter and once for the ProjPoint of each parameter it places, so
-    # at most twice a new parameter.  Over F_25 the table already holds all
-    # 26 points of P^1
+    # and every generator the sift kept has moved every point in it; every
+    # other one is a word in the kept ones, and composes their moves.  So
+    # from [0:0:0:1] (the parameter [0:1] on the infinity line) the
+    # transport walk forms no image.  From [0:0:1:7] it images each
+    # parameter id by each kept class at most once; it inverts once to
+    # name a new parameter and once for the ProjPoint of each parameter it
+    # places, so at most twice a new parameter.  Over F_25 the table
+    # already holds all 26 points of P^1
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
     assert len(gens.provenance) == classes
     ids = G.points
     met = len(ids.points)
-    assert all(set(ids.moves[g]) == set(range(met)) for g in G.generators)
+    moves = [ids.moves(g) for g in G.generators]
+    kept = [m for m in moves if m.word is None]
+    assert 0 < len(kept) < len(moves)
+    assert all(set(m.made) == set(range(met)) for m in kept)
+    for m in moves:
+        if m.word is not None:
+            for q, r in m.made.items():
+                for letter in m.word:
+                    q = letter[q]
+                assert q == r
     images, inversions = [], []
     image = groupoid._PointIds.image
     monkeypatch.setattr(groupoid._PointIds, "image",
@@ -1174,9 +1186,24 @@ def test_transport_walk_moves_each_parameter_once_per_class(monkeypatch, name,
     report = orbit_full(cfg, p3_from_string(f, "[0:0:1:7]"), G, gens)
     generic = G.order // report.stabilizer_order
     assert set(report.per_line_sizes.values()) == {generic}
-    assert len(images) <= classes * generic
+    assert len(images) <= len(kept) * generic
     assert len(inversions) <= generic + len(ids.points) - met
     assert bool(images) == (not f.is_finite)
+
+
+def test_transport_walk_images_by_the_kept_classes_alone(monkeypatch):
+    # from [0:0:1:7] on a5 the walk names 60 parameters the closure never
+    # met; the two kept classes image each at most once, and the 14 derived
+    # ones compose their moves, where every class imaged them before the
+    # sift: 480 images and 1 328 _dot
+    cfg = a5_example().config
+    gens, G = pipeline(cfg)
+    calls = Counter()
+    _counted(monkeypatch, groupoid._PointIds, ["image"], calls)
+    _counted(monkeypatch, type(cfg.field), ["_dot"], calls)
+    report = orbit_full(cfg, p3_from_string(cfg.field, "[0:0:1:7]"), G, gens)
+    assert report.total_size == 300
+    assert calls["image"] <= 113 and calls["_dot"] <= 594, calls
 
 
 def _conjugated(cfg, n: str) -> LineConfig:
