@@ -389,11 +389,11 @@ class _PointIds:
     normalized up to a free scaling (y = 0 or 1, or x = 0) is looked up
     there.  Any other would take an inversion to normalize, so where
     Field.reduction() exists (Q and Q(zeta_n)) it is first looked up by
-    Reduction.key of its image at the first root: a ring map sends equal
-    points whose images are defined and nonzero to one key.  A point filed
-    under that key in buckets, always one [s : 1], is confirmed exactly
-    with no inverse (_same_point).  Otherwise the pair is normalized and
-    looked up in exact, and the point it names is filed under the key.  So
+    Reduction.key of its image: a ring map sends equal points whose images
+    are defined and nonzero to one key.  A point filed under that key in
+    buckets, always one [s : 1], is confirmed exactly with no inverse
+    (_same_point).  Otherwise the pair is normalized and looked up in
+    exact, and the point it names is filed under the key.  So
     a point costs at most one inversion, when a pair that needs one first
     names it, and a collision mod p costs a refused confirmation, never a
     wrong id.  An undefined or zero key, and a field with no reduction,
@@ -582,11 +582,6 @@ def _orders(elements: list[ProjElem],
                                else _ratio_order(f, value, bound))
         orders.append(by_value[value])
     return orders, by_value
-
-
-def element_order(g: ProjElem, bound: int) -> Optional[int]:
-    """Least n <= bound with g^n = identity in PGL2, or None (see _orders)."""
-    return _orders([g], bound)[0][0]
 
 
 def ratio_order(g: ProjElem, bound: int) -> Optional[int]:

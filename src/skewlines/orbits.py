@@ -27,26 +27,20 @@ through it.  A hit that already lies on another plane through k breaks
 this, and the walk raises RuntimeError.
 
 The oracle files a point by the image of its parameter under
-Field.reduction(), at the first root of the minimal polynomial m mod p.
-A key hit is decided from images alone: each point and each line's
-Pluecker coordinates keep their images at all d roots of m mod p, computed
-once, so the test lam.x = 0 is integer arithmetic mod p at every root.  If
-the expression E vanishes at all d roots, m divides its cleared numerator
-mod p; that numerator has degree below d, so p divides each of its
-coefficients, and E = 0 once 2H < p for a bound H on them built from the
-operands' heights (Reduction).  Where that bound fails, or an image is
-undefined, or the field has no reduction, the hit is confirmed exactly
-without an inverse.  So only a new point is met exactly and normalized.
-This is the modular method with a height bound (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 5-6).  Points of P^3 and their P^1
-parameters are both matrices.ProjPoint, with one normalization and one
+Field.reduction(), a ring map onto F_p.  Each point and each line's
+Pluecker coordinates keep their images, computed once, so a candidate is
+keyed by its meet formed over F_p, in integers mod p.  A key proposes and
+exact arithmetic confirms: a key hit is decided by lam.x = 0 on the exact
+plane lam, one fused Field._dot for each point filed under the key, and a
+key the line has not seen is a new point.  An undefined image, or a field
+with no reduction, leaves the candidate unkeyed, and it is looked up by
+its exact key.  So only a new point is met exactly and normalized.  Points of P^3 and their
+P^1 parameters are both matrices.ProjPoint, with one normalization and one
 exact key.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cache, partial
@@ -128,7 +122,7 @@ def _plane(pl: tuple, x: tuple) -> tuple:
 
 
 def _plane_at(pl: tuple, x: tuple) -> tuple:
-    """_plane on the images of pl and x at one root: integers, not reduced."""
+    """_plane on the images of pl and x: integers, not reduced."""
     p01, p02, p03, p12, p13, p23 = pl
     x0, x1, x2, x3 = x
     return (
@@ -168,65 +162,23 @@ def _on_plane(lam: tuple, x: ProjPoint) -> bool:
     return not _dot(lam, x.coords)
 
 
+def _reduce(red: Optional[Reduction], xs: tuple) -> Optional[tuple]:
+    """The images of the elements xs under red; None with no reduction or
+    when an image is undefined."""
+    if red is None:
+        return None
+    images = tuple(red.image(x.nums, x.den) for x in xs)
+    return None if None in images else images
+
+
 def _meet_key(red: Reduction, ab: Optional[tuple], lam: Sequence[int]) -> Optional[tuple]:
-    """The key of _meet((a, b), lam) from the images of a + b and of lam at
-    the first root alone: the meet formed over F_p.  None when the image of
-    a + b is undefined."""
+    """The key of _meet((a, b), lam) from the images of a + b and of lam:
+    the meet formed over F_p.  None when the image of a + b is undefined."""
     if ab is None:
         return None
     p = red.p
     return red.key((sum(map(operator.mul, lam, ab[4:])) % p,
                     -sum(map(operator.mul, lam, ab)) % p))
-
-
-# ---------------------------------------------------------------------------
-# certified hits: images at every root of Field.reduction()
-
-
-def _certified(red: Optional[Reduction], xs: tuple) -> Optional[tuple]:
-    """The images of the stored elements xs at every root of red, one tuple
-    over the roots for each element, and their cleared heights
-    h(x) * D / den(x), D the product of their denominators and h the
-    largest |numerator coefficient|; None with no reduction or when an
-    image is undefined.
-
-    A term of a product of stored elements, one from each of several such
-    tuples, is bounded in a numerator cleared by all their denominators by
-    mu^(f-1) times the product of its factors' cleared heights
-    (Reduction)."""
-    if red is None:
-        return None
-    images = tuple(red.images(x.nums, x.den) for x in xs)
-    if None in images:
-        return None
-    dens = math.prod(x.den for x in xs)
-    return images, tuple(max(map(abs, x.nums)) * (dens // x.den) for x in xs)
-
-
-def _vanishes(red: Reduction, form: Optional[tuple],
-              held: Optional[tuple]) -> Optional[bool]:
-    """Whether sum_i c_i x_i = 0, for a candidate's form c and a stored
-    point's _certified elements x.  The form holds the images of each c_i
-    at every root and a bound W_i = mu * (the sum over its terms, products
-    of two stored elements, of their cleared heights); red.vanishes
-    decides, with H = mu * sum_i W_i h(x_i).  None when either side has no
-    images or 2H >= p.
-    """
-    if form is None or held is None:
-        return None
-    (cs, cw), (xs, xw) = form, held
-    # root by root, the sum over i of c_i x_i
-    values = map(sum, zip(*map(map, itertools.repeat(operator.mul), cs, xs)))
-    return red.vanishes(values, red.mu * sum(map(operator.mul, cw, xw)))
-
-
-def _plane_form(mu: int, pl: tuple, x: tuple) -> tuple:
-    """The form of the plane through x and the line pl, from their
-    _certified Pluecker and point coordinates: it vanishes at a stored
-    point exactly when the point lies on the plane."""
-    (ps, pw), (xs, xw) = pl, x
-    return (tuple(zip(*map(_plane_at, zip(*ps), zip(*xs)))),
-            tuple(mu * sum(pw[i] * xw[j] for _, i, j in row) for row in _PLANE))
 
 
 def point_on_line(cfg: LineConfig, i, v) -> ProjPoint:
@@ -329,9 +281,7 @@ def _parameter(span: tuple, x: tuple) -> tuple:
 def _pair_key(red: Optional[Reduction], s: FieldElement,
               t: FieldElement) -> Optional[tuple]:
     """Reduction.key of the image of [s : t]; None with no reduction."""
-    if red is None:
-        return None
-    return red.key((red.image(s.nums, s.den), red.image(t.nums, t.den)))
+    return None if red is None else red.key(_reduce(red, (s, t)))
 
 
 def _hops(labels: list[str], lab: str) -> list[tuple[str, str]]:
@@ -421,9 +371,9 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
 
 
 class _LinePoints:
-    """The oracle's points on one line: buckets files each with its
-    _certified coordinates and its id under a key, None for a point filed
-    under no key, and exact maps its parameter's key to its id."""
+    """The oracle's points on one line: buckets files each with its id
+    under a key, None for a point filed under no key, and exact maps its
+    parameter's key to its id."""
 
     __slots__ = ("points", "buckets", "exact")
 
@@ -432,22 +382,16 @@ class _LinePoints:
         self.buckets: dict[tuple, list[tuple]] = {}
         self.exact: dict = {}
 
-    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint,
-            held: Optional[tuple], n: int) -> None:
-        self.buckets.setdefault(key, []).append((p, held, n))
+    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint, n: int) -> None:
+        self.buckets.setdefault(key, []).append((p, n))
         self.exact[v.key()] = n
         self.points.append(p)
 
-    def holds(self, key: tuple, red: Reduction, form: Optional[tuple],
-              plane) -> Optional[int]:
+    def holds(self, key: tuple, plane) -> Optional[int]:
         """The id of a point filed under key that lies on the candidate's
-        plane, or None: by _vanishes on the plane's form, else by
-        _on_plane(plane())."""
-        for p, held, n in self.buckets.get(key, ()):
-            hit = _vanishes(red, form, held)
-            if hit is None:
-                hit = _on_plane(plane(), p)
-            if hit:
+        exact plane, plane(), or None."""
+        for p, n in self.buckets.get(key, ()):
+            if _on_plane(plane(), p):
                 return n
         return None
 
@@ -463,57 +407,54 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
     matrix path.  A point spans a plane with k only when no earlier point
     put it on one, and a step is skipped when the point's plane through k
     already names its member on line j; each point met is filed as the
-    plane's member there.  The plane's images at every root of
-    Field.reduction() come from those of the point and of the line's
-    Pluecker coordinates, each computed once, and key the candidate by the
-    meet over F_p (_meet_key).  A key hit is decided by lam.x = 0
-    (_LinePoints.holds), and a key the line has not seen is a new point
-    unless the line holds a point filed under no key; only then, or with
-    no key, is the candidate met exactly and normalized.  A point met that
-    already lies on another plane through k raises RuntimeError.  closure
-    and carrier are as in orbit_full; stabilizer, when given, must be the
-    number of elements of the closure that fix the seed, and is counted
-    here when absent.
+    plane's member there.  The plane's image under Field.reduction() comes
+    from those of the point and of the line's Pluecker coordinates, each
+    computed once, and keys the candidate by the meet over F_p (_meet_key).
+    A key hit is decided by lam.x = 0 on the point's exact plane, formed
+    once (_LinePoints.holds), and a key the line has not seen is a new
+    point unless the line holds a point filed under no key; only then, or
+    with no key, is the candidate met exactly and normalized.  A point met
+    that already lies on another plane through k raises RuntimeError.
+    closure and carrier are as in orbit_full; stabilizer, when given, must
+    be the number of elements of the closure that fix the seed, and is
+    counted here when absent.
     """
     carrier = _prepare(cfg, seed, closure, carrier)
     labels = cfg.labels()
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
     red = cfg.field.reduction()
-    plucker_images = {lab: _certified(red, pl) for lab, pl in pluckers.items()}
-    span_images = {}  # the images of a + b at the first root
-    for lab, (a, b) in spans.items():
-        c = _certified(red, a + b)
-        span_images[lab] = None if c is None else [x[0] for x in c[0]]
+    plucker_images = {lab: _reduce(red, pl) for lab, pl in pluckers.items()}
+    span_images = {lab: _reduce(red, a + b) for lab, (a, b) in spans.items()}
     v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
     stab = _stabilizer_size(closure, v0) if stabilizer is None else stabilizer
     bound = closure.order // stab
     lines = {lab: _LinePoints() for lab in labels}
-    c0 = _certified(red, seed.coords)
-    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, c0, 0)
-    queue = [(carrier, seed, c0)]  # a point's id is its place here
+    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, 0)
+    # a point's id is its place here, and each keeps its images
+    queue = [(carrier, seed, _reduce(red, seed.coords))]
     planes = [{}]  # for each id, line k -> the members of its plane through k
-    for n, (lab, p, c) in enumerate(queue):  # the queue grows while it is read
+    for n, (lab, p, image) in enumerate(queue):  # the queue grows while it is read
         # p makes its plane through each line k no earlier point put it on,
         # and meets every other line with it in this turn; a plane an
-        # earlier point made names a member on every line but k already
-        mine, forms = planes[n], {}
+        # earlier point made names a member on every line but k already;
+        # lams holds the images of the planes it makes
+        mine, lams = planes[n], {}
         for k in labels:
             if k != lab and k not in mine:
                 mine[k] = {lab: n}
-                forms[k] = None if c is None or plucker_images[k] is None \
-                    else _plane_form(red.mu, plucker_images[k], c)
+                lams[k] = None if image is None or plucker_images[k] is None \
+                    else _plane_at(plucker_images[k], image)
         # the exact planes p makes, each formed on demand and once
         plane = cache(lambda k, x=p.coords: _plane(pluckers[k], x))
         for j, k in _hops(labels, lab):
             members = mine[k]
             if j in members:  # the plane meets line j at that member alone
                 continue
-            line, form = lines[j], forms[k]
-            key = None if form is None else _meet_key(
-                red, span_images[j], [lam[0] for lam in form[0]])
+            line, lam = lines[j], lams[k]
+            key = None if lam is None else _meet_key(red, span_images[j], lam)
             exact = partial(plane, k)
-            hit = None if key is None else line.holds(key, red, form, exact)
+            hit = None if key is None else line.holds(key, exact)
             if hit is None:
                 nv = ProjPoint(*_meet(spans[j], exact()))
                 if key is None or None in line.buckets:
@@ -523,11 +464,9 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
                     raise _overflow(j, bound)
                 (s, t), (a, b) = nv.coords, spans[j]
                 np = ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
-                nc = _certified(red, np.coords)
                 hit = len(queue)
-                line.add(_pair_key(red, *nv.coords) if key is None else key,
-                         np, nv, nc, hit)
-                queue.append((j, np, nc))
+                line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv, hit)
+                queue.append((j, np, _reduce(red, np.coords)))
                 planes.append({})
             elif k in planes[hit]:
                 raise RuntimeError(

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,19 @@ def test_orbit_seed_on_singular_line(tmp_path, capsys):
 def test_orbit_malformed_seed(a4_path, capsys):
     code, _, _ = run(capsys, "orbit", a4_path, "--seed-point", "[1:2]")
     assert code == 1
+
+
+def test_an_exponent_past_the_cap_is_refused_at_once(a4_path, capsys):
+    # over Q(zeta_12) the coefficients of (1+z)^N grow with N: a parse of
+    # N = 10^7 takes a minute, so the parser refuses N past its cap
+    start = time.perf_counter()
+    code, _, err = run(capsys, "orbit", a4_path,
+                       "--seed-point", "[0:0:0:(1+z)^100000000]")
+    assert code == 1 and err.startswith("error:") and "exceeds" in err
+    assert time.perf_counter() - start < 5
+    # an exponent under the cap still parses, here in a family parameter
+    code, out, _ = run(capsys, "family", "a4", "a=z^3", "--json")
+    assert code == 0 and json.loads(out)["matches_expected"] is True
 
 
 def test_orbit_respects_group_budget(infinite_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from skewlines.fields import (
     FieldSpec,
     MixedFields,
     NonPrimeModulus,
+    Reduction,
     ReducibleMinpoly,
     UnsupportedField,
     _is_prime,
@@ -758,6 +760,19 @@ def test_parse_expressions():
         Z6.parse("z^(1/2)")
 
 
+def test_parse_caps_exponents_in_characteristic_zero():
+    # a power's coefficients grow with its exponent over Q(zeta_n), so the
+    # parser refuses one past the cap; over F_q every power has bounded size
+    x = Z20.parse("(1 + z)^10000")
+    assert x == (Z20.gen() + 1) ** 10000
+    with pytest.raises(ValueError, match="exceeds"):
+        Z20.parse("(1 + z)^10001")
+    with pytest.raises(ValueError, match="exceeds"):
+        Q.parse("2^100000000")
+    assert F25.parse("(1 + z)^1000000000000000000000000000000") == \
+        (F25.gen() + 1) ** (10**30)
+
+
 def test_element_json_roundtrip():
     x = Q.parse("-7/3")
     assert Q.element_from_json(x.to_json()) == x
@@ -776,12 +791,12 @@ def test_repr_is_readable():
 
 
 # ---------------------------------------------------------------------------
-# reductions at every root of the minimal polynomial
+# reductions at the first root of the minimal polynomial
 
 
 def _first_root(field, p) -> int:
-    """The one root the reduction held before it held them all: the first
-    a^((p-1)/n), a = 2, 3, ..., at which the minimal polynomial vanishes."""
+    """The root the reduction sends zeta to: the first a^((p-1)/n),
+    a = 2, 3, ..., at which the minimal polynomial vanishes."""
     n = field.conductor
     if field.degree == 1:
         return 1
@@ -791,40 +806,34 @@ def _first_root(field, p) -> int:
             return r
 
 
+def _roots(field, red) -> list:
+    """The reductions at every root of the minimal polynomial mod p: zeta
+    goes to r^k for each k prime to n, r the reduction's own root, which
+    comes first."""
+    n, d, p = field.conductor, field.degree, red.p
+    r = red.powers[1] if d > 1 else 1
+    return [Reduction(p, tuple(pow(r, i * k, p) for i in range(d)))
+            for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12, 16, 20])
 def test_reduction_holds_every_root_and_keeps_the_first(n):
     f = Q if n == 1 else cyclotomic_field(n)
     red = f.reduction()
     p, d = red.p, f.degree
     assert p > 2**31 and (p - 1) % n == 0 and d == euler_phi(n)
-    # roots[k] holds the powers r^0 .. r^(d-1) of one root r
-    zetas = [w[1] if d > 1 else 1 for w in red.roots]
+    # the powers of r, k prime to n, are the d distinct roots of m mod p
+    roots = _roots(f, red)
+    zetas = [w.powers[1] if d > 1 else 1 for w in roots]
     assert len(zetas) == len(set(zetas)) == d
-    for w, r in zip(red.roots, zetas):
-        assert w == tuple(pow(r, i, p) for i in range(d))
+    for w, r in zip(roots, zetas):
+        assert w.powers == tuple(pow(r, i, p) for i in range(d))
         assert pow(r, n, p) == 1
         if d > 1:
             assert sum(int(c) * pow(r, i, p) for i, c in enumerate(f.minpoly)) % p == 0
-    # the first root is the one every key was taken at
-    assert red.powers == red.roots[0] == tuple(pow(_first_root(f, p), i, p)
-                                               for i in range(d))
-    assert red.image(*_elt(f)) == red.images(*_elt(f))[0]
-
-
-def _elt(f):
-    x = f.gen() * 3 - Fraction(1, 7) if f.degree > 1 else f.from_fraction(Fraction(-5, 7))
-    return x.nums, x.den
-
-
-def test_reduction_height_factor_by_hand():
-    # mu = d (1 + the largest column sum of |reduction rows|):
-    # Q: no rows, 1.  Q(i): z^2 = -1, 2 (1 + 1) = 4.  Q(zeta_5): rows
-    # z^4 = -1 - z - z^2 - z^3, z^5 = 1, z^6 = z, columns 2, 2, 1, 1,
-    # so 4 (1 + 2) = 12
-    assert Q.reduction().mu == 1
-    assert cyclotomic_field(4).reduction().mu == 4
-    assert cyclotomic_field(5).reduction().mu == 12
-    assert reduction_at(cyclotomic_field(5), 11).mu == 12
+    # the reduction keeps the first, the one every key is taken at
+    assert red.powers == tuple(pow(_first_root(f, p), i, p) for i in range(d))
+    assert reduction_at(f, p).powers == red.powers
 
 
 _REDUCED_FIELDS = [Q, cyclotomic_field(4), cyclotomic_field(5),
@@ -843,46 +852,29 @@ def _reduced_elements(draw, count):
 @settings(max_examples=150, deadline=None)
 def test_images_are_ring_maps_at_every_root(case):
     field, (x, y) = case
-    red = field.reduction()
-    p = red.p
+    for red in _roots(field, field.reduction()):
+        p = red.p
 
-    def images(e):
-        return red.images(e.nums, e.den)
+        def image(e):
+            return red.image(e.nums, e.den)
 
-    ix, iy = images(x), images(y)
-    assert images(x + y) == tuple((a + b) % p for a, b in zip(ix, iy))
-    assert images(x * y) == tuple(a * b % p for a, b in zip(ix, iy))
-    assert images(field.one()) == (1,) * field.degree
-    if field.degree > 1:
-        assert images(field.gen()) == tuple(w[1] for w in red.roots)
-    if x:
-        assert images(x.inv()) == tuple(pow(a, -1, p) for a in ix)
-
-
-@given(_reduced_elements(2))
-@settings(max_examples=150, deadline=None)
-def test_one_product_grows_by_at_most_mu(case):
-    # the cleared numerator of x y, over den(x) den(y), has coefficients at
-    # most mu h(x) h(y): the bound the certificate's H is built from
-    field, (x, y) = case
-    red = field.reduction()
-    xy = x * y
-    dens = x.den * y.den
-    assert dens % xy.den == 0
-    got = max(abs(c) * (dens // xy.den) for c in xy.nums)
-    assert got <= red.mu * max(map(abs, x.nums)) * max(map(abs, y.nums))
+        ix, iy = image(x), image(y)
+        assert image(x + y) == (ix + iy) % p
+        assert image(x * y) == ix * iy % p
+        assert image(field.one()) == 1
+        if field.degree > 1:
+            assert image(field.gen()) == red.powers[1]
+        if x:
+            assert image(x.inv()) == pow(ix, -1, p)
 
 
-def test_reduction_certificate_by_hand():
-    # Q(i) at 5: i goes to 2 and to 3
-    f = cyclotomic_field(4)
-    red = reduction_at(f, 5)
-    assert red.roots == ((1, 2), (1, 3))
-    assert red.images((1, 1), 1) == (3, 4)       # 1 + i
-    assert red.images((1, 1), 5) is None         # p divides the denominator
-    assert red.vanishes([0, 5], 2) is True       # 2H = 4 < 5
-    assert red.vanishes([0, 1], 2) is False
-    assert red.vanishes([0, 0], 3) is None       # 2H = 6 >= 5
+def test_reduction_by_hand():
+    # Q(i) at 5: i goes to 2, the first a^((5-1)/4) with a^2 + 1 = 0 mod 5
+    red = reduction_at(cyclotomic_field(4), 5)
+    assert (red.p, red.powers) == (5, (1, 2))
+    assert red.image((1, 1), 1) == 3           # 1 + i
+    assert red.image((1, 1), 5) is None        # p divides the denominator
+    assert red.key((2, 4)) == (1, 2) and red.key((0, 0)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from skewlines.groupoid import (
     _try_affine,
     classify,
     eigratio_check,
-    element_order,
     generator,
     generator_set,
     group_closure,
@@ -106,6 +105,12 @@ def all_roots_of_unity(report) -> bool:
 
 def point_from_json(field, pair) -> ProjPoint:
     return ProjPoint(*(field.element_from_json(x) for x in pair))
+
+
+def element_order(g: ProjElem, bound: int):
+    """Least n <= bound with g^n = identity in PGL2, or None: the order
+    classify reads for g alone."""
+    return groupoid._orders([g], bound)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """P^3 points, line membership, orbit enumeration, and the geometric oracle."""
 
 import itertools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +23,6 @@ from skewlines.families import (
 )
 from skewlines.fields import (
     MixedFields,
-    Reduction,
     cyclotomic_field,
     prime_field,
     rational_field,
@@ -518,28 +516,38 @@ def test_oracle_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
 
 @pytest.mark.parametrize("family", [a4_example, a5_example])
 def test_a_forged_certificate_is_caught_by_the_transport_walk(monkeypatch, family):
-    # every candidate keyed alike and every key hit certified: each line
-    # keeps the first point met on it, and the transport walk disagrees
+    # every candidate keyed alike and every key hit's exact test forged to
+    # pass: each line keeps the first point met on it, and the transport
+    # walk disagrees
     from skewlines.analyze import OracleMismatch, analyze
 
     cfg = family().config
     seed = p3_from_string(cfg.field, "[0:0:0:1]")
     monkeypatch.setattr(orbits, "_meet_key", lambda red, ab, lam: (0,))
-    monkeypatch.setattr(orbits, "_vanishes", lambda red, form, held: True)
+    monkeypatch.setattr(orbits, "_on_plane", lambda lam, x: True)
+    hits = _key_hits(monkeypatch)
     with pytest.raises(OracleMismatch):
         analyze(cfg, seed=seed, oracle=True)
+    assert hits and all(hits)
 
 
 def test_a_point_on_two_planes_through_one_line_is_an_invariant_violation(monkeypatch):
     # the seed makes its plane through every line but its own, and the first
     # point a plane meets on a line makes no other plane through that line
-    # hold it; a lookup that names the seed again breaks that
+    # hold it.  Every point keyed alike, and an exact test forged to accept
+    # the seed alone, break that: the first point met on line 0 makes its
+    # own plane through line 2, and that plane's lookup on the seed's line
+    # names the seed again
     cfg = a5_example().config
     gens, G = pipeline(cfg)
     seed = p3_from_string(cfg.field, "[0:0:0:1]")
-    monkeypatch.setattr(orbits._LinePoints, "holds", lambda self, *a: 0)
-    with pytest.raises(RuntimeError, match="lies on two planes through line"):
+    monkeypatch.setattr(orbits, "_meet_key", lambda red, ab, lam: (0,))
+    monkeypatch.setattr(orbits, "_pair_key", lambda red, s, t: (0,))
+    monkeypatch.setattr(orbits, "_on_plane", lambda lam, x: x is seed)
+    hits = _key_hits(monkeypatch)
+    with pytest.raises(RuntimeError, match="lies on two planes through line 2"):
         orbit_geometric(cfg, seed, G)
+    assert hits and all(hits)
 
 
 def test_orbit_refuses_incomplete_closure():
@@ -961,18 +969,34 @@ def _recording(fn, outcomes):
     return wrapper
 
 
+def _key_hits(monkeypatch) -> list:
+    """The number of _on_plane tests of each key hit of the oracle, a
+    lookup that finds points filed under the candidate's key, recorded as
+    the oracle runs.  Installed over any earlier patch of _on_plane."""
+    hits, tests = [], []
+    on_plane, holds = orbits._on_plane, orbits._LinePoints.holds
+    monkeypatch.setattr(orbits, "_on_plane",
+                        lambda lam, x: tests.append(1) or on_plane(lam, x))
+
+    def recorded(self, key, plane):
+        before = len(tests)
+        got = holds(self, key, plane)
+        if key in self.buckets:
+            hits.append(len(tests) - before)
+        return got
+
+    monkeypatch.setattr(orbits._LinePoints, "holds", recorded)
+    return hits
+
+
 @pytest.mark.parametrize("name, p", [("a5", 41), ("a4", 13), ("s4", 5)])
 def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name, p):
     # at a split prime this small, distinct orbit points share a key (the
     # orbit of a5 through [1 : 1/41] has 60 points a line, P^1(F_41) only
     # 42), so some key hits must be refused by the exact check; images that
     # vanish or are undefined take the exact path, and the seed [1 : 1/p]
-    # has no image of its own.  The transport walk confirms every key hit
-    # exactly (groupoid._same_point).  Nor can the oracle's images certify
-    # a hit whose height bound H is positive: H is a multiple of mu^2, 16
-    # or more, and p / 2 is below that.  Those hits fall back to the exact
-    # check; only forms whose every term has a zero factor (H = 0) are
-    # decided.
+    # has no image of its own.  Both walks confirm every key hit exactly:
+    # the transport walk by groupoid._same_point, the oracle by _on_plane
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -991,24 +1015,13 @@ def test_key_collisions_at_a_small_prime_fail_the_exact_check(monkeypatch, name,
     outcomes = {"_same_point": [], "_on_plane": []}
     for module, fn in ((groupoid, "_same_point"), (orbits, "_on_plane")):
         monkeypatch.setattr(module, fn, _recording(getattr(module, fn), outcomes[fn]))
-    certified = []
-    vanishes = Reduction.vanishes
-
-    def recorded(red, values, height):
-        got = vanishes(red, values, height)
-        certified.append((height, got))
-        return got
-
-    monkeypatch.setattr(Reduction, "vanishes", recorded)
+    hits = _key_hits(monkeypatch)
     assert [run(walk, cfg, seed, G, gens).to_json()
             for seed in seeds for walk in walks] == want
     for seen in outcomes.values():
         assert False in seen and True in seen
-    undecided = [h for h, got in certified if got is None]
-    assert undecided and all(h for h in undecided)
-    assert all(not h for h, got in certified if got is not None)
-    # every hit the images leave open is checked exactly
-    assert sum(map(len, outcomes.values())) >= len(undecided)
+    # every key hit of the oracle is tested exactly, and only key hits are
+    assert hits and all(hits) and sum(hits) == len(outcomes["_on_plane"])
 
 
 def test_seed_with_denominator_p_is_looked_up_exactly():
@@ -1072,11 +1085,12 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     #   (two), |G.v0| points on each such line;
     # - oracle, per new point: the plane (four fused coordinates), the meet
     #   (two), the normalized parameter (one), its P^3 point (four) and that
-    #   point's normalization (three): 14; and two products for each of the
-    #   six Pluecker coordinates of each line, plus the seed's parameter.
-    # The oracle's hits cost none, and it meets each plane through a line
-    # once, from the point that made it, with every other line: on a5,
-    # 150 planes and 450 candidates.
+    #   point's normalization (three): 14; per key hit, its one fused test
+    #   lam.x = 0 on a plane already formed; and two products for each of
+    #   the six Pluecker coordinates of each line, plus the seed's parameter.
+    # The oracle meets each plane through a line once, from the point that
+    # made it, with every other line: on a5, 150 planes and 450 candidates,
+    # 149 of them new points and 301 key hits.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -1087,6 +1101,7 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
         fn = getattr(type(f), kernel)
         monkeypatch.setattr(type(f), kernel,
                             lambda self, *a, _fn=fn: calls.append(1) or _fn(self, *a))
+    hits = _key_hits(monkeypatch)
     full = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
     full_calls = len(calls)
     oracle = orbit_geometric(cfg, seed, closure=G, carrier=carrier)
@@ -1096,7 +1111,11 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     orbit = G.order // full.stabilizer_order
     assert full_calls <= (3 * (orbit - 1) + 2 * len(cfg.matrix_labels()) * orbit
                           + 5 * G.order)
-    assert oracle_calls <= 14 * built + 5 * G.order + 12 * len(cfg.labels()) + 20
+    # at the field's own prime no two of these points share a key, so each
+    # hit takes one test
+    assert hits and sum(hits) == len(hits)
+    assert oracle_calls <= (14 * built + len(hits) + 5 * G.order
+                            + 12 * len(cfg.labels()) + 20)
     if name == "a5":
         # 150 points a walk, the oracle's formed from 450 candidates; the
         # transport walk's bound above is 3 * 29 + 2 * 3 * 30 + 5 * 60 = 567
@@ -1112,9 +1131,9 @@ def _counted(monkeypatch, owner, names, calls):
 
 
 @pytest.mark.parametrize("family, text, most", [
-    (a5_example, "[0:0:0:1]", {"_meet_key": 450, "_plane_form": 150,
-                               "_vanishes": 301, "products": 1804}),
-    (a5_example, "[0:0:1:7]", {"_plane": 297, "_on_plane": 525, "products": 4194}),
+    (a5_example, "[0:0:0:1]", {"_meet_key": 450, "_plane": 152, "_on_plane": 301,
+                               "products": 2345}),
+    (a5_example, "[0:0:1:7]", {"_plane": 302, "_on_plane": 601, "products": 4290}),
     (lambda: elementary_abelian(5), "[0:0:0:1]", {"_plane": 102}),
 ], ids=["a5", "a5_generic", "elementary_abelian5"])
 def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family,
@@ -1124,8 +1143,9 @@ def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family
     # plane's members once and meets it from the point that made it alone.
     # On a5 from [0:0:0:1] the 120 points off each line lie on 30 planes
     # through it: 150 planes, each met with three lines, so 450 keys, 149
-    # new points and 301 certified hits; a point met its every plane in four
-    # times as many keys.  Over F_25, which has no reduction, every
+    # new points and 301 key hits, each one _on_plane test on its plane;
+    # find_carrier forms two more planes, and a point met its every plane
+    # in four times as many keys.  Over F_25, which has no reduction, every
     # candidate is met exactly.  Class kernels count the products:
     # Q(zeta_20) binds none on the instance
     cfg = family().config
@@ -1134,8 +1154,7 @@ def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family
     seed = p3_from_string(f, text)
     want = orbit_full(cfg, seed, G, gens).to_json()
     calls = Counter()
-    _counted(monkeypatch, orbits, ["_meet_key", "_plane_form", "_vanishes", "_plane",
-                                   "_on_plane"], calls)
+    _counted(monkeypatch, orbits, ["_meet_key", "_plane", "_on_plane"], calls)
     _counted(monkeypatch, type(f), ["_mul", "_dot"], calls)
     assert orbit_geometric(cfg, seed, G).to_json() == want
     calls["products"] = calls["_mul"] + calls["_dot"]
@@ -1217,15 +1236,12 @@ def _conjugated(cfg, n: str) -> LineConfig:
                       cfg.include_zero, cfg.include_infinity)
 
 
-@pytest.mark.parametrize("name, height", [("a4", "2^21 + 1"), ("s4", "2^20 + 1")],
-                         ids=["a4", "s4"])
+@pytest.mark.parametrize("name, height", [("a4", "2^21 + 1"), ("s4", "2^20 + 1"),
+                                          ("a5", "2^61 + 1")], ids=["a4", "s4", "a5"])
 def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name, height):
-    # at the field's own prime, heights of about 2^20 push the oracle's 2H
-    # past p for some hits; those fall back to the exact check, the rest are
-    # still certified, and both walks match the exactly keyed reference.
-    # Each plane is met from the point that made it alone, so a4 needs the
-    # larger height: at 2^20 + 1 all 41 of its hits are certified, at
-    # 2^21 + 1 32 are and 9 fall back (s4 at 2^20 + 1: 50 and 11)
+    # at the field's own prime, with heights of 2^20 to 2^61 on the entries,
+    # each key hit is tested exactly on its plane, and both walks match the
+    # exactly keyed reference
     cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), height)
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -1233,104 +1249,12 @@ def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name, height):
     assert orbit_full(cfg, seed, G, gens).to_json() == \
         _exact_key_orbit(cfg, seed, G, orbit_full).to_json()
     want = _exact_key_orbit(cfg, seed, G, orbit_geometric).to_json()
-    outcomes = {"_on_plane": [], "_vanishes": []}
-    for fn, seen in outcomes.items():
-        monkeypatch.setattr(orbits, fn, _recording(getattr(orbits, fn), seen))
+    outcomes = []
+    monkeypatch.setattr(orbits, "_on_plane", _recording(orbits._on_plane, outcomes))
+    hits = _key_hits(monkeypatch)
     assert orbit_geometric(cfg, seed, G).to_json() == want
-    certified = outcomes["_vanishes"]
-    assert None in certified and True in certified
-    assert len(outcomes["_on_plane"]) == certified.count(None)
-
-
-# explicit forms at tiny split primes: Q(i) at 5, Q(zeta_12) at 13 and
-# Q(zeta_20) at 41
-_TINY = [(4, 5), (12, 13), (20, 41)]
-
-
-@pytest.mark.parametrize("n, p", _TINY)
-def test_images_that_agree_mod_p_only_are_not_certified(n, p):
-    # x and x + p agree mod p at every root, but they are not equal: the
-    # images vanish and only 2H < p can tell, so the certificate refuses.
-    # The plane through [0:0:1:x] and the zero line holds no [0:0:1:x + p]
-    f = cyclotomic_field(n)
-    red = reduction_at(f, p)
-    x = f.gen() ** 2 - f.gen() * Fraction(1, 2) + 3
-    y = x + p
-    one, zero = f.one(), f.zero()
-    zero_line = (one, zero, zero, zero, zero, zero)  # p_01 = 1
-    point, other = (zero, zero, one, x), (zero, zero, one, y)
-    form = orbits._plane_form(red.mu, orbits._certified(red, zero_line),
-                              orbits._certified(red, point))
-    assert orbits._vanishes(red, form, orbits._certified(red, other)) is None
-    lam = orbits._plane(zero_line, point)
-    assert orbits._on_plane(lam, ProjPoint(*point))
-    assert not orbits._on_plane(lam, ProjPoint(*other))
-    # y - x, two terms of one factor each: H = h(y) den(x) + h(x) den(y)
-    values = [a - b for a, b in zip(red.images(y.nums, y.den), red.images(x.nums, x.den))]
-    assert not any(v % p for v in values)
-    height = max(map(abs, y.nums)) * x.den + max(map(abs, x.nums)) * y.den
-    assert red.vanishes(values, height) is None
-
-
-@pytest.mark.parametrize("n, p", _TINY)
-def test_a_form_vanishing_at_one_root_is_not_certified(n, p):
-    # zeta - r, with r = the first root taken below p/2 in absolute value,
-    # vanishes at that root alone; H = |r| < p/2, so the images decide
-    f = cyclotomic_field(n)
-    red = reduction_at(f, p)
-    r = red.powers[1]
-    r = r - p if 2 * r > p else r
-    e = f.gen() - r
-    values = red.images(e.nums, e.den)
-    assert values[0] == 0 and any(values[1:])
-    assert red.vanishes(values, abs(r)) is False
-    zero = e - e
-    assert red.vanishes(red.images(zero.nums, zero.den), 0) is True
-
-
-# hypothesis: stored elements with small coefficients over fields with a
-# reduction, at their own prime and at a tiny split prime
-_CERT_FIELDS = [(rational_field(), 7), (cyclotomic_field(4), 5),
-                (cyclotomic_field(5), 11), (cyclotomic_field(12), 13),
-                (cyclotomic_field(20), 41)]
-
-
-@st.composite
-def _cert_case(draw, count):
-    field, tiny = draw(st.sampled_from(_CERT_FIELDS))
-    red = reduction_at(field, tiny) if draw(st.booleans()) else field.reduction()
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    coeffs = st.lists(coeff, min_size=field.degree, max_size=field.degree)
-    return field, red, [field.from_coeffs(draw(coeffs)) for _ in range(count)]
-
-
-def _cleared_max(e, operands) -> int:
-    """The largest |coefficient| of e times the product of the operands'
-    denominators: the cleared numerator the height bound covers."""
-    dens = math.prod(x.den for x in operands)
-    assert dens % e.den == 0
-    return max(abs(c) * (dens // e.den) for c in e.nums)
-
-
-@given(_cert_case(14), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_plane_certificate_never_certifies_a_nonzero_form(case, hit):
-    field, red, elts = case
-    pl, x, stored_x = elts[:6], elts[6:10], elts[10:]
-    if hit:
-        stored_x = x  # a point lies on every plane through it
-    assume(any(x))
-    lam = orbits._plane(pl, x)
-    exact = orbits._dot(lam, stored_x)
-    form = orbits._plane_form(red.mu, orbits._certified(red, pl),
-                              orbits._certified(red, x))
-    stored = orbits._certified(red, tuple(stored_x))
-    got = orbits._vanishes(red, form, stored)
-    if got is not None:
-        assert got == (not exact)
-    if exact and form is not None and stored is not None:
-        bound = red.mu * sum(u * w for u, w in zip(form[1], stored[1]))
-        assert _cleared_max(exact, (*pl, *x, *stored_x)) <= bound
+    assert hits and all(hits) and sum(hits) == len(outcomes)
+    assert True in outcomes
 
 
 def _plane_by_operators(pl, x):
@@ -1372,9 +1296,6 @@ def test_fused_plane_matches_the_operator_formula(operands):
     red = field.reduction()
     if red is None:
         return
-    # and its images at every root are _plane_at on the operands' images
-    images = [red.images(e.nums, e.den) for e in lam]
-    pls, xs = ([red.images(e.nums, e.den) for e in es] for es in (pl, x))
-    for k in range(len(red.roots)):
-        at = orbits._plane_at([e[k] for e in pls], [e[k] for e in xs])
-        assert [v % red.p for v in at] == [e[k] for e in images]
+    # and its image is _plane_at on the operands' images
+    at = orbits._plane_at(orbits._reduce(red, pl), orbits._reduce(red, x))
+    assert [v % red.p for v in at] == [red.image(e.nums, e.den) for e in lam]
