@@ -32,13 +32,10 @@ from .groupoid import (
     group_closure,
 )
 from .matrices import ProjPoint
-from .orbits import SeedNotOnConfiguration, find_carrier, orbit_full, orbit_geometric
+from .orbits import (OracleMismatch, SeedNotOnConfiguration, find_carrier,
+                     orbit_full, orbit_geometric)
 
 SCHEMA_VERSION = "1"
-
-
-class OracleMismatch(RuntimeError):
-    """The transport orbit and the plane-intersection orbit disagreed."""
 
 
 class AnalysisReport:
@@ -141,15 +138,9 @@ def _orbit_section(cfg, seed, carrier, closure, triples, oracle: bool) -> dict:
     out = report.to_json()
     out["group_order"] = closure.order
     if oracle:
-        # both walks visit the candidates in one order, and a transport class
-        # is the projection it names, so the point lists agree in order too;
-        # the seed's stabilizer is the one the first walk counted
-        check = orbit_geometric(cfg, seed, closure=closure, carrier=carrier,
-                                stabilizer=report.stabilizer_order)
-        if report.points != check.points:
-            raise OracleMismatch(
-                "plane-intersection enumeration disagrees with matrix transport"
-            )
+        # the plane oracle certifies the walk's lists as the seed's orbit in
+        # walk order, or raises OracleMismatch
+        orbit_geometric(cfg, report)
         out["oracle_agrees"] = True
     return out
 

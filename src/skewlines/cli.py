@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-point", required=True, metavar="[x:y:z:w]",
                    help="starting point, e.g. '[0:0:0:1]'")
     p.add_argument("--oracle", action="store_true",
-                   help="re-enumerate via plane intersections and cross-check")
+                   help="certify the orbit by plane intersections")
     p.set_defaults(handler=cmd_orbit)
 
     builders = ", ".join(sorted(FAMILY_BUILDERS))

@@ -22,6 +22,7 @@ from .fields import (
     _FACTOR_CAP,
     _factorize,
     cyclotomic_field,
+    euler_phi,
     extension_field,
     prime_field,
     rational_field,
@@ -33,13 +34,32 @@ class InvalidParameters(ValueError):
     """A family builder was handed parameters outside its domain."""
 
 
+# the largest degree phi(n) of a cyclotomic field a family is built over,
+# where each product costs about phi(n)^2 coefficient products: at phi(n) =
+# 64 `family cyclic_4line u1_order=8 u2_order=17` runs in 1.6 s and
+# `family c3_scaled s_order=64` in 2.5 s, and at 104 `cyclic_4line
+# u1_order=53 u2_order=3` takes 8 s.  The documented families need 8 at most.
+_PHI_CAP = 64
+
+
 def _cyclo(n: int) -> Field:
-    """The smallest cyclotomic field containing a primitive n-th root."""
+    """The smallest cyclotomic field containing a primitive n-th root; a
+    degree above _PHI_CAP is refused.  phi(n) >= sqrt(n / 2), so a larger
+    n is refused before it is factored."""
     if n % 4 == 2:
         n //= 2
     if n <= 1:
         return rational_field()
+    if n > 2 * _PHI_CAP**2 or euler_phi(n) > _PHI_CAP:
+        raise InvalidParameters(f"too large: Q(zeta_{n}) has degree above {_PHI_CAP}")
     return cyclotomic_field(n)
+
+
+def _integer(name: str, value) -> int:
+    """value, refused unless it is an integer; name is its parameter."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameters(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def root_of_unity(f: Field, m: int) -> FieldElement:
@@ -108,7 +128,7 @@ def standard_construction(n: int) -> BuiltFamily:
     rotations contribute -1.  For n = 2 every generator is scalar, so the
     group collapses to the trivial one.
     """
-    if n < 2:
+    if _integer("n", n) < 2:
         raise InvalidParameters("need at least two rotations")
     f = _cyclo(n)
     eps = root_of_unity(f, n)
@@ -131,7 +151,7 @@ def c3_scaled(s_order: int) -> BuiltFamily:
     The closure is generated by -e (from within-block ratios) and s (from
     cross-block ones), so its order is lcm(6, s_order).
     """
-    if s_order < 2:
+    if _integer("s_order", s_order) < 2:
         raise InvalidParameters("s = 1 makes the scale factor undefined")
     f = _cyclo(lcm(3, s_order))
     eps = root_of_unity(f, 3)
@@ -171,7 +191,7 @@ def cyclic_4line(u1_order: int, u2_order: int) -> BuiltFamily:
     unity of the given order.  The closure is cyclic of order
     lcm(u1_order, u2_order).
     """
-    m, n = u1_order, u2_order
+    m, n = _integer("u1_order", u1_order), _integer("u2_order", u2_order)
     if m < 2 or n < 2:
         raise InvalidParameters("eigenratios equal to 1 give scalar generators")
     if m == 2 and n == 2:
@@ -285,7 +305,7 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
 
         order = 2 * p^2 * (p - 1),  label affine(p^2, 2(p-1)).
     """
-    if p <= 2:
+    if _integer("p", p) <= 2:
         raise InvalidParameters("odd characteristic required")
     _prime_field(p)
     if p - 1 >= _FACTOR_CAP:
@@ -300,7 +320,7 @@ def affine(p: int, dilation_square: Optional[int] = None) -> BuiltFamily:
 
     if dilation_square is None:
         dilation_square = next(c for c in range(2, p) if primitive(c))
-    c = dilation_square % p
+    c = _integer("dilation_square", dilation_square) % p
     if c == 0:
         raise InvalidParameters("dilation square must be a unit")
     if not primitive(c):

@@ -1,42 +1,50 @@
-"""Point orbits in P^3 under the configuration's group.
+"""Point orbits in P^3 under the configuration's group, and their certificate.
 
-Two independent enumerations of the same orbit: `orbit_full` pushes the
-P^1 parameter of each line around with the transport classes, while
-`orbit_geometric` re-derives every step from scratch as "span a plane
-through the point and one line, intersect it with another" — linear
-algebra on the lines' Pluecker coordinates, with no per-line cases.
-Agreement between them is the strongest correctness check the package has.
+`orbit_full` enumerates the orbit of a seed by pushing the P^1 parameter of
+each line around with the transport classes.  `orbit_geometric` certifies
+that report from the lines' Pluecker coordinates and the listed points
+alone: it reads no transport class, closure point id or matrix
+parametrization.  Together they are the strongest correctness check the
+package has.
 
-Both walks are breadth-first and name a point by its line and its
-parameter there, since the lines are pairwise skew.  The transport walk
-continues the closure's point table (groupoid._PointIds): it names
-parameters by the closure's integer ids, reads the moves the closure made
-with each class, and moves each id by each transport class at most once
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 4.1), imaging it only by the classes the closure's sift kept; a
-key hit there costs one exact product.  The oracle files each point on
-its line (_LinePoints), and reads no transport class and no closure point
-id.  It meets each plane once: the plane through a point and a line k
-meets every other line j, which is skew to k and so not in the plane, in
-one point, and that point spans the same plane with k (Pottmann and
-Wallner, Computational Line Geometry, 2001).  So each point keeps, for
-each line k, the member map of its plane through k, one record shared by
-the plane's points; the point that makes the record meets the plane with
-every other line in its own turn, and a later member skips each hop
-through it.  A hit that already lies on another plane through k breaks
-this, and the walk raises RuntimeError.
+An orbit is a collinearly complete set: the least set through the seed
+that is closed under every projection of a line i onto a line j through a
+third line k, which takes a point to the meet of line j with the plane
+through the point and line k (Pottmann and Wallner, Computational Line
+Geometry, 2001).  The certifier checks that property on the reported
+lists: every listed point lies on its line, the seed is the first point of
+its carrier, and the breadth-first walk over the projections from the seed
+meets only listed points, reaching those of each line in listed order and
+all of them.
 
-The oracle files a point by the image of its parameter under
-Field.reduction(), a ring map onto F_p.  Each point and each line's
-Pluecker coordinates keep their images, computed once, so a candidate is
-keyed by its meet formed over F_p, in integers mod p.  A key proposes and
-exact arithmetic confirms: a key hit is decided by lam.x = 0 on the exact
-plane lam, one fused Field._dot for each point filed under the key, and a
-key the line has not seen is a new point.  An undefined image, or a field
-with no reduction, leaves the candidate unkeyed, and it is looked up by
-its exact key.  So only a new point is met exactly and normalized.  Points of P^3 and their
-P^1 parameters are both matrices.ProjPoint, with one normalization and one
-exact key.
+The transport walk is breadth-first too, and names a point by its line and
+its parameter there, since the lines are pairwise skew.  It continues the
+closure's point table (groupoid._PointIds): it names parameters by the
+closure's integer ids, reads the moves the closure made with each class,
+and moves each id by each transport class at most once (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.1),
+imaging it only by the classes the closure's sift kept; a key hit there
+costs one exact product.
+
+The certifier meets each plane once: the plane through a point and a line
+k meets every other line j, which is skew to k and so not in the plane, in
+one point, and that point spans the same plane with k.  So each point
+keeps, for each line k, the member map of its plane through k, one record
+shared by the plane's points; the point that makes the record meets the
+plane with every other line in its own turn, and a later member skips each
+hop through it.  A point confirmed on a second plane through k breaks
+this, and the certifier raises RuntimeError.
+
+The certifier files each listed point by the key of the image of its
+parameter under Field.reduction(), a ring map onto F_p, and keys each meet
+over F_p from the images of the point and of the lines' Pluecker
+coordinates, computed once, in integers mod p.  A key proposes and exact arithmetic confirms: a
+point filed under the key is the meet when lam.x = 0 on the exact plane
+lam, one fused Field._dot.  An undefined image, or a field with no
+reduction, leaves the meet unkeyed; only then, or when no point is
+confirmed, is the meet formed exactly, normalized and looked up by its
+exact key.  Points of P^3 and their P^1 parameters are both
+matrices.ProjPoint, with one normalization and one exact key.
 """
 
 from __future__ import annotations
@@ -54,6 +62,11 @@ from .matrices import ProjPoint, fixes_point
 
 class SeedNotOnConfiguration(Exception):
     """The seed point lies on none of the configuration's lines."""
+
+
+class OracleMismatch(RuntimeError):
+    """The plane oracle refused a reported orbit: its lists are not the
+    orbit of its seed in the order of the walk."""
 
 
 def p3_from_string(field: Field, text: str) -> ProjPoint:
@@ -150,10 +163,7 @@ def _meet(span: tuple, lam: tuple) -> tuple:
     plane, so the two dot products never vanish together.
     """
     a, b = span
-    la, lb = _dot(lam, a), _dot(lam, b)
-    if not la and not lb:
-        raise RuntimeError("plane contains the target line; lines not skew?")
-    return lb, -la
+    return _dot(lam, b), -_dot(lam, a)
 
 
 def _on_plane(lam: tuple, x: ProjPoint) -> bool:
@@ -244,64 +254,9 @@ class OrbitReport:
         }
 
 
-def _prepare(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
-             carrier: Optional[str]) -> str:
-    """Check the seed and return its carrier, found here unless supplied;
-    an incomplete closure is refused."""
-    cfg.require_valid()
-    if seed.field.spec != cfg.field.spec:
-        raise MixedFields("seed lies over a different field")
-    if carrier is None:
-        carrier = find_carrier(cfg, seed)
-    if carrier is None:
-        raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
-    if closure.budget_hit:
-        raise IncompleteClosure(
-            "orbit sizes and stabilizers need the complete group"
-        )
-    return carrier
-
-
-def _stabilizer_size(closure: GroupClosure, v) -> int:
-    return sum(1 for g in closure.elements if fixes_point(g, v))
-
-
-def _parameter(span: tuple, x: tuple) -> tuple:
-    """[s : t] with x = s a + t b on the line spanned by a and b.
-
-    Cramer's rule on the coordinates ij of the first nonzero p_ij gives
-    p_ij (s, t) = (x_i b_j - x_j b_i, a_i x_j - a_j x_i); the common factor
-    p_ij does not change the projective point.
-    """
-    a, b = span
-    i, j = next(ij for ij, q in zip(_PAIRS, _plucker(a, b)) if q)
-    return x[i] * b[j] - x[j] * b[i], a[i] * x[j] - a[j] * x[i]
-
-
-def _pair_key(red: Optional[Reduction], s: FieldElement,
-              t: FieldElement) -> Optional[tuple]:
-    """Reduction.key of the image of [s : t]; None with no reduction."""
-    return None if red is None else red.key(_reduce(red, (s, t)))
-
-
 def _hops(labels: list[str], lab: str) -> list[tuple[str, str]]:
     """The (target line j, third line k) of each step from line lab, in order."""
     return [(j, k) for j in labels if j != lab for k in labels if k not in (lab, j)]
-
-
-def _overflow(lab: str, bound: int) -> RuntimeError:
-    """The invariant violation of a walk past bound = |G| / |Stab(v0)|
-    points on line lab: each point has parameter g v0 for some g in G, so
-    a walk past it has left the orbit."""
-    return RuntimeError(f"line {lab} reached more than |G|/|Stab| = {bound} orbit points")
-
-
-def _report(seed: ProjPoint, carrier: str, stab: int,
-            points: dict[str, list[ProjPoint]]) -> OrbitReport:
-    return OrbitReport(seed=seed, carrier=carrier,
-                       total_size=sum(map(len, points.values())),
-                       per_line_sizes={lab: len(pts) for lab, pts in points.items()},
-                       stabilizer_order=stab, points=points)
 
 
 def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
@@ -319,13 +274,21 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
     once, and an F_{i,j,inf} = 1 hop keeps the id.  Each placed id becomes a
     ProjPoint once, and each (line, id) one P^3 point.  The transport
     classes are read from the provenance of gens, an all_triples generator
-    set, and the closure gives the stabilizer count and the orbit bound
-    (_overflow); an incomplete closure is refused.  carrier, when given,
-    must be find_carrier's label for the seed.
+    set, and the closure gives the stabilizer count and the orbit bound,
+    |G| / |Stab(v0)| points a line; an incomplete closure is refused.
+    carrier, when given, must be find_carrier's label for the seed.
     """
     if gens.mode != "all_triples":
         raise ValueError("orbit_full reads every F_ijk: it needs an all_triples set")
-    carrier = _prepare(cfg, seed, closure, carrier)
+    cfg.require_valid()
+    if seed.field.spec != cfg.field.spec:
+        raise MixedFields("seed lies over a different field")
+    if carrier is None:
+        carrier = find_carrier(cfg, seed)
+    if carrier is None:
+        raise SeedNotOnConfiguration(f"{seed!r} is on no line of the configuration")
+    if closure.budget_hit:
+        raise IncompleteClosure("orbit sizes and stabilizers need the complete group")
     f, ids = cfg.field, closure.points
     transport = {t: g for g, triples in gens.provenance.items() for t in triples}
 
@@ -342,7 +305,7 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
             for lab in labels}
     v0 = line_parameter(cfg, carrier, seed)
     n0 = ids.intern(*((x.nums, x.den) for x in v0.coords))
-    stab = _stabilizer_size(closure, v0)
+    stab = sum(1 for g in closure.elements if fixes_point(g, v0))
     bound = closure.order // stab
     params = {n0: v0}  # each placed id's parameter, built once
     placed = {lab: {} for lab in labels}  # for each line, parameter id -> point
@@ -360,86 +323,114 @@ def orbit_full(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
             line = placed[j]
             if m not in line:
                 if len(line) >= bound:
-                    raise _overflow(j, bound)
+                    # each point has parameter g v0 for some g in G
+                    raise RuntimeError(
+                        f"line {j} reached more than |G|/|Stab| = {bound} orbit points")
                 v = params.get(m)
                 if v is None:
                     v = params[m] = ProjPoint(*(FieldElement(f, *c) for c in ids.points[m]))
                 line[m] = point_on_line(cfg, j, v)
                 queue.append((j, m))
-    return _report(seed, carrier, stab,
-                   {lab: list(line.values()) for lab, line in placed.items()})
+    points = {lab: list(line.values()) for lab, line in placed.items()}
+    return OrbitReport(seed=seed, carrier=carrier,
+                       total_size=sum(map(len, points.values())),
+                       per_line_sizes={lab: len(pts) for lab, pts in points.items()},
+                       stabilizer_order=stab, points=points)
 
 
 class _LinePoints:
-    """The oracle's points on one line: buckets files each with its id
-    under a key, None for a point filed under no key, and exact maps its
-    parameter's key to its id."""
+    """The listed points of one line by place, each known by its parameter:
+    the spanning points a and b of _span_rows have a_i = b_j = 1 and a_j =
+    b_i = 0 where each is first nonzero, at i and j, so the point s a + t b
+    has [s : t] there, with a leading 1 when the point is normalized.
+    buckets files each place under the key of its parameter's image, None
+    where it has none; exact, formed on first use, under the exact key of
+    its parameter.  Both name the first place of a point listed twice."""
 
-    __slots__ = ("points", "buckets", "exact")
+    __slots__ = ("points", "span", "ij", "buckets", "exact")
 
-    def __init__(self):
-        self.points: list[ProjPoint] = []
-        self.buckets: dict[tuple, list[tuple]] = {}
-        self.exact: dict = {}
-
-    def add(self, key: Optional[tuple], p: ProjPoint, v: ProjPoint, n: int) -> None:
-        self.buckets.setdefault(key, []).append((p, n))
-        self.exact[v.key()] = n
-        self.points.append(p)
+    def __init__(self, points: list[ProjPoint], images: list[Optional[tuple]],
+                 span: tuple, red: Optional[Reduction]):
+        self.points, self.span, self.exact = points, span, None
+        i, j = self.ij = tuple(next(c for c, x in enumerate(v) if x) for v in span)
+        self.buckets: dict[Optional[tuple], list[int]] = {}
+        for m, x in enumerate(images):
+            key = None if x is None else red.key((x[i], x[j]))
+            self.buckets.setdefault(key, []).append(m)
 
     def holds(self, key: tuple, plane) -> Optional[int]:
-        """The id of a point filed under key that lies on the candidate's
+        """The place of a point filed under key that lies on the candidate's
         exact plane, plane(), or None."""
-        for p, n in self.buckets.get(key, ()):
-            if _on_plane(plane(), p):
-                return n
+        for m in self.buckets.get(key, ()):
+            if _on_plane(plane(), self.points[m]):
+                return m
         return None
 
+    def meets(self, lam: tuple) -> Optional[int]:
+        """The place of the point where the exact plane lam meets the line,
+        or None: their meet (_meet), normalized, looked up by its key."""
+        if self.exact is None:
+            i, j = self.ij
+            self.exact = {}
+            for m, p in enumerate(self.points):
+                self.exact.setdefault(ProjPoint(p.coords[i], p.coords[j]).key(), m)
+        return self.exact.get(ProjPoint(*_meet(self.span, lam)).key())
 
-def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
-                    carrier: Optional[str] = None,
-                    stabilizer: Optional[int] = None) -> OrbitReport:
-    """The same orbit as orbit_full, but computed without transport classes.
 
-    Each step spans the plane through the current point and a third line
-    k, then meets it with the target line j: Pluecker-coordinate linear
-    algebra in four coordinates, serving as an independent oracle for the
-    matrix path.  A point spans a plane with k only when no earlier point
-    put it on one, and a step is skipped when the point's plane through k
-    already names its member on line j; each point met is filed as the
-    plane's member there.  The plane's image under Field.reduction() comes
-    from those of the point and of the line's Pluecker coordinates, each
-    computed once, and keys the candidate by the meet over F_p (_meet_key).
-    A key hit is decided by lam.x = 0 on the point's exact plane, formed
-    once (_LinePoints.holds), and a key the line has not seen is a new
-    point unless the line holds a point filed under no key; only then, or
-    with no key, is the candidate met exactly and normalized.  A point met
-    that already lies on another plane through k raises RuntimeError.
-    closure and carrier are as in orbit_full; stabilizer, when given, must
-    be the number of elements of the closure that fix the seed, and is
-    counted here when absent.
+def orbit_geometric(cfg: LineConfig, report: OrbitReport) -> OrbitReport:
+    """Certify that report lists the orbit of its seed, line by line in the
+    order of the walk, and return it; raise OracleMismatch otherwise.
+
+    It reads the lines' Pluecker coordinates and the listed points alone,
+    and checks:
+    0. every listed point lies on its line: its plane with the line
+       vanishes;
+    1. the seed is the first point of its carrier;
+    2. from each point reached, each hop (j, k): the plane through the
+       point and line k meets line j at a listed point.  The plane's image
+       under Field.reduction() keys the meet over F_p (_meet_key), and a
+       point filed under that key is confirmed by lam.x = 0 on the exact
+       plane (_LinePoints.holds).  With no key, or no point confirmed, the
+       meet is formed exactly and looked up by its parameter
+       (_LinePoints.meets);
+    3. the first reach of each line is always the next entry of its list,
+       and the walk reaches every listed point.
+    Steps 1 and 2 make the points reached the least set through the seed
+    closed under every projection, which is its orbit; step 3 makes that
+    set the lists, in order, and leaves the second place of a point listed
+    twice unreached.  A point makes its plane through each line k no
+    earlier point put it on, and a hop through a plane an earlier point
+    made is skipped: its member on line j is known.  A point confirmed on
+    a second plane through k raises RuntimeError.
     """
-    carrier = _prepare(cfg, seed, closure, carrier)
-    labels = cfg.labels()
+    cfg.require_valid()
+    labels, points = cfg.labels(), report.points
+    if list(points) != labels:
+        raise OracleMismatch(f"the report lists lines {list(points)}, not {labels}")
     spans = {lab: _span_rows(cfg, lab) for lab in labels}
     pluckers = {lab: _plucker(*spans[lab]) for lab in labels}
     red = cfg.field.reduction()
     plucker_images = {lab: _reduce(red, pl) for lab, pl in pluckers.items()}
     span_images = {lab: _reduce(red, a + b) for lab, (a, b) in spans.items()}
-    v0 = ProjPoint(*_parameter(spans[carrier], seed.coords))
-    stab = _stabilizer_size(closure, v0) if stabilizer is None else stabilizer
-    bound = closure.order // stab
-    lines = {lab: _LinePoints() for lab in labels}
-    lines[carrier].add(_pair_key(red, *v0.coords), seed, v0, 0)
-    # a point's id is its place here, and each keeps its images
-    queue = [(carrier, seed, _reduce(red, seed.coords))]
-    planes = [{}]  # for each id, line k -> the members of its plane through k
-    for n, (lab, p, image) in enumerate(queue):  # the queue grows while it is read
-        # p makes its plane through each line k no earlier point put it on,
-        # and meets every other line with it in this turn; a plane an
-        # earlier point made names a member on every line but k already;
+    images, lines = {}, {}
+    for lab, pts in points.items():
+        for m, p in enumerate(pts):
+            if any(_plane(pluckers[lab], p.coords)):
+                raise OracleMismatch(f"point {m} of line {lab} is not on it")
+        images[lab] = [_reduce(red, p.coords) for p in pts]
+        lines[lab] = _LinePoints(pts, images[lab], spans[lab], red)
+    carrier = report.carrier
+    if not points.get(carrier) or points[carrier][0] != report.seed:
+        raise OracleMismatch(f"the seed is not the first point of line {carrier}")
+    reached = dict.fromkeys(labels, 0)  # how many places of each line are reached
+    reached[carrier] = 1
+    planes = {lab: [{} for _ in pts] for lab, pts in points.items()}
+    queue = [(carrier, 0)]
+    for lab, n in queue:  # the queue grows while it is read
+        # p makes its plane through each line k no earlier point put it on;
         # lams holds the images of the planes it makes
-        mine, lams = planes[n], {}
+        p, image = points[lab][n], images[lab][n]
+        mine, lams = planes[lab][n], {}
         for k in labels:
             if k != lab and k not in mine:
                 mine[k] = {lab: n}
@@ -451,27 +442,27 @@ def orbit_geometric(cfg: LineConfig, seed: ProjPoint, closure: GroupClosure,
             members = mine[k]
             if j in members:  # the plane meets line j at that member alone
                 continue
-            line, lam = lines[j], lams[k]
+            line, lam, exact = lines[j], lams[k], partial(plane, k)
             key = None if lam is None else _meet_key(red, span_images[j], lam)
-            exact = partial(plane, k)
             hit = None if key is None else line.holds(key, exact)
             if hit is None:
-                nv = ProjPoint(*_meet(spans[j], exact()))
-                if key is None or None in line.buckets:
-                    hit = line.exact.get(nv.key())
+                hit = line.meets(exact())
             if hit is None:
-                if len(line.points) >= bound:
-                    raise _overflow(j, bound)
-                (s, t), (a, b) = nv.coords, spans[j]
-                np = ProjPoint(*(_dot((s, t), (ai, bi)) for ai, bi in zip(a, b)))
-                hit = len(queue)
-                line.add(_pair_key(red, *nv.coords) if key is None else key, np, nv, hit)
-                queue.append((j, np, _reduce(red, np.coords)))
-                planes.append({})
-            elif k in planes[hit]:
+                raise OracleMismatch(f"the plane through point {n} of line {lab} "
+                                     f"and line {k} meets line {j} at no listed point")
+            if hit > reached[j]:
+                raise OracleMismatch(f"the walk reaches point {hit} of line {j} "
+                                     f"before point {reached[j]}")
+            if hit == reached[j]:
+                reached[j] += 1
+                queue.append((j, hit))
+            elif k in planes[j][hit]:
                 raise RuntimeError(
                     f"a point of line {j} lies on two planes through line {k}")
             members[j] = hit
-            planes[hit][k] = members
-    return _report(seed, carrier, stab,
-                   {lab: line.points for lab, line in lines.items()})
+            planes[j][hit][k] = members
+    for lab, pts in points.items():
+        if reached[lab] < len(pts):
+            raise OracleMismatch(f"point {reached[lab]} of line {lab} is not "
+                                 "in the orbit of the seed")
+    return report

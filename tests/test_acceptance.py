@@ -36,6 +36,7 @@ from skewlines.groupoid import (
 )
 from skewlines.matrices import Mat2, ProjElem, ProjPoint, fixes_point, proj_order
 from skewlines.orbits import (
+    OracleMismatch,
     orbit_full,
     orbit_geometric,
     p3_from_string,
@@ -166,8 +167,12 @@ def _golden_corpus():
     return [fam.config for fam in fams] + [_affine_f5_variant()]
 
 
-def _orbit_point_sets(rep):
-    return {lab: {p.key() for p in pts} for lab, pts in rep.points.items()}
+def _certified(cfg, rep) -> bool:
+    """Whether the plane oracle certifies the transport walk's report."""
+    try:
+        return orbit_geometric(cfg, rep) is rep
+    except OracleMismatch:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +472,22 @@ def test_criterion_09a_oracle_equivalence():
         gens, G = _pipeline(cfg)
         seed = p3_from_string(cfg.field, text)
         fast = orbit_full(cfg, seed, G, gens)
-        slow = orbit_geometric(cfg, seed, G)
         total += 1
-        if _orbit_point_sets(fast) != _orbit_point_sets(slow):
+        if not _certified(cfg, fast):
             mismatches.append(f"golden config over {cfg.field!r}")
 
     for cfg in _random_4line_corpus(seed=99):
         gens, G = _pipeline(cfg, budget=100)
         seed = point_on_line(cfg, "1", _generic_parameter(cfg, G))
         fast = orbit_full(cfg, seed, G, gens)
-        slow = orbit_geometric(cfg, seed, G)
         total += 1
-        if _orbit_point_sets(fast) != _orbit_point_sets(slow):
+        if not _certified(cfg, fast):
             mismatches.append(f"random config {cfg.to_json()['lines']}")
 
     elapsed = time.monotonic() - started
-    _report("9a", f"transport and plane-intersection orbits agree "
+    _report("9a", f"the plane oracle certifies every transport orbit "
                   f"({total} configurations)", [
-        ("mismatching configurations", [], mismatches),
+        ("refused configurations", [], mismatches),
         ("runtime below 60 s", True, elapsed < 60.0),
     ])
 

@@ -120,18 +120,17 @@ def test_seeded_analyze_finds_the_carrier_once(monkeypatch, oracle):
 
 
 def test_oracle_points_out_of_order_are_a_mismatch(monkeypatch):
-    # the oracle finds the same points on each line, one line in reverse order
+    # the oracle is handed the orbit's points with one line in reverse order
     from skewlines.analyze import OracleMismatch
     from skewlines.families import a4_example
     from skewlines.orbits import orbit_geometric, p3_from_string
 
-    def reversed_walk(*args, **kwargs):
-        report = orbit_geometric(*args, **kwargs)
+    def reversed_line(cfg, report):
         lab = next(lab for lab, pts in report.points.items() if len(pts) > 1)
         report.points[lab] = report.points[lab][::-1]
-        return report
+        return orbit_geometric(cfg, report)
 
-    monkeypatch.setattr(analyze_mod, "orbit_geometric", reversed_walk)
+    monkeypatch.setattr(analyze_mod, "orbit_geometric", reversed_line)
     cfg = a4_example().config
     with pytest.raises(OracleMismatch):
         analyze(cfg, seed=p3_from_string(cfg.field, "[0:0:0:1]"), oracle=True)

@@ -348,15 +348,18 @@ def test_orbit_after_an_infinite_witness_runs_no_closure(infinite_path, capsys,
 
 
 def test_oracle_mismatch_is_invariant_violation(a4_path, capsys, monkeypatch):
+    # the oracle is handed a report that lists no line
     import importlib
 
     analyze_mod = importlib.import_module("skewlines.analyze")
+    plain = analyze_mod.orbit_geometric
 
     class Bogus:
         points = {}
         total_size = 0
 
-    monkeypatch.setattr(analyze_mod, "orbit_geometric", lambda *a, **k: Bogus())
+    monkeypatch.setattr(analyze_mod, "orbit_geometric",
+                        lambda cfg, report: plain(cfg, Bogus()))
     code, _, err = run(capsys, "orbit", a4_path,
                        "--seed-point", "[0:0:0:1]", "--oracle")
     assert code == 3
@@ -364,23 +367,46 @@ def test_oracle_mismatch_is_invariant_violation(a4_path, capsys, monkeypatch):
 
 
 def test_oracle_points_out_of_order_exit_3(a4_path, capsys, monkeypatch):
-    # the oracle finds the same points on each line, one line in reverse order
+    # the oracle is handed the orbit's points with one line in reverse order
     import importlib
 
     analyze_mod = importlib.import_module("skewlines.analyze")
     plain = analyze_mod.orbit_geometric
 
-    def reversed_walk(*args, **kwargs):
-        report = plain(*args, **kwargs)
+    def reversed_line(cfg, report):
         lab = next(lab for lab, pts in report.points.items() if len(pts) > 1)
         report.points[lab] = report.points[lab][::-1]
-        return report
+        return plain(cfg, report)
 
-    monkeypatch.setattr(analyze_mod, "orbit_geometric", reversed_walk)
+    monkeypatch.setattr(analyze_mod, "orbit_geometric", reversed_line)
     code, _, err = run(capsys, "orbit", a4_path,
                        "--seed-point", "[0:0:0:1]", "--oracle")
     assert code == 3
     assert "invariant violation" in err
+
+
+def test_oracle_refuses_a_forged_point_with_exit_3(a4_path, capsys, monkeypatch):
+    # the transport walk's report with one point of line 0 moved along the
+    # line, off the orbit: the oracle meets no listed point there
+    import importlib
+
+    from skewlines.matrices import ProjPoint
+
+    analyze_mod = importlib.import_module("skewlines.analyze")
+    plain = analyze_mod.orbit_full
+
+    def forged(cfg, *args, **kwargs):
+        report = plain(cfg, *args, **kwargs)
+        f = cfg.field
+        x0, x1, x2, x3 = report.points["0"][1].coords
+        report.points["0"][1] = ProjPoint(x0 + f.from_int(5), x1, x2, x3)
+        return report
+
+    monkeypatch.setattr(analyze_mod, "orbit_full", forged)
+    code, out, err = run(capsys, "orbit", a4_path,
+                         "--seed-point", "[0:0:0:1]", "--oracle")
+    assert code == 3 and out == ""
+    assert err.startswith("invariant violation:")
 
 
 def test_orbit_walk_off_the_orbit_exits_3(a4_path, capsys, monkeypatch):
@@ -430,6 +456,36 @@ def test_family_string_parameters(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["computed_label"] == "elementary_abelian(3,2)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["family", "standard", "n=99999999999"], "degree above 64"),
+    (["family", "c3_scaled", "s_order=100000"], "degree above 64"),
+    (["family", "cyclic_4line", "u1_order=100000", "u2_order=3"], "degree above 64"),
+    (["family", "standard", "n=abc"], "n must be an integer, not 'abc'"),
+    (["family", "affine", "p=abc"], "p must be an integer, not 'abc'"),
+    (["family", "affine", "p=5", "dilation_square=abc"],
+     "dilation_square must be an integer, not 'abc'"),
+], ids=["standard_huge_n", "c3_scaled_huge_order", "cyclic_4line_huge_order",
+        "standard_text_n", "affine_text_p", "affine_text_dilation_square"])
+def test_family_refuses_oversized_or_mistyped_parameters(capsys, argv, message):
+    # a cyclotomic field of degree above families._PHI_CAP is refused before
+    # it is built: these ran out of memory or for more than a minute
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert time.monotonic() - started < 5
+
+
+def test_search_records_an_oversized_parameter_inline(capsys):
+    # search reports a refused row inline, as it does every refusal
+    code, out, err = run(capsys, "search", "standard",
+                         "n=99999999999:99999999999", "--json")
+    assert (code, err) == (0, "")
+    [row] = json.loads(out)["rows"]
+    assert row["params"] == {"n": 99999999999}
+    assert "degree above 64" in row["error"]
 
 
 def test_family_unknown_name(capsys):

@@ -1,5 +1,6 @@
 """P^3 points, line membership, orbit enumeration, and the geometric oracle."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from skewlines.families import (
 from skewlines.fields import (
     MixedFields,
     cyclotomic_field,
+    Reduction,
     prime_field,
     rational_field,
     reduction_at,
@@ -38,6 +40,7 @@ from skewlines.matrices import (
     moebius_apply,
 )
 from skewlines.orbits import (
+    OracleMismatch,
     OrbitReport,
     SeedNotOnConfiguration,
     find_carrier,
@@ -62,9 +65,10 @@ def pipeline(cfg, budget=5000):
 
 
 def run(walk, cfg, seed, G, gens):
-    """Either walk from seed on the pipeline's artifacts; only orbit_full
-    reads the generator set."""
-    return walk(cfg, seed, G, gens) if walk is orbit_full else walk(cfg, seed, G)
+    """orbit_full's report from seed on the pipeline's artifacts; under
+    orbit_geometric, that report once the plane oracle has certified it."""
+    report = orbit_full(cfg, seed, G, gens)
+    return report if walk is orbit_full else orbit_geometric(cfg, report)
 
 
 def line_orbit(cfg, G, gens, v):
@@ -240,8 +244,7 @@ def test_singular_line_seed_is_found_and_orbited():
     assert find_carrier(cfg, seed) == "2"
     gens, G = pipeline(cfg)
     fast = orbit_full(cfg, seed, G, gens)
-    slow = orbit_geometric(cfg, seed, G)
-    assert fast.to_json() == slow.to_json()
+    assert orbit_geometric(cfg, fast) is fast
     assert (fast.carrier, fast.total_size, fast.stabilizer_order) == ("2", 3, 2)
 
 
@@ -249,8 +252,8 @@ def test_orbit_full_reads_a_supplied_set_and_refuses_differences():
     cfg = a4_example().config
     seed = p3_from_string(cfg.field, "[0:0:0:1]")
     gens, G = pipeline(cfg)
-    want = orbit_geometric(cfg, seed, G).to_json()
-    assert orbit_full(cfg, seed, G, gens).to_json() == want
+    report = orbit_full(cfg, seed, G, gens)
+    assert orbit_geometric(cfg, report) is report
     with pytest.raises(ValueError, match="all_triples"):
         orbit_full(cfg, seed, G, generator_set(cfg, mode="differences"))
 
@@ -278,26 +281,27 @@ def test_orbit_geometric_uses_no_matrix_parametrization(monkeypatch):
     cases = [(a4_example().config, "[0:0:0:1]"),
              (affine_f5_config(), "[0:0:0:1]"),
              (singular_line_config(Q), "[0:1:0:0]")]
-    expected = []
+    reports = []
     for cfg, text in cases:
         gens, G = pipeline(cfg)
-        seed = p3_from_string(cfg.field, text)
-        expected.append((cfg, seed, G, orbit_full(cfg, seed, G, gens).to_json()))
+        reports.append((cfg, orbit_full(cfg, p3_from_string(cfg.field, text), G, gens)))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the plane oracle used the matrix parametrization")
 
-    # ProjPoint is the point type both walks share; the transport walk's
-    # matrix step is the closure's point table (_PointIds), which maps and
-    # names its ids, and orbits binds neither moebius_apply nor generator_set
+    # ProjPoint is the point type the walk and the oracle share; the
+    # transport walk's matrix step is the closure's point table (_PointIds),
+    # which maps and names its ids, and orbits binds neither moebius_apply
+    # nor generator_set.  Each report is made before the patches, and the
+    # oracle certifies it under them
     assert not hasattr(orbits, "moebius_apply") and not hasattr(orbits, "generator_set")
     for name in ("point_on_line", "line_parameter"):
         monkeypatch.setattr(orbits, name, forbidden)
     for name in ("image", "intern"):
         monkeypatch.setattr(groupoid._PointIds, name, forbidden)
     monkeypatch.setattr(Mat2, "apply", forbidden)
-    for cfg, seed, G, want in expected:
-        assert orbit_geometric(cfg, seed, G).to_json() == want
+    for cfg, report in reports:
+        assert orbit_geometric(cfg, report) is report
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +461,7 @@ _FAMILIES = (a4_example, s4_example, a5_example, lambda: standard_construction(6
 
 def test_orbit_lines_hold_at_most_the_orbit_of_the_seed_parameter():
     # each point of line j has parameter g.v0 for some g in G, so no line
-    # holds more than |G| / |Stab(v0)| points, and both walks reach them all:
+    # holds more than |G| / |Stab(v0)| points, and the walk reaches them all:
     # F_{i,j,inf} = 1 puts all of G.v0 on every line, so orbit size times
     # stabilizer order is |G| on each.  The seeds are [0:0:1:0], [0:0:0:1]
     # and a point with trivial stabilizer, where one exists: over F_25 every
@@ -503,50 +507,99 @@ def test_orbit_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
         orbit_full(cfg, seed, G, gens)
 
 
-def test_oracle_walk_off_the_orbit_is_an_invariant_violation(monkeypatch):
-    cfg = a4_example().config
+_FORGERIES = ("dropped", "added", "duplicated", "swapped", "moved", "seed removed")
+
+
+def _forged(cfg, report, forgery) -> OrbitReport:
+    """report with one forgery on line 0, which is not the carrier of
+    [0:0:0:1]: a point dropped, a point of the line off the orbit added, a
+    point listed twice, two entries swapped, or a point moved off the line;
+    or the seed removed from its carrier.  The sizes count the new lists."""
     f = cfg.field
+    points = {lab: list(pts) for lab, pts in report.points.items()}
+    line = points["0"]
+    if forgery == "dropped":
+        del line[2]
+    elif forgery == "added":
+        listed = set(line)
+        off = (point_on_line(cfg, "0", ProjPoint(f.one(), f.from_int(c))) for c in range(9))
+        line.append(next(p for p in off if p not in listed))
+    elif forgery == "duplicated":
+        line.insert(2, line[1])
+    elif forgery == "swapped":
+        line[1], line[2] = line[2], line[1]
+    elif forgery == "moved":
+        x = line[2].coords
+        line[2] = ProjPoint(*x[:3], x[3] + f.one())
+    else:
+        del points[report.carrier][0]
+    return OrbitReport(seed=report.seed, carrier=report.carrier,
+                       total_size=sum(map(len, points.values())),
+                       per_line_sizes={lab: len(pts) for lab, pts in points.items()},
+                       stabilizer_order=report.stabilizer_order, points=points)
+
+
+_FORGED_CONFIGS = {
+    "a4": lambda: a4_example().config,
+    "a5": lambda: a5_example().config,
+    "elementary_abelian5_f25": lambda: elementary_abelian(5).config,
+}
+
+
+@functools.cache
+def _orbit_of_0001(name):
+    cfg = _FORGED_CONFIGS[name]()
     gens, G = pipeline(cfg)
-    seed = p3_from_string(f, "[0:0:0:1]")
-    fresh = _fresh_points(f)
-    monkeypatch.setattr(orbits, "_meet", lambda span, lam: tuple(fresh()))
-    with pytest.raises(RuntimeError, match=r"more than \|G\|/\|Stab\| = 4"):
-        orbit_geometric(cfg, seed, G)
+    return cfg, orbit_full(cfg, p3_from_string(cfg.field, "[0:0:0:1]"), G, gens)
+
+
+@pytest.mark.parametrize("forgery", _FORGERIES)
+@pytest.mark.parametrize("name", list(_FORGED_CONFIGS))
+def test_a_forged_report_is_an_oracle_mismatch(name, forgery):
+    # the oracle certifies the transport walk's report and refuses each
+    # forgery of it, over Q(zeta_12), Q(zeta_20) and F_25, which has no
+    # reduction, so there every meet is formed exactly
+    cfg, report = _orbit_of_0001(name)
+    assert orbit_geometric(cfg, report) is report
+    forged = _forged(cfg, report, forgery)
+    assert forged.points != report.points
+    with pytest.raises(OracleMismatch):
+        orbit_geometric(cfg, forged)
 
 
 @pytest.mark.parametrize("family", [a4_example, a5_example])
 def test_a_forged_certificate_is_caught_by_the_transport_walk(monkeypatch, family):
-    # every candidate keyed alike and every key hit's exact test forged to
-    # pass: each line keeps the first point met on it, and the transport
-    # walk disagrees
-    from skewlines.analyze import OracleMismatch, analyze
-
+    # every point and every meet keyed alike, and every key hit's exact test
+    # forged to pass: each hop names the first point of its target line, so
+    # the walk reaches one point a line, and the oracle refuses the
+    # transport walk's report, which lists more
     cfg = family().config
-    seed = p3_from_string(cfg.field, "[0:0:0:1]")
-    monkeypatch.setattr(orbits, "_meet_key", lambda red, ab, lam: (0,))
+    gens, G = pipeline(cfg)
+    report = orbit_full(cfg, p3_from_string(cfg.field, "[0:0:0:1]"), G, gens)
+    monkeypatch.setattr(Reduction, "key", lambda self, image: (0,))
     monkeypatch.setattr(orbits, "_on_plane", lambda lam, x: True)
     hits = _key_hits(monkeypatch)
-    with pytest.raises(OracleMismatch):
-        analyze(cfg, seed=seed, oracle=True)
+    with pytest.raises(OracleMismatch, match="is not in the orbit of the seed"):
+        orbit_geometric(cfg, report)
     assert hits and all(hits)
 
 
 def test_a_point_on_two_planes_through_one_line_is_an_invariant_violation(monkeypatch):
-    # the seed makes its plane through every line but its own, and the first
-    # point a plane meets on a line makes no other plane through that line
-    # hold it.  Every point keyed alike, and an exact test forged to accept
-    # the seed alone, break that: the first point met on line 0 makes its
-    # own plane through line 2, and that plane's lookup on the seed's line
+    # the seed makes its plane through every line but its own, and a point
+    # confirmed on a plane through a line lies on no other plane through
+    # it.  Every point and every meet keyed alike, and an exact test forged
+    # to accept the seed alone, break that: a point of line 0 makes its own
+    # plane through line 2, and that plane's lookup on the seed's line
     # names the seed again
     cfg = a5_example().config
     gens, G = pipeline(cfg)
     seed = p3_from_string(cfg.field, "[0:0:0:1]")
-    monkeypatch.setattr(orbits, "_meet_key", lambda red, ab, lam: (0,))
-    monkeypatch.setattr(orbits, "_pair_key", lambda red, s, t: (0,))
+    report = orbit_full(cfg, seed, G, gens)
+    monkeypatch.setattr(Reduction, "key", lambda self, image: (0,))
     monkeypatch.setattr(orbits, "_on_plane", lambda lam, x: x is seed)
     hits = _key_hits(monkeypatch)
     with pytest.raises(RuntimeError, match="lies on two planes through line 2"):
-        orbit_geometric(cfg, seed, G)
+        orbit_geometric(cfg, report)
     assert hits and all(hits)
 
 
@@ -557,8 +610,6 @@ def test_orbit_refuses_incomplete_closure():
     seed = p3_from_string(Q, "[0:0:0:1]")
     with pytest.raises(IncompleteClosure):
         orbit_full(cfg, seed, G, gens)
-    with pytest.raises(IncompleteClosure):
-        orbit_geometric(cfg, seed, G)
 
 
 def test_orbit_points_are_group_stable():
@@ -598,6 +649,8 @@ def test_orbit_report_json_shape():
 
 
 def test_oracle_matches_matrix_path_on_goldens():
+    # the oracle certifies the transport walk's report, and a walk that
+    # meets every plane (_reference_orbit) finds its points
     for cfg, seed_text in [
         (a4_example().config, "[0:0:0:1]"),
         (s4_example().config, "[0:0:0:1]"),
@@ -607,7 +660,8 @@ def test_oracle_matches_matrix_path_on_goldens():
         seed = p3_from_string(f, seed_text)
         gens, G = pipeline(cfg)
         fast = orbit_full(cfg, seed, G, gens)
-        slow = orbit_geometric(cfg, seed, G)
+        assert orbit_geometric(cfg, fast) is fast
+        slow = _reference_orbit(cfg, seed, G, orbit_geometric)
         assert points_by_key(fast) == points_by_key(slow)
         assert fast.total_size == slow.total_size
         assert fast.stabilizer_order == slow.stabilizer_order
@@ -624,15 +678,21 @@ def test_oracle_matches_on_small_finite_configs():
         gens, G = pipeline(cfg)
         seed = point_on_line(cfg, "1", generic_parameter(cfg, G))
         fast = orbit_full(cfg, seed, G, gens)
-        slow = orbit_geometric(cfg, seed, G)
+        assert orbit_geometric(cfg, fast) is fast
+        slow = _reference_orbit(cfg, seed, G, orbit_geometric)
         assert points_by_key(fast) == points_by_key(slow)
 
 
 def test_oracle_respects_membership():
+    # a report whose seed is on no line is refused: its carrier's first
+    # point, which the oracle finds on that line, is another point
     cfg = affine_f5_config()
-    _, G = pipeline(cfg)
-    with pytest.raises(SeedNotOnConfiguration):
-        orbit_geometric(cfg, p3_from_string(F5, "[1:1:1:2]"), G)
+    gens, G = pipeline(cfg)
+    report = orbit_full(cfg, p3_from_string(F5, "[0:0:0:1]"), G, gens)
+    report.seed = p3_from_string(F5, "[1:1:1:2]")
+    assert find_carrier(cfg, report.seed) is None
+    with pytest.raises(OracleMismatch, match="seed"):
+        orbit_geometric(cfg, report)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +799,7 @@ def test_keyed_walks_build_one_point_per_orbit_point(monkeypatch, walk):
         gens, G = pipeline(cfg)
         built.clear()
         # one P^3 point for the seed and one for each other orbit point: a
-        # candidate already seen is never built
+        # candidate already seen is never built, and the oracle builds none
         seed = point_on_line(cfg, "inf", ProjPoint(f.zero(), f.one()))
         rep = run(walk, cfg, seed, G, gens)
         assert len(built) == rep.total_size > 1
@@ -787,7 +847,7 @@ def _exact_key_orbit(cfg, seed, G, walk) -> OrbitReport:
             (s, t), (a, b) = st, spans[j]
             return ProjPoint(*(s * ai + t * bi for ai, bi in zip(a, b)))
 
-        v0 = orbits._parameter(spans[carrier], seed.coords)
+        v0 = line_parameter(cfg, carrier, seed)
         key0 = span_key(*v0)
 
     points = {lab: [] for lab in labels}
@@ -866,8 +926,8 @@ def _without_lines(cfg, zero: bool, infinity: bool) -> LineConfig:
 @pytest.mark.parametrize("name", ["a4", "s4", "a5"])
 def test_walks_match_without_the_zero_or_infinity_line(name, zero, infinity):
     # with no infinity line there is no F_{i,j,inf} = 1 hop, and a line's
-    # parameters need not be all of G.v0; each walk still matches the
-    # exactly keyed reference, and the two walks agree
+    # parameters need not be all of G.v0; the walk still matches both
+    # exactly keyed references, and the oracle certifies it
     cfg = _without_lines(_MODULAR_KEY_CONFIGS[name](), zero, infinity)
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -876,8 +936,6 @@ def test_walks_match_without_the_zero_or_infinity_line(name, zero, infinity):
                    (labels[-1], generic_parameter(cfg, G))):
         seed = point_on_line(cfg, lab, v)
         _assert_walks_match_exact_keys(cfg, seed, G, gens)
-        assert orbit_full(cfg, seed, G, gens).to_json() == \
-            orbit_geometric(cfg, seed, G).to_json()
 
 
 def _small_elements(f):
@@ -931,18 +989,15 @@ def _finite_group_configs(draw):
 @settings(max_examples=100, deadline=None)
 def test_walks_agree_on_random_configurations(cfg, data):
     # the oracle meets each plane from the point that made it, which rests
-    # on skewness alone, so the walks agree on every chart, point for point
-    # and in order
+    # on skewness alone, so on every chart it certifies the transport walk's
+    # lists as the seed's orbit, point for point and in order
     f = cfg.field
     gens, G = pipeline(cfg)
     lab = data.draw(st.sampled_from(cfg.labels()))
     v = data.draw(st.sampled_from([ProjPoint(f.zero(), f.one())] +
                                   [ProjPoint(f.one(), x) for x in _small_elements(f)]))
-    seed = point_on_line(cfg, lab, v)
-    full = orbit_full(cfg, seed, G, gens)
-    check = orbit_geometric(cfg, seed, G)
-    assert check.points == full.points
-    assert check.to_json() == full.to_json()
+    full = orbit_full(cfg, point_on_line(cfg, lab, v), G, gens)
+    assert orbit_geometric(cfg, full) is full
 
 
 def test_without_the_infinity_line_lines_hold_less_than_the_orbit():
@@ -1037,8 +1092,8 @@ def test_seed_with_denominator_p_is_looked_up_exactly():
 
 
 def test_seeded_analysis_counts_the_stabilizer_once(monkeypatch):
-    # the oracle walk takes the stabilizer the transport walk counted: one
-    # fixes_point test per element, where each walk used to make its own
+    # the transport walk counts the stabilizer, one fixes_point test per
+    # element, and the oracle, which certifies its lists, counts none
     from skewlines.analyze import analyze
 
     cfg = a5_example().config
@@ -1050,16 +1105,11 @@ def test_seeded_analysis_counts_the_stabilizer_once(monkeypatch):
     report = analyze(cfg, seed=seed, oracle=True)
     assert report.orbit["oracle_agrees"] and report.orbit["stabilizer_order"] == 2
     assert len(calls) == report.group["order"] == 60
-    # each walk alone counts it
-    gens, G = pipeline(cfg)
-    for walk in (orbit_full, orbit_geometric):
-        calls.clear()
-        assert run(walk, cfg, seed, G, gens).stabilizer_order == 2
-        assert len(calls) == G.order
 
 
 @pytest.mark.parametrize("name", ["a4", "s4", "a5"])
 def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
+    # the oracle, on a report it accepts, forms no meet and inverts nothing
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -1069,9 +1119,11 @@ def test_walks_invert_at_most_twice_per_built_point(monkeypatch, name):
     inv = type(f)._inv
     monkeypatch.setattr(type(f), "_inv", lambda self, *a: calls.append(1) or inv(self, *a))
     full = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
-    oracle = orbit_geometric(cfg, seed, closure=G, carrier=carrier)
-    built = full.total_size - 1 + oracle.total_size - 1
-    assert 0 < len(calls) <= 2 * built
+    assert 0 < len(calls) <= 2 * (full.total_size - 1)
+    calls.clear()
+    monkeypatch.setattr(orbits, "_meet", lambda *a: calls.append(1))
+    assert orbit_geometric(cfg, full) is full
+    assert not calls
 
 
 @pytest.mark.parametrize("name", ["a4", "s4", "a5"])
@@ -1083,14 +1135,14 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     #   (one); from [0:0:0:1] the closure's moves hold every image, so only
     #   its ProjPoint costs one; per point of a matrix line: its P^3 point
     #   (two), |G.v0| points on each such line;
-    # - oracle, per new point: the plane (four fused coordinates), the meet
-    #   (two), the normalized parameter (one), its P^3 point (four) and that
-    #   point's normalization (three): 14; per key hit, its one fused test
-    #   lam.x = 0 on a plane already formed; and two products for each of
-    #   the six Pluecker coordinates of each line, plus the seed's parameter.
+    # - oracle, per listed point: its incidence test (its plane with its
+    #   own line, four fused coordinates) and the planes it makes (four
+    #   fused coordinates each); per hop tested, one fused lam.x = 0 on a plane
+    #   already formed; and two products for each of the six Pluecker
+    #   coordinates of each line.  A plane through line k holds one orbit
+    #   point of every other line, so there are as many planes as points.
     # The oracle meets each plane through a line once, from the point that
-    # made it, with every other line: on a5, 150 planes and 450 candidates,
-    # 149 of them new points and 301 key hits.
+    # made it, with every other line: on a5, 150 planes and 450 tests.
     cfg = _MODULAR_KEY_CONFIGS[name]()
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -1104,22 +1156,20 @@ def test_walks_multiply_per_built_point_not_per_candidate(monkeypatch, name):
     hits = _key_hits(monkeypatch)
     full = orbit_full(cfg, seed, closure=G, gens=gens, carrier=carrier)
     full_calls = len(calls)
-    oracle = orbit_geometric(cfg, seed, closure=G, carrier=carrier)
+    assert orbit_geometric(cfg, full) is full
     oracle_calls = len(calls) - full_calls
-    built = full.total_size - 1
-    assert oracle.total_size - 1 == built
     orbit = G.order // full.stabilizer_order
     assert full_calls <= (3 * (orbit - 1) + 2 * len(cfg.matrix_labels()) * orbit
                           + 5 * G.order)
     # at the field's own prime no two of these points share a key, so each
     # hit takes one test
     assert hits and sum(hits) == len(hits)
-    assert oracle_calls <= (14 * built + len(hits) + 5 * G.order
-                            + 12 * len(cfg.labels()) + 20)
+    assert oracle_calls <= 8 * full.total_size + len(hits) + 12 * len(cfg.labels())
     if name == "a5":
-        # 150 points a walk, the oracle's formed from 450 candidates; the
-        # transport walk's bound above is 3 * 29 + 2 * 3 * 30 + 5 * 60 = 567
-        assert full_calls + oracle_calls <= 8000
+        # 150 points; the oracle's bound above is 8 * 150 + 450 + 12 * 5 =
+        # 1 710, the transport walk's 3 * 29 + 2 * 3 * 30 + 5 * 60 = 567
+        assert len(hits) == 450
+        assert full_calls + oracle_calls <= 2277
 
 
 def _counted(monkeypatch, owner, names, calls):
@@ -1131,10 +1181,11 @@ def _counted(monkeypatch, owner, names, calls):
 
 
 @pytest.mark.parametrize("family, text, most", [
-    (a5_example, "[0:0:0:1]", {"_meet_key": 450, "_plane": 152, "_on_plane": 301,
-                               "products": 2345}),
-    (a5_example, "[0:0:1:7]", {"_plane": 302, "_on_plane": 601, "products": 4290}),
-    (lambda: elementary_abelian(5), "[0:0:0:1]", {"_plane": 102}),
+    (a5_example, "[0:0:0:1]", {"_meet_key": 450, "_plane": 300, "_on_plane": 450,
+                               "_meet": 0, "_inv": 0, "products": 1710}),
+    (a5_example, "[0:0:1:7]", {"_plane": 600, "_on_plane": 900, "_meet": 0, "_inv": 0,
+                               "products": 3360}),
+    (lambda: elementary_abelian(5), "[0:0:0:1]", {"_plane": 200, "_meet": 200}),
 ], ids=["a5", "a5_generic", "elementary_abelian5"])
 def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family,
                                                              text, most):
@@ -1142,24 +1193,24 @@ def test_oracle_meets_each_plane_from_the_point_that_made_it(monkeypatch, family
     # point, which spans the same plane with k, so the oracle files the
     # plane's members once and meets it from the point that made it alone.
     # On a5 from [0:0:0:1] the 120 points off each line lie on 30 planes
-    # through it: 150 planes, each met with three lines, so 450 keys, 149
-    # new points and 301 key hits, each one _on_plane test on its plane;
-    # find_carrier forms two more planes, and a point met its every plane
-    # in four times as many keys.  Over F_25, which has no reduction, every
-    # candidate is met exactly.  Class kernels count the products:
-    # Q(zeta_20) binds none on the instance
+    # through it: 150 planes, each met with three lines, so 450 keys, each
+    # confirmed by one _on_plane test on its plane, with no exact meet and
+    # no inversion; each point's incidence test forms its plane with its
+    # own line, and a point met its every plane in four times as many keys.  Over
+    # F_25, which has no reduction, every meet is formed exactly.  Class
+    # kernels count the products: Q(zeta_20) binds none on the instance
     cfg = family().config
     f = cfg.field
     gens, G = pipeline(cfg)
-    seed = p3_from_string(f, text)
-    want = orbit_full(cfg, seed, G, gens).to_json()
+    report = orbit_full(cfg, p3_from_string(f, text), G, gens)
     calls = Counter()
-    _counted(monkeypatch, orbits, ["_meet_key", "_plane", "_on_plane"], calls)
-    _counted(monkeypatch, type(f), ["_mul", "_dot"], calls)
-    assert orbit_geometric(cfg, seed, G).to_json() == want
+    _counted(monkeypatch, orbits, ["_meet_key", "_plane", "_on_plane", "_meet"], calls)
+    _counted(monkeypatch, type(f), ["_mul", "_dot", "_inv"], calls)
+    assert orbit_geometric(cfg, report) is report
     calls["products"] = calls["_mul"] + calls["_dot"]
     over = {name: calls[name] for name, bound in most.items() if calls[name] > bound}
     assert not over, over
+    assert all(calls[name] for name, bound in most.items() if bound)
 
 
 @pytest.mark.parametrize("name, classes, orbit", [
@@ -1240,8 +1291,8 @@ def _conjugated(cfg, n: str) -> LineConfig:
                                           ("a5", "2^61 + 1")], ids=["a4", "s4", "a5"])
 def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name, height):
     # at the field's own prime, with heights of 2^20 to 2^61 on the entries,
-    # each key hit is tested exactly on its plane, and both walks match the
-    # exactly keyed reference
+    # each key hit is tested exactly on its plane, and the walk matches both
+    # exactly keyed references
     cfg = _conjugated(_MODULAR_KEY_CONFIGS[name](), height)
     f = cfg.field
     gens, G = pipeline(cfg)
@@ -1252,7 +1303,7 @@ def test_high_heights_leave_hits_to_the_exact_check(monkeypatch, name, height):
     outcomes = []
     monkeypatch.setattr(orbits, "_on_plane", _recording(orbits._on_plane, outcomes))
     hits = _key_hits(monkeypatch)
-    assert orbit_geometric(cfg, seed, G).to_json() == want
+    assert run(orbit_geometric, cfg, seed, G, gens).to_json() == want
     assert hits and all(hits) and sum(hits) == len(outcomes)
     assert True in outcomes
 
